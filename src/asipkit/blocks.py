@@ -23,7 +23,6 @@ from .moments import (
     MomentEngine,
     SupportOverflow,
     _dyadic_scale,
-    _VarSweep,
     engine_for,
 )
 from .util import direction_grid
@@ -242,13 +241,10 @@ def build_blocks(
     norms: list[float] = []
     a = 1
     while a <= scan_top:
-        sweep = _VarSweep(chain.marginal(a), (eng.centered(a) @ u0)[:, None], 1)
-        b = a
-        var = float(sweep.var()[0])
-        while var < amplitude and b < scan_top:
-            sweep.step(chain.kernel(b), (eng.centered(b + 1) @ u0)[:, None])
-            b += 1
+        for b, sweep in eng.scan(a, scan_top, u0):
             var = float(sweep.var()[0])
+            if var >= amplitude:
+                break
         if var < amplitude:
             break
         blocks.append((a, b))
@@ -344,29 +340,14 @@ def _masked_prefix_vars(
     """
     a1 = blocks[0][0]
     stops = [b if masked else b + r for _, b in blocks]
-    top = stops[-1]
-    inside = np.zeros(top - a1 + 2, dtype=bool)
-    for a, b in blocks:
-        inside[a - a1 : (b if masked else min(b + r, top)) - a1 + 1] = True
-
-    def node(t):
-        return (eng.centered(t) @ u0)[:, None] if inside[t - a1] else None
-
-    chain = eng.chain
-    sweep = _VarSweep(chain.marginal(a1), node(a1), 1)
-    out = np.empty(len(stops))
-    k = 0
-    t = a1
-    if stops[0] == a1:
-        out[0] = float(sweep.var()[0])
-        k = 1
-    while k < len(stops):
-        sweep.step(chain.kernel(t), node(t + 1))
-        t += 1
-        if t == stops[k]:
-            out[k] = float(sweep.var()[0])
-            k += 1
-    return out
+    inside = np.zeros(stops[-1] - a1 + 1, dtype=bool)
+    for (a, _), stop in zip(blocks, stops):
+        inside[a - a1 : stop - a1 + 1] = True
+    at = set(stops)
+    return np.array([
+        float(sweep.var()[0])
+        for t, sweep in eng.scan(a1, stops[-1], u0, inside) if t in at
+    ])
 
 
 def verify_partition(

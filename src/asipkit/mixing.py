@@ -202,6 +202,9 @@ def fit_envelope(alphas, phis=None) -> tuple[Envelope, int | None]:
         c = float(np.exp(intercept))
         # sup-correct: a true envelope, not a regression
         c = max(c, float(np.max(vals / delta**ks)))
+        # the quotient rounds, so c may still sit an ulp short of a point
+        while any(v > c * delta**k for k, v in items):
+            c = float(np.nextafter(c, np.inf))
         degenerate = bool(pos.sum() < 3)
         env = Envelope(c=c, delta=delta, degenerate=degenerate, nonmonotone=nonmono)
 

@@ -9,10 +9,10 @@ cross-check and for callers that want per-pair terms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -26,76 +26,39 @@ _DYADIC_MAX_DEN = 1 << 24
 
 
 # ---------------------------------------------------------------------------
-# forward sweeps
+# forward sweep
 
 
-class _CovSweep:
-    """Tracks exact E[T 1{state}] and E[T T' 1{state}] for a running sum T.
+class _Sweep:
+    """Tracks exact E[T 1{state}] and E[T^2 1{state}] per direction for
+    running sums T, one column per direction.
 
-    T accumulates node values (s, C) at each time and optional edge values
-    (s, s', C) across each transition.  All values must already be centered
+    T accumulates node values (s, k) at each time and optional edge values
+    (s, s', k) across each transition.  All values must already be centered
     by the caller if a centered sum is wanted.
     """
 
     def __init__(self, p0: np.ndarray, node0: np.ndarray | None, channels: int):
-        s = p0.shape[0]
         self.p = p0.astype(float)
-        self.phi = np.zeros((s, channels))
-        self.psi = np.zeros((s, channels, channels))
-        if node0 is not None:
-            self.phi = node0 * self.p[:, None]
-            self.psi = node0[:, :, None] * node0[:, None, :] * self.p[:, None, None]
-
-    def step(self, kernel: np.ndarray, node: np.ndarray | None, edge: np.ndarray | None):
-        pt = kernel.T @ self.p
-        if edge is None:
-            phi_t = kernel.T @ self.phi
-            psi_t = np.einsum("xy,xab->yab", kernel, self.psi)
+        if node0 is None:
+            self.phi = np.zeros((p0.shape[0], channels))
+            self.psi = np.zeros((p0.shape[0], channels))
         else:
-            w = edge  # (s, s', C)
-            kp = kernel * self.p[:, None]  # joint of (x, y)
-            phi_t = kernel.T @ self.phi + np.einsum("xy,xyc->yc", kp, w)
-            psi_t = (
-                np.einsum("xy,xab->yab", kernel, self.psi)
-                + np.einsum("xy,xya,xb->yab", kernel, w, self.phi)
-                + np.einsum("xy,xa,xyb->yab", kernel, self.phi, w)
-                + np.einsum("xy,xya,xyb->yab", kp, w, w)
-            )
-        if node is not None:
-            psi_t = (
-                psi_t
-                + node[:, :, None] * phi_t[:, None, :]
-                + phi_t[:, :, None] * node[:, None, :]
-                + node[:, :, None] * node[:, None, :] * pt[:, None, None]
-            )
-            phi_t = phi_t + node * pt[:, None]
-        self.p, self.phi, self.psi = pt, phi_t, psi_t
-
-    def mean(self) -> np.ndarray:
-        return self.phi.sum(axis=0)
-
-    def cov(self) -> np.ndarray:
-        m = self.mean()
-        return self.psi.sum(axis=0) - np.outer(m, m)
-
-
-class _VarSweep:
-    """Per-channel variant of _CovSweep (no cross moments), for batches of
-    projection directions."""
-
-    def __init__(self, p0: np.ndarray, node0: np.ndarray | None, channels: int):
-        s = p0.shape[0]
-        self.p = p0.astype(float)
-        self.phi = np.zeros((s, channels))
-        self.psi = np.zeros((s, channels))
-        if node0 is not None:
             self.phi = node0 * self.p[:, None]
             self.psi = node0 * node0 * self.p[:, None]
 
-    def step(self, kernel: np.ndarray, node: np.ndarray | None):
+    def step(self, kernel: np.ndarray, node: np.ndarray | None, edge: np.ndarray | None = None):
         pt = kernel.T @ self.p
         phi_t = kernel.T @ self.phi
         psi_t = kernel.T @ self.psi
+        if edge is not None:
+            kp = kernel * self.p[:, None]  # joint of (x, y)
+            psi_t = (
+                psi_t
+                + 2.0 * np.einsum("xy,xyc,xc->yc", kernel, edge, self.phi)
+                + np.einsum("xy,xyc->yc", kp, edge * edge)
+            )
+            phi_t = phi_t + np.einsum("xy,xyc->yc", kp, edge)
         if node is not None:
             psi_t = psi_t + 2.0 * node * phi_t + node * node * pt[:, None]
             phi_t = phi_t + node * pt[:, None]
@@ -104,6 +67,37 @@ class _VarSweep:
     def var(self) -> np.ndarray:
         m = self.phi.sum(axis=0)
         return self.psi.sum(axis=0) - m * m
+
+
+def _reversed_kernel(fwd: np.ndarray, m_from: np.ndarray, m_to: np.ndarray) -> np.ndarray:
+    """Kernel of the time-reversed chain from time t + 1 back to time t."""
+    rev = (fwd * m_from[:, None]).T  # (s_{t+1}, s_t), rows to renormalize
+    denom = np.where(m_to > 0, m_to, 1.0)
+    rev = rev / denom[:, None]
+    rev[m_to <= 0] = 0.0
+    if rev.shape[1]:
+        rev[m_to <= 0, 0] = 1.0  # arbitrary valid row; carries zero mass
+    return rev
+
+
+def _polar_directions(d: int) -> np.ndarray:
+    """Directions e_i (i < d), then e_i + e_j (i < j): the variances along
+    them determine a d x d covariance by polarization."""
+    eye = np.eye(d)
+    pairs = [eye[i] + eye[j] for i in range(d) for j in range(i + 1, d)]
+    return np.array([*eye, *pairs]).reshape(-1, d)
+
+
+def _polarize(pv: np.ndarray, d: int) -> np.ndarray:
+    """d x d covariances from variances along _polar_directions(d) in the
+    last axis."""
+    v = np.zeros(pv.shape[:-1] + (d, d))
+    for i in range(d):
+        v[..., i, i] = pv[..., i]
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    for k, (i, j) in enumerate(pairs, start=d):
+        v[..., i, j] = v[..., j, i] = 0.5 * (pv[..., k] - pv[..., i] - pv[..., j])
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +157,8 @@ class MomentEngine:
         self.d = chain.d
         self._means: dict[int, np.ndarray] = {}
         self._centered: dict[int, np.ndarray] = {}
-        self._vlist: list = [None, None]  # _vlist[n] = V_{1,n}, grown on demand
-        self._vsweep: _CovSweep | None = None
-        self._vtime = 0
+        self._vlist: list = [None]  # _vlist[n] = V_{1,n}, grown on demand
+        self._vscan = self.scan(1, None, _polar_directions(self.d))
 
     # -- per-time -----------------------------------------------------------
 
@@ -182,10 +175,6 @@ class MomentEngine:
             c = self.chain.obs(j) - self.mean_obs(j)
             self._centered[j] = c
         return c
-
-    def projected_bound(self, u: np.ndarray, times) -> float:
-        """sup over given times of max_x |f_j(x) . u| (uncentered values)."""
-        return max(float(np.max(np.abs(self.chain.obs(j) @ u))) for j in times)
 
     # -- pairwise covariance path --------------------------------------------
 
@@ -239,32 +228,59 @@ class MomentEngine:
 
     # -- recursion path -------------------------------------------------------
 
+    def scan(self, a: int, b: int | None, directions: np.ndarray, inside=None, reverse=False):
+        """Exact moment scan of S . u for every direction row u.
+
+        Yields (t, sweep) after each time t enters the sum: t = a, ..., b, or
+        without end when b is None.  With reverse=True the scan walks the
+        time-reversed chain, t = b, ..., a, so sweep holds the suffix sum over
+        [t, b].  `inside`, a boolean mask indexed by t - a, keeps the times
+        where it is False out of the sum.  The sweep is one object updated
+        in place; call sweep.var() at the times to record.
+        """
+        dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+        chain = self.chain
+
+        def node(t):
+            if inside is None or inside[t - a]:
+                return self.centered(t) @ dirs.T
+            return None
+
+        if reverse:
+            times = range(b, a - 1, -1)
+        else:
+            times = itertools.count(a) if b is None else range(a, b + 1)
+        sweep = None
+        for t in times:
+            if sweep is None:
+                sweep = _Sweep(chain.marginal(t), node(t), dirs.shape[0])
+            elif reverse:
+                rev = _reversed_kernel(chain.kernel(t), chain.marginal(t), chain.marginal(t + 1))
+                sweep.step(rev, node(t))
+            else:
+                sweep.step(chain.kernel(t - 1), node(t))
+            yield t, sweep
+
+    def _end_var(self, a: int, b: int, directions, inside=None) -> np.ndarray:
+        """Var(S . u) over [a, b] per direction row, recorded once at b."""
+        if b < a:
+            raise ChainConfigError(f"bad window [{a}, {b}]")
+        for _, sweep in self.scan(a, b, directions, inside):
+            pass
+        return sweep.var()
+
     def cov_partial_sum(self, n: int, m: int) -> np.ndarray:
         """Exact V_{n,m} = Cov(S_{n,m}) by the forward recursion, O(m - n)."""
-        if m < n:
-            raise ChainConfigError(f"bad window [{n}, {m}]")
-        sweep = _CovSweep(self.chain.marginal(n), self.centered(n), self.d)
-        for t in range(n, m):
-            sweep.step(self.chain.kernel(t), self.centered(t + 1), None)
-        return sweep.cov()
+        return _polarize(self._end_var(n, m, _polar_directions(self.d)), self.d)
 
     def v_matrix(self, n: int) -> np.ndarray:
-        """V_n = V_{1,n}, resumable prefix sweep cached per n."""
+        """V_n = V_{1,n}, resumable prefix scan cached per n."""
         if n < 1:
             raise ChainConfigError("n must be >= 1")
-        if n < len(self._vlist) and self._vlist[n] is not None:
-            return self._vlist[n]
-        if self._vsweep is None:
-            self._vsweep = _CovSweep(self.chain.marginal(1), self.centered(1), self.d)
-            self._vtime = 1
-            self._vlist[1] = self._vsweep.cov()
-        while self._vtime < n:
-            t = self._vtime
-            self._vsweep.step(self.chain.kernel(t), self.centered(t + 1), None)
-            self._vtime += 1
-            if len(self._vlist) <= self._vtime:
-                self._vlist.append(None)
-            self._vlist[self._vtime] = self._vsweep.cov()
+        self.chain.state_size(n)  # rejects times past the chain's horizon
+        while len(self._vlist) <= n:
+            _, sweep = next(self._vscan)
+            self._vlist.append(_polarize(sweep.var(), self.d))
         return self._vlist[n]
 
     def s_value(self, n: int) -> float:
@@ -282,19 +298,7 @@ class MomentEngine:
         """
         if horizon < 1:
             raise ChainConfigError("horizon must be >= 1")
-        d = self.d
-        dirs = [np.eye(d)[i] for i in range(d)]
-        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-        dirs += [np.eye(d)[i] + np.eye(d)[j] for i, j in pairs]
-        pv = self.prefix_variances(1, horizon, np.array(dirs))
-        v = np.zeros((horizon, d, d))
-        for i in range(d):
-            v[:, i, i] = pv[:, i]
-        for idx, (i, j) in enumerate(pairs):
-            c = 0.5 * (pv[:, d + idx] - pv[:, i] - pv[:, j])
-            v[:, i, j] = c
-            v[:, j, i] = c
-        return v
+        return _polarize(self.prefix_variances(1, horizon, _polar_directions(self.d)), self.d)
 
     def s_curve(self, horizon: int) -> np.ndarray:
         """s_n for every n in [1, horizon] (one sweep, batched eigenvalues)."""
@@ -305,40 +309,13 @@ class MomentEngine:
 
     def var_window(self, n: int, m: int, u: np.ndarray) -> float:
         """Var(S_{n,m} . u) by a scalar recursion."""
-        u = np.asarray(u, dtype=float)
-        sweep = _VarSweep(self.chain.marginal(n), (self.centered(n) @ u)[:, None], 1)
-        for t in range(n, m):
-            sweep.step(self.chain.kernel(t), (self.centered(t + 1) @ u)[:, None])
-        return float(sweep.var()[0])
+        return float(self._end_var(n, m, u)[0])
 
     def var_segments(self, u: np.ndarray, segments) -> float:
         """Var of the sum of X_t . u over t in the union of [a, b] segments."""
         segs = sorted((int(a), int(b)) for a, b in segments)
         lo, hi = segs[0][0], max(b for _, b in segs)
-        inside = _segment_mask(segs, lo, hi)
-        u = np.asarray(u, dtype=float)
-
-        def node(t):
-            return (self.centered(t) @ u)[:, None] if inside[t - lo] else None
-
-        sweep = _VarSweep(self.chain.marginal(lo), node(lo), 1)
-        for t in range(lo, hi):
-            sweep.step(self.chain.kernel(t), node(t + 1))
-        return float(sweep.var()[0])
-
-    def cov_segments_matrix(self, segments) -> np.ndarray:
-        """Exact d x d covariance of the segment-masked partial sum."""
-        segs = sorted((int(a), int(b)) for a, b in segments)
-        lo, hi = segs[0][0], max(b for _, b in segs)
-        inside = _segment_mask(segs, lo, hi)
-
-        def node(t):
-            return self.centered(t) if inside[t - lo] else None
-
-        sweep = _CovSweep(self.chain.marginal(lo), node(lo), self.d)
-        for t in range(lo, hi):
-            sweep.step(self.chain.kernel(t), node(t + 1), None)
-        return sweep.cov()
+        return float(self._end_var(lo, hi, u, _segment_mask(segs, lo, hi))[0])
 
     def cross_cov_segments(self, u: np.ndarray, segs1, segs2) -> float:
         """Cov(sum over segs1 . u, sum over segs2 . u) by polarization."""
@@ -352,79 +329,37 @@ class MomentEngine:
         Returns shape (b - a + 1, n_directions).
         """
         dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-        sweep = _VarSweep(self.chain.marginal(a), self.centered(a) @ dirs.T, dirs.shape[0])
         out = np.empty((b - a + 1, dirs.shape[0]))
-        out[0] = sweep.var()
-        for t in range(a, b):
-            sweep.step(self.chain.kernel(t), self.centered(t + 1) @ dirs.T)
-            out[t + 1 - a] = sweep.var()
+        for t, sweep in self.scan(a, b, dirs):
+            out[t - a] = sweep.var()
         return out
 
     def suffix_variances(self, a0: int, b: int, directions: np.ndarray) -> np.ndarray:
         """Var(S_{a,b} . u) for every a in [a0, b] and every direction row.
 
         Returns shape (b - a0 + 1, n_directions); entry [a - a0, i] is the
-        variance of the suffix sum starting at a.  Same reversed-kernel sweep
-        as suffix_l2.
+        variance of the suffix sum starting at a, from one scan over the
+        time-reversed chain.
         """
         dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-        margs = [self.chain.marginal(t) for t in range(a0, b + 1)]
-        sweep = _VarSweep(margs[-1], self.centered(b) @ dirs.T, dirs.shape[0])
         out = np.empty((b - a0 + 1, dirs.shape[0]))
-        out[b - a0] = sweep.var()
-        for t in range(b - 1, a0 - 1, -1):
-            fwd = self.chain.kernel(t)
-            m_from = margs[t - a0]
-            m_to = margs[t + 1 - a0]
-            rev = (fwd * m_from[:, None]).T
-            denom = np.where(m_to > 0, m_to, 1.0)
-            rev = rev / denom[:, None]
-            rev[m_to <= 0] = 0.0
-            if rev.shape[1]:
-                rev[m_to <= 0, 0] = 1.0
-            sweep.step(rev, self.centered(t) @ dirs.T)
+        for t, sweep in self.scan(a0, b, dirs, reverse=True):
             out[t - a0] = sweep.var()
-        return out
-
-    def suffix_l2(self, a0: int, b: int) -> np.ndarray:
-        """Vector L2 norms ||S_{a,b}||_{L2} = sqrt(trace V_{a,b}) for a in [a0, b].
-
-        Runs one forward sweep over the time-reversed chain, so the cost is
-        linear in the window length.  Entry [a - a0] corresponds to start a.
-        """
-        margs = [self.chain.marginal(t) for t in range(a0, b + 1)]
-        sweep = _CovSweep(margs[-1], self.centered(b), self.d)
-        out = np.empty(b - a0 + 1)
-        out[b - a0] = math.sqrt(max(float(np.trace(sweep.cov())), 0.0))
-        for t in range(b - 1, a0 - 1, -1):
-            fwd = self.chain.kernel(t)  # (s_t, s_{t+1})
-            m_from = margs[t - a0]
-            m_to = margs[t + 1 - a0]
-            rev = (fwd * m_from[:, None]).T  # (s_{t+1}, s_t), rows to renormalize
-            denom = np.where(m_to > 0, m_to, 1.0)
-            rev = rev / denom[:, None]
-            rev[m_to <= 0] = 0.0
-            if rev.shape[1]:
-                rev[m_to <= 0, 0] = 1.0  # arbitrary valid row; carries zero mass
-            sweep.step(rev, self.centered(t), None)
-            out[t - a0] = math.sqrt(max(float(np.trace(sweep.cov())), 0.0))
         return out
 
     # -- pair observables -----------------------------------------------------
 
-    def pair_mean(self, tables, j: int) -> np.ndarray:
-        """E[f_j(xi_j, xi_{j+1})] for a transition observable table (s, s', d)."""
-        w = np.asarray(tables(j), dtype=float)
-        joint = self.chain.marginal(j)[:, None] * self.chain.kernel(j)
-        return np.einsum("xy,xyc->c", joint, w)
-
     def pair_window_cov(self, tables, n: int, m: int) -> np.ndarray:
         """Cov of sum_{j=n}^{m} f_j(xi_j, xi_{j+1}) for transition observables."""
-        sweep = _CovSweep(self.chain.marginal(n), None, np.asarray(tables(n)).shape[-1])
+        d = np.asarray(tables(n)).shape[-1]
+        dirs = _polar_directions(d)
+        sweep = _Sweep(self.chain.marginal(n), None, dirs.shape[0])
         for j in range(n, m + 1):
-            w = np.asarray(tables(j), dtype=float) - self.pair_mean(tables, j)
-            sweep.step(self.chain.kernel(j), None, w)
-        return sweep.cov()
+            w = np.asarray(tables(j), dtype=float)
+            joint = self.chain.marginal(j)[:, None] * self.chain.kernel(j)
+            w = w - np.einsum("xy,xyc->c", joint, w)
+            sweep.step(self.chain.kernel(j), None, w @ dirs.T)
+        return _polarize(sweep.var(), d)
 
     # -- distribution-level: exact L^p ----------------------------------------
 
@@ -611,15 +546,12 @@ def _mc_window_sums(chain, engine, n, m, u, paths, seed, segments=None):
     return total
 
 
-_ENGINES: WeakKeyDictionary = WeakKeyDictionary()
-
-
 def engine_for(chain: ChainSpec) -> MomentEngine:
-    """Memoized engine per chain instance."""
-    eng = _ENGINES.get(chain)
+    """Memoized engine per chain instance, kept on the chain so that it is
+    freed with it."""
+    eng = getattr(chain, "_engine", None)
     if eng is None:
-        eng = MomentEngine(chain)
-        _ENGINES[chain] = eng
+        eng = chain._engine = MomentEngine(chain)
     return eng
 
 

@@ -2,14 +2,12 @@
 
 Sampling is chunked: paths are grouped in fixed-size chunks, each chunk
 drawing from its own PCG64 stream spawned as SeedSequence(seed, spawn_key=
-(chunk,)).  Chunks write disjoint slices of preallocated arrays, so the
-output is bit-identical for any worker count or scheduling order.
+(chunk,)), so the output is bit-identical for a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +15,6 @@ from scipy.special import ndtr, ndtri
 
 from .chain import ChainConfigError, ChainSpec
 from .moments import MomentEngine, engine_for
-from .util import worker_count
 
 CHUNK = 1024
 PSD_TOL = -1e-10
@@ -129,21 +126,9 @@ def sample_paths(
     blocks = np.zeros((n_paths, len(covers), d)) if covers is not None else None
     lut = _cover_lut(covers, n_max) if covers is not None else None
 
-    jobs = []
     for c, lo in enumerate(range(0, n_paths, CHUNK)):
-        jobs.append((c, lo, min(lo + CHUNK, n_paths)))
-    workers = min(worker_count(), len(jobs)) or 1
-
-    def run(job):
-        c, lo, hi = job
+        hi = min(lo + CHUNK, n_paths)
         _sample_chunk(chain, eng, n_max, seed, c, lo, hi, cps, sums, lut, blocks)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(run, jobs))
-    else:
-        for job in jobs:
-            run(job)
     return PathBatch(
         seed=int(seed), n_paths=int(n_paths), n_max=int(n_max), checkpoints=cps,
         sums=sums, block_sums=blocks, block_covers=covers,
@@ -528,19 +513,18 @@ def lil_diagnostic(
     first_n = int(np.argmax(gate)) + 1
 
     best = np.zeros(n_paths)
-
-    def run(job):
-        c, lo, hi = job
+    cache: dict = {}
+    start = np.cumsum(chain.marginal(1))
+    vals = eng.centered(1) @ u
+    for c, lo in enumerate(range(0, n_paths, CHUNK)):
+        hi = min(lo + CHUNK, n_paths)
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
         )
         n = hi - lo
-        cache: dict = {}
-        start = np.cumsum(chain.marginal(1))
         states = np.minimum(
             np.sum(start <= rng.random(n)[:, None], axis=1), start.shape[0] - 1
         )
-        vals = eng.centered(1) @ u
         total = vals[states].copy()
         acc = np.abs(total) / norm[0] if gate[0] else np.zeros(n)
         for t in range(2, n_max + 1):
@@ -554,18 +538,6 @@ def lil_diagnostic(
             if gate[t - 1]:
                 np.maximum(acc, np.abs(total) / norm[t - 1], out=acc)
         best[lo:hi] = acc
-
-    jobs = [
-        (c, lo, min(lo + CHUNK, n_paths))
-        for c, lo in enumerate(range(0, n_paths, CHUNK))
-    ]
-    workers = min(worker_count(), len(jobs)) or 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(run, jobs))
-    else:
-        for job in jobs:
-            run(job)
     qs = (0.1, 0.25, 0.5, 0.75, 0.9)
     quantiles = {q: float(np.quantile(best, q)) for q in qs}
     return LilReport(

@@ -2,21 +2,7 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-WORKERS_ENV = "ASIPKIT_WORKERS"
-
-
-def worker_count() -> int:
-    """Thread count for chunked sampling; output never depends on it."""
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 def dobrushin(kernel: np.ndarray) -> float:

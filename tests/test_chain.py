@@ -1,4 +1,8 @@
 """Chain documents: parsing, validation, and exact marginal laws."""
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -183,3 +187,11 @@ def test_build_chain_accepts_json_string_and_path(tmp_path):
     p.write_text(json.dumps(doc))
     ch2 = build_chain(str(p))
     np.testing.assert_allclose(ch2.kernel(1), SYM_K)
+
+
+def test_readme_json_examples_parse():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    docs = re.findall(r"```json\n(.*?)```", text, re.S)
+    assert len(docs) >= 3
+    for doc in docs:
+        build_chain(json.loads(doc))

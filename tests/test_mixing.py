@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from asipkit.battery import entry
+from asipkit.chain import build_chain
 from asipkit.mixing import (
     Envelope,
     alpha_phi,
@@ -109,6 +110,15 @@ def test_mixing_report_identities(sym):
     # alpha dominated by phi at every lag
     for a, p in zip(rep.alpha, rep.phi):
         assert a <= p + 1e-15
+    # a generic stay probability, where alpha(k) / delta^k rounds to a c one
+    # ulp short of dominating alpha(k)
+    stay = (1.0 + 0.645873181125018) / 2.0
+    mixing_report(build_chain({
+        "kernels": {"periodic": [[[stay, 1.0 - stay], [1.0 - stay, stay]]]},
+        "initial": [0.5, 0.5],
+        "observable": {"constant": [[1.0], [-1.0]]},
+        "L": 1.0,
+    })).check_identities()
 
 
 def test_n0_not_found_for_slow_chain():

@@ -1,9 +1,12 @@
 """Exact moment engine vs brute-force path enumeration and closed forms."""
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
+from asipkit.battery import battery
 from asipkit.chain import ChainSpec, ExplicitKernels, ObservableSchedule
 from asipkit.moments import MomentEngine, engine_for
 
@@ -103,10 +106,38 @@ def test_prefix_and_suffix_sweeps():
     for t in range(2, 7):
         for k, u in enumerate(dirs):
             assert abs(pv[t - 2, k] - eng.var_window(2, t, u)) < 1e-12
-    s2 = eng.suffix_l2(1, 6)
+    sv = eng.suffix_variances(1, 6, np.eye(2))
     for a in range(1, 7):
-        direct = np.sqrt(np.trace(eng.cov_partial_sum(a, 6)))
-        assert abs(s2[a - 1] - direct) < 1e-11
+        oracle, exact = eng.cov_partial_sum_pairwise(a, 6, truncate=None)
+        assert exact and np.abs(sv[a - 1] - np.diag(oracle)).max() < 1e-12
+
+
+def test_scan_matches_pairwise_oracle_on_battery():
+    n = 24
+    for e in battery():
+        ch = e.build()
+        eng = MomentEngine(ch)
+        dirs = np.vstack([np.eye(ch.d), np.ones((1, ch.d))])
+
+        def oracle(a, b):
+            return eng.cov_partial_sum_pairwise(a, b, truncate=None)[0]
+
+        def quad(v):
+            return np.einsum("kd,de,ke->k", dirs, v, dirs)
+
+        tol = 1e-10 * np.abs(oracle(1, n)).max()
+        pv = eng.prefix_variances(1, n, dirs)
+        sv = eng.suffix_variances(1, n, dirs)
+        for t in (1, 2, n // 2, n):
+            assert np.abs(pv[t - 1] - quad(oracle(1, t))).max() <= tol, e.name
+            assert np.abs(sv[t - 1] - quad(oracle(t, n))).max() <= tol, e.name
+            assert np.abs(eng.v_matrix(t) - oracle(1, t)).max() <= tol, e.name
+        assert np.abs(eng.cov_partial_sum(3, n) - oracle(3, n)).max() <= tol, e.name
+        # segments X = [1, 4], Z = [9, n] around the gap Y = [5, 8]:
+        # Var(X + Z) = VX + VZ + Var(X+Y+Z) - Var(X+Y) - Var(Y+Z) + VY
+        q = {w: quad(oracle(*w))[-1] for w in ((1, 4), (9, n), (1, n), (1, 8), (5, n), (5, 8))}
+        want = q[1, 4] + q[9, n] + q[1, n] - q[1, 8] - q[5, n] + q[5, 8]
+        assert abs(eng.var_segments(dirs[-1], [(1, 4), (9, n)]) - want) <= tol, e.name
 
 
 def test_symmetric_chain_closed_form(sym):
@@ -178,3 +209,14 @@ def test_mean_obs_centering(sym, iid2):
         for t in (1, 3, 17):
             assert np.abs(eng.mean_obs(t)).max() < 1e-15
             assert np.abs(eng.centered(t) - ch.obs(t)).max() < 1e-15
+
+
+def test_engine_for_memo_frees_its_chain():
+    ch = small_random_chain([2, 3, 2], 1, 3)
+    eng = engine_for(ch)
+    eng.v_matrix(3)
+    assert engine_for(ch) is eng
+    ref = weakref.ref(ch)
+    del ch, eng
+    gc.collect()
+    assert ref() is None

@@ -61,9 +61,12 @@ def test_marginals_and_step_matrices_are_stochastic(seed, n_steps):
 @settings(**SETTINGS)
 def test_partial_sum_covariance_is_psd(seed, n_steps, d):
     ch = random_chain(seed, n_steps, d)
-    cov = MomentEngine(ch).cov_partial_sum(1, n_steps + 1)
+    eng = MomentEngine(ch)
+    cov = eng.cov_partial_sum(1, n_steps + 1)
     assert np.abs(cov - cov.T).max() < 1e-12
     assert np.linalg.eigvalsh(cov).min() > -1e-10
+    oracle, exact = eng.cov_partial_sum_pairwise(1, n_steps + 1, truncate=None)
+    assert exact and np.abs(cov - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
 
 @given(st.integers(0, 10_000), st.integers(1, 3))
