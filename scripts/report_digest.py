@@ -1,0 +1,59 @@
+#!/usr/bin/env python3
+"""Digest the CLI reports for every chain in chains/.
+
+Runs `asipkit simulate --paths 2000 --seed 7` and `asipkit blocks` on each
+chains/*.json into a temporary directory, two commands at a time, and prints
+one `<sha256>  <chain>/<file>` line per report file.  Exit codes and wall
+times go to stderr.  A refactor that claims byte-identical reports is checked
+by diffing this output before and after it:
+
+    python3 scripts/report_digest.py > after.txt
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COMMANDS = (["simulate", "--paths", "2000", "--seed", "7"], ["blocks"])
+
+
+def _run(args: list, env: dict) -> str:
+    t0 = time.perf_counter()
+    rc = subprocess.run(
+        [sys.executable, "-m", "asipkit.cli", *args], cwd=ROOT, env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    ).returncode
+    return f"exit {rc} in {time.perf_counter() - t0:.1f} s: asipkit {' '.join(args)}"
+
+
+def main() -> int:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    chains = sorted((ROOT / "chains").glob("*.json"))
+    with tempfile.TemporaryDirectory() as tmp:
+        jobs = [
+            [*cmd, "--chain", f"chains/{c.name}", "--out", os.path.join(tmp, c.stem)]
+            for c in chains for cmd in COMMANDS
+        ]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for line in pool.map(lambda a: _run(a, env), jobs):
+                print(line, file=sys.stderr)
+        for f in sorted(Path(tmp).rglob("*")):
+            if f.is_file():
+                digest = hashlib.sha256(f.read_bytes()).hexdigest()
+                print(f"{digest}  {f.relative_to(tmp).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

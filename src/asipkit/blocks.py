@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainConfigError, ChainSpec
+from .chain import ChainConfigError, ChainSpec, walk
 from .mixing import Envelope, alpha_phi, mixing_report
 from .moments import (
     ATOM_CAP_DEFAULT,
@@ -23,6 +23,7 @@ from .moments import (
     MomentEngine,
     SupportOverflow,
     _dyadic_scale,
+    _mc_lp,
     engine_for,
 )
 from .util import direction_grid
@@ -624,24 +625,16 @@ def _gap_lp_dp(
     return moment ** (1.0 / p), exact_keys
 
 
-def _walk_gap(
-    chain: ChainSpec, eng: MomentEngine, b: int, r: int, rng: np.random.Generator,
-    n_paths: int,
-) -> np.ndarray:
+def _walk_gap(eng: MomentEngine, b: int, r: int, rng: np.random.Generator, n: int) -> np.ndarray:
     """Max over 0 <= l <= r of |centered sum over (b, b+l]|_2, per sampled path.
 
     Paths start fresh from the exact marginal at time b."""
-    start = np.cumsum(chain.marginal(b))
-    states = np.searchsorted(start, rng.random(n_paths), side="right")
-    states = np.minimum(states, start.shape[0] - 1)
-    total = np.zeros((n_paths, chain.d))
-    best = np.zeros(n_paths)
-    for s in range(1, r + 1):
-        kern_cum = np.cumsum(chain.kernel(b + s - 1), axis=1)
-        draw = rng.random(n_paths)
-        states = np.sum(kern_cum[states] <= draw[:, None], axis=1)
-        states = np.minimum(states, kern_cum.shape[1] - 1)
-        total += eng.centered(b + s)[states]
+    total = np.zeros((n, eng.d))
+    best = np.zeros(n)
+    paths = walk(eng.chain, b, r, n, rng)
+    next(paths)  # the start at b is outside the gap
+    for t, states in paths:
+        total += eng.centered(t)[states]
         np.maximum(best, np.einsum("ij,ij->i", total, total), out=best)
     return np.sqrt(best)
 
@@ -682,23 +675,14 @@ def tail_statistics(
             ))
         except SupportOverflow:
             fallback = True
-            draws = _walk_gap(chain, eng, b, part.r, rng, mc_paths)
-            xp = draws**p
-            mp = float(xp.mean())
-            se_mp = float(xp.std(ddof=1) / math.sqrt(mc_paths))
-            val = mp ** (1.0 / p)
-            se = se_mp / (p * mp ** ((p - 1.0) / p)) if mp > 0 else se_mp
+            val, se = _mc_lp(_walk_gap(eng, b, part.r, rng, mc_paths), p)
             norms.append(TailNorm(
                 q=q, value=val, exact=False, method="monte-carlo", stderr=se,
             ))
 
-    scores = {float(e): 0.0 for e in eps}
-    per_gap = np.empty((part.count, mc_paths))
-    for q, (_, b) in enumerate(part.blocks, start=1):
-        per_gap[q - 1] = _walk_gap(chain, eng, b, part.r, rng, mc_paths)
-    qs = np.arange(1, part.count + 1, dtype=float)
-    for e in scores:
-        scores[e] = float((per_gap / (qs[:, None] ** e)).max())
+    per_gap = np.array([_walk_gap(eng, b, part.r, rng, mc_paths) for _, b in part.blocks])
+    qs = np.arange(1, part.count + 1, dtype=float)[:, None]
+    scores = {float(e): float((per_gap / qs**e).max()) for e in eps}
 
     return TailStats(
         norms=norms,
@@ -761,8 +745,10 @@ def plan_partition(
 ) -> tuple[BlockPartition, PartitionPlan]:
     """Full pipeline: mixing envelope -> separation -> amplitude -> blocks.
 
-    The horizon, when not given, is sized from the exact variance growth rate
-    so at least min_blocks blocks close, then doubled as needed up to
+    The exact variance growth rate over the first 256 times is probed first;
+    a rate <= 1e-12 raises VarianceStarvedError at the probe index, with or
+    without a given horizon.  The horizon, when not given, is sized from that
+    rate so at least min_blocks blocks close, then doubled as needed up to
     horizon_cap."""
     eng = engine or engine_for(chain)
     u0 = _default_u0(chain) if u0 is None else np.asarray(u0, dtype=float)
@@ -773,13 +759,13 @@ def plan_partition(
     amplitude, cert = select_amplitude(q0)
     q_at_a = q_of_amplitude(amplitude, q0)
 
+    probe = 256
+    if chain.max_time is not None:
+        probe = min(probe, chain.max_time - 1)
+    rate = eng.var_window(1, probe, u0) / probe
+    if rate <= 1e-12:
+        raise VarianceStarvedError(probe)
     if horizon is None:
-        probe = 256
-        if chain.max_time is not None:
-            probe = min(probe, chain.max_time - 1)
-        rate = eng.var_window(1, probe, u0) / probe
-        if rate <= 1e-12:
-            raise VarianceStarvedError(probe)
         horizon = int(min_blocks * (amplitude / rate) * 1.4)
         horizon += (min_blocks + 1) * (r + 1) + 64
         horizon = max(2048, min(horizon, horizon_cap))

@@ -126,6 +126,13 @@ class MixtureKernels(KernelSchedule):
         if kind not in ("constant", "linear", "cosine"):
             raise ChainConfigError(f"unknown mixture weight kind {kind!r}")
         self._cache: dict[int, np.ndarray] = {}
+        # the step from which a constant or linear weight stops changing;
+        # later steps share that step's kernel array
+        self._flat_from = None
+        if kind == "constant":
+            self._flat_from = 1
+        elif kind == "linear":
+            self._flat_from = int(self.rule["length"]) + 1
 
     def weight(self, j: int) -> float:
         r = self.rule
@@ -146,11 +153,12 @@ class MixtureKernels(KernelSchedule):
     def kernel(self, j: int) -> np.ndarray:
         if j < 1:
             raise ChainConfigError(f"kernel index {j} < 1")
-        k = self._cache.get(j)
+        key = j if self._flat_from is None else min(j, self._flat_from)
+        k = self._cache.get(key)
         if k is None:
-            w = self.weight(j)
+            w = self.weight(key)
             k = (1.0 - w) * self.k0 + w * self.k1
-            self._cache[j] = k
+            self._cache[key] = k
         return k
 
 
@@ -329,6 +337,26 @@ def pair_joint(chain: ChainSpec, i: int, j: int) -> JointLaw:
     mi = chain.marginal(i)
     mat = mi[:, None] * chain.step_matrix(i, j)
     return JointLaw(i=i, j=j, matrix=mat, marginal_i=mi, marginal_j=chain.marginal(j))
+
+
+# -- path sampling -----------------------------------------------------------
+
+
+def walk(chain: ChainSpec, t0: int, steps: int, n: int, rng: np.random.Generator):
+    """Yield (t, states) for t = t0, ..., t0 + steps along n paths started
+    from the exact marginal at t0.  Each time, the start included, draws one
+    u = rng.random(n); the next state is #{cumulative probability <= u},
+    clipped to the last state, so a u equal to a cumulative value moves on."""
+    cums: dict = {}  # id(kernel) -> (kernel, cumulative rows); the kernel pins its id
+    states = np.zeros(n, dtype=np.int64)  # the start law is a one-row kernel
+    for t in range(t0, t0 + steps + 1):
+        k = chain.marginal(t0)[None, :] if t == t0 else chain.kernel(t - 1)
+        if id(k) not in cums:
+            cums[id(k)] = (k, np.cumsum(k, axis=1))
+        cum = cums[id(k)][1]
+        u = rng.random(n)
+        states = np.minimum(np.sum(cum[states] <= u[:, None], axis=1), cum.shape[1] - 1)
+        yield t, states
 
 
 # -- uniform ellipticity ----------------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chain import ChainConfigError, ChainSpec, pair_joint
+from .chain import ChainConfigError, ChainSpec, pair_joint, walk
 from .util import dobrushin
 
 TRUNCATION_DEFAULT = 1e-14
@@ -443,12 +443,8 @@ class MomentEngine:
             if mc is None:
                 raise
         paths, seed = mc
-        sums = _mc_window_sums(self.chain, self, n, m, np.asarray(u, float), paths, seed, segments)
-        xp = np.abs(sums) ** p
-        mp = float(xp.mean())
-        se_mp = float(xp.std(ddof=1) / math.sqrt(paths))
-        value = mp ** (1.0 / p)
-        se = se_mp / (p * mp ** ((p - 1.0) / p)) if mp > 0 else se_mp
+        sums = _mc_window_sums(self, n, m, np.asarray(u, float), paths, seed, segments)
+        value, se = _mc_lp(sums, p)
         return LpNorm(value=value, exact=False, method="monte-carlo", atoms=0, stderr=se)
 
     def standardized_fourth_moment(self, n: int, u: np.ndarray, **kw) -> float:
@@ -523,27 +519,24 @@ def _dyadic_scale(all_vals, length: int) -> float | None:
     return float(max_den)
 
 
-def _mc_window_sums(chain, engine, n, m, u, paths, seed, segments=None):
+def _mc_window_sums(engine, n, m, u, paths, seed, segments=None):
+    """Sampled S_{n,m} . u over the times inside `segments` (all by default)."""
     inside = _segment_mask(sorted(segments), n, m) if segments else None
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    vals = {}
-    cums = {}
-    for j in range(n, m + 1):
-        vals[j] = engine.centered(j) @ u
-        if inside is not None and not inside[j - n]:
-            vals[j] = np.zeros_like(vals[j])
-    state = rng.choice(chain.marginal(n).shape[0], size=paths, p=chain.marginal(n))
-    total = vals[n][state].copy()
-    for t in range(n, m):
-        k = chain.kernel(t)
-        cum = cums.get(t)
-        if cum is None:
-            cum = np.cumsum(k, axis=1)
-            cums[t] = cum
-        r = rng.random(paths)
-        state = (r[:, None] > cum[state]).sum(axis=1)
-        total += vals[t + 1][state]
+    total = np.zeros(paths)
+    for t, states in walk(engine.chain, n, m - n, paths, rng):
+        if inside is None or inside[t - n]:
+            total += (engine.centered(t) @ u)[states]
     return total
+
+
+def _mc_lp(samples: np.ndarray, p: int) -> tuple[float, float]:
+    """Monte Carlo ||X||_{L^p} from samples of X, and its delta-method standard error."""
+    xp = np.abs(samples) ** p
+    mp = float(xp.mean())
+    se_mp = float(xp.std(ddof=1) / math.sqrt(xp.shape[0]))
+    se = se_mp / (p * mp ** ((p - 1.0) / p)) if mp > 0 else se_mp
+    return mp ** (1.0 / p), se
 
 
 def engine_for(chain: ChainSpec) -> MomentEngine:

@@ -2,18 +2,21 @@
 
 Sampling is chunked: paths are grouped in fixed-size chunks, each chunk
 drawing from its own PCG64 stream spawned as SeedSequence(seed, spawn_key=
-(chunk,)), so the output is bit-identical for a fixed seed.
+(chunk,)), so the output is bit-identical for a fixed seed.  These paths,
+and the Monte Carlo fallbacks in blocks and moments, are all drawn by
+chain.walk, whose next state is #{cumulative probability <= u}.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .chain import ChainConfigError, ChainSpec
+from .chain import ChainConfigError, ChainSpec, walk
 from .moments import MomentEngine, engine_for
 
 CHUNK = 1024
@@ -45,15 +48,6 @@ class PathBatch:
         return self.sums @ np.asarray(u, dtype=float)
 
 
-def _kernel_cum(chain: ChainSpec, cache: dict, t: int) -> np.ndarray:
-    k = chain.kernel(t)
-    got = cache.get(id(k))
-    if got is None:
-        got = np.cumsum(k, axis=1)
-        cache[id(k)] = got
-    return got
-
-
 def _cover_lut(covers, n_max: int) -> np.ndarray:
     """Time -> cover index lookup (1-based times; -1 between covers)."""
     lut = np.full(n_max + 1, -1, dtype=np.int64)
@@ -62,38 +56,16 @@ def _cover_lut(covers, n_max: int) -> np.ndarray:
     return lut
 
 
-def _sample_chunk(
-    chain: ChainSpec, eng: MomentEngine, n_max: int, seed: int, chunk_index: int,
-    lo: int, hi: int, checkpoints: list, out: np.ndarray,
-    cover_lut: np.ndarray | None, out_blocks: np.ndarray | None,
-) -> None:
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
-    )
-    n = hi - lo
-    cache: dict = {}
-    start = np.cumsum(chain.marginal(1))
-    states = np.minimum(
-        np.sum(start <= rng.random(n)[:, None], axis=1), start.shape[0] - 1
-    )
-    total = eng.centered(1)[states].copy()
-    ck = {t: i for i, t in enumerate(checkpoints)}
-    if cover_lut is not None and cover_lut[1] >= 0:
-        out_blocks[lo:hi, cover_lut[1]] += total
-    if 1 in ck:
-        out[lo:hi, ck[1]] = total
-    for t in range(2, n_max + 1):
-        kern_cum = _kernel_cum(chain, cache, t - 1)
-        draw = rng.random(n)
-        states = np.minimum(
-            np.sum(kern_cum[states] <= draw[:, None], axis=1), kern_cum.shape[1] - 1
-        )
-        vals = eng.centered(t)[states]
-        total += vals
-        if cover_lut is not None and cover_lut[t] >= 0:
-            out_blocks[lo:hi, cover_lut[t]] += vals
-        if t in ck:
-            out[lo:hi, ck[t]] = total
+def _stream(seed: int, chunk: int) -> np.random.Generator:
+    """The PCG64 stream of one chunk of paths."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
+
+
+def _chunk_walks(chain: ChainSpec, n_max: int, n_paths: int, seed: int):
+    """(lo, hi, walk over times 1..n_max) for each fixed-size chunk of paths."""
+    for c, lo in enumerate(range(0, n_paths, CHUNK)):
+        hi = min(lo + CHUNK, n_paths)
+        yield lo, hi, walk(chain, 1, n_max - 1, hi - lo, _stream(seed, c))
 
 
 def sample_paths(
@@ -125,10 +97,17 @@ def sample_paths(
     sums = np.zeros((n_paths, len(cps), d))
     blocks = np.zeros((n_paths, len(covers), d)) if covers is not None else None
     lut = _cover_lut(covers, n_max) if covers is not None else None
+    ck = {t: i for i, t in enumerate(cps)}
 
-    for c, lo in enumerate(range(0, n_paths, CHUNK)):
-        hi = min(lo + CHUNK, n_paths)
-        _sample_chunk(chain, eng, n_max, seed, c, lo, hi, cps, sums, lut, blocks)
+    for lo, hi, paths in _chunk_walks(chain, n_max, n_paths, seed):
+        total = np.zeros((hi - lo, d))
+        for t, states in paths:
+            vals = eng.centered(t)[states]
+            total += vals
+            if lut is not None and lut[t] >= 0:
+                blocks[lo:hi, lut[t]] += vals
+            if t in ck:
+                sums[lo:hi, ck[t]] = total
     return PathBatch(
         seed=int(seed), n_paths=int(n_paths), n_max=int(n_max), checkpoints=cps,
         sums=sums, block_sums=blocks, block_covers=covers,
@@ -237,9 +216,7 @@ def w1_two_sample(xs: np.ndarray, ys: np.ndarray) -> float:
 
 
 def _bootstrap_se(values: np.ndarray, stat, n_boot: int, seed: int) -> float:
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(0xB007,)))
-    )
+    rng = _stream(seed, 0xB007)
     n = values.shape[0]
     reps = np.empty(n_boot)
     for i in range(n_boot):
@@ -454,16 +431,11 @@ def rate_scaling_diagnostic(
         if sigma <= 0:
             continue
         if surrogate is None:
-            w1 = w1_to_gaussian(xs, sigma)
-            se = _bootstrap_se(
-                xs, lambda v: w1_to_gaussian(v, sigma), n_boot, batch.seed + k
-            )
+            stat = partial(w1_to_gaussian, sigma=sigma)
         else:
-            ys = surrogate.projected(u)[:, k]
-            w1 = w1_two_sample(xs, ys)
-            se = _bootstrap_se(
-                xs, lambda v: w1_two_sample(v, ys), n_boot, batch.seed + k
-            )
+            stat = partial(w1_two_sample, ys=surrogate.projected(u)[:, k])
+        w1 = stat(xs)
+        se = _bootstrap_se(xs, stat, n_boot, batch.seed + k)
         s_n = eng.s_value(n)
         norm = s_n**e if s_n > 0 else math.inf
         points.append(RatePoint(
@@ -513,31 +485,12 @@ def lil_diagnostic(
     first_n = int(np.argmax(gate)) + 1
 
     best = np.zeros(n_paths)
-    cache: dict = {}
-    start = np.cumsum(chain.marginal(1))
-    vals = eng.centered(1) @ u
-    for c, lo in enumerate(range(0, n_paths, CHUNK)):
-        hi = min(lo + CHUNK, n_paths)
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
-        )
-        n = hi - lo
-        states = np.minimum(
-            np.sum(start <= rng.random(n)[:, None], axis=1), start.shape[0] - 1
-        )
-        total = vals[states].copy()
-        acc = np.abs(total) / norm[0] if gate[0] else np.zeros(n)
-        for t in range(2, n_max + 1):
-            kern_cum = _kernel_cum(chain, cache, t - 1)
-            draw = rng.random(n)
-            states = np.minimum(
-                np.sum(kern_cum[states] <= draw[:, None], axis=1),
-                kern_cum.shape[1] - 1,
-            )
+    for lo, hi, paths in _chunk_walks(chain, n_max, n_paths, seed):
+        total, acc = np.zeros(hi - lo), best[lo:hi]
+        for t, states in paths:
             total += (eng.centered(t) @ u)[states]
             if gate[t - 1]:
                 np.maximum(acc, np.abs(total) / norm[t - 1], out=acc)
-        best[lo:hi] = acc
     qs = (0.1, 0.25, 0.5, 0.75, 0.9)
     quantiles = {q: float(np.quantile(best, q)) for q in qs}
     return LilReport(

@@ -74,6 +74,10 @@ def test_variance_starved(zero):
         build_blocks(zero, 9.0, 2, 50)
     assert ei.value.index == 50
     assert "index 50" in str(ei.value)
+    # the planner's exact rate probe fails first, even with a horizon given
+    with pytest.raises(VarianceStarvedError) as ei:
+        plan_partition(zero, horizon=32)
+    assert ei.value.index == 256
 
 
 def test_verify_partition_iid_oracles(iid2):

@@ -15,6 +15,7 @@ from asipkit.chain import (
     build_chain,
     check_uniform_ellipticity,
     pair_joint,
+    walk,
 )
 
 SYM_K = [[0.75, 0.25], [0.25, 0.75]]
@@ -65,6 +66,12 @@ def test_mixture_weights_linear_and_clip():
     assert mk.weight(5) == 1.0
     assert mk.weight(50) == 1.0  # clipped past the ramp
     np.testing.assert_allclose(mk.kernel(3), 0.5 * np.array(k0) + 0.5 * np.array(k1))
+    # past the ramp every step shares the kernel of step length + 1
+    for j in range(1, 10_001):
+        mk.kernel(j)
+    assert mk.kernel(6) is mk.kernel(5) and mk.kernel(10_000) is mk.kernel(5)
+    assert len(mk._cache) <= 5
+    assert np.array_equal(mk.kernel(5_000), np.array(k1))
 
 
 def test_mixture_weights_constant_and_cosine():
@@ -72,6 +79,7 @@ def test_mixture_weights_constant_and_cosine():
     k1 = [[0.5, 0.5], [0.5, 0.5]]
     mc = MixtureKernels(k0, k1, {"kind": "constant", "value": 0.25})
     np.testing.assert_allclose(mc.kernel(9), 0.75 * np.array(k0) + 0.25 * np.array(k1))
+    assert mc.kernel(9) is mc.kernel(1)
     mw = MixtureKernels(k0, k1, {"kind": "cosine", "center": 0.5, "amplitude": 0.5, "period": 4})
     assert abs(mw.weight(1) - 1.0) < 1e-15  # cos(0) = 1
     assert abs(mw.weight(2) - 0.5) < 1e-15
@@ -195,3 +203,63 @@ def test_readme_json_examples_parse():
     assert len(docs) >= 3
     for doc in docs:
         build_chain(json.loads(doc))
+
+
+# kernel rows with zeros at either end; state 0 has no mass at time 2
+WALK_DOC = {
+    "kernels": {"periodic": [[[0.0, 0.4, 0.6], [0.0, 1.0, 0.0], [0.3, 0.7, 0.0]]]},
+    "initial": [0.0, 0.5, 0.5],
+    "observable": {"constant": [[0.0], [1.0], [2.0]]},
+    "L": 2.0,
+}
+
+
+def test_walk_frequencies_match_the_exact_laws():
+    ch = build_chain(WALK_DOC)
+    n = 40_000
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(3)))
+    path = list(walk(ch, 2, 4, n, rng))
+    assert [t for t, _ in path] == [2, 3, 4, 5, 6]
+    start = path[0][1]
+    p0 = ch.marginal(2)
+    f0 = np.bincount(start, minlength=3) / n
+    assert np.all(np.abs(f0 - p0) <= 5 * np.sqrt(p0 * (1 - p0) / n))
+    assert np.all(f0[p0 == 0] == 0)
+    k = ch.kernel(2)
+    for x in range(3):
+        rows = path[1][1][start == x]
+        if rows.size:
+            f = np.bincount(rows, minlength=3) / rows.size
+            assert np.all(np.abs(f - k[x]) <= 5 * np.sqrt(k[x] * (1 - k[x]) / rows.size))
+    for (_, prev), (t, cur) in zip(path, path[1:]):
+        assert np.all(ch.kernel(t - 1)[prev, cur] > 0)  # no zero-probability move
+
+
+class _Draws:
+    """Stands in for a Generator: random(n) returns the given rows in turn."""
+
+    def __init__(self, rows):
+        self.rows = iter(rows)
+
+    def random(self, n):
+        row = np.array(next(self.rows))
+        assert row.shape == (n,)
+        return row
+
+
+def test_walk_tie_rule_and_clip():
+    top = np.nextafter(1.0, 0.0)
+    ch = build_chain({
+        # row 1 sums to 1 - 2^-53, so its cumulative values stop below 1
+        "kernels": {"periodic": [[[0.5, 0.25, 0.25], [0.6, 0.3, 0.1], [0.0, 0.5, 0.5]]]},
+        "initial": [0.5, 0.5, 0.0],
+        "observable": {"constant": [[0.0], [0.0], [0.0]]},
+        "L": 1.0,
+    })
+    assert np.cumsum(ch.kernel(1)[1])[-1] == top
+    draws = _Draws([[0.0, 0.5, top], [0.5, top, 0.0], [0.0, 0.0, top]])
+    got = [states.tolist() for _, states in walk(ch, 1, 2, 3, draws)]
+    # a draw equal to a cumulative value goes to the next state; past the
+    # last cumulative value it stays on the last state
+    assert got == [[0, 1, 1], [1, 2, 0], [0, 1, 2]]
+    assert next(draws.rows, None) is None  # one draw per time

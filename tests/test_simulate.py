@@ -8,6 +8,7 @@ from scipy.special import ndtr
 
 from asipkit.blocks import build_blocks, plan_partition
 from asipkit.chain import ChainConfigError
+from asipkit.moments import engine_for
 from asipkit.simulate import (
     clt_diagnostic,
     gaussian_surrogate,
@@ -128,3 +129,35 @@ def test_batch_projection_shapes(sym):
     proj = batch.projected(np.array([1.0]))
     assert proj.shape == (500, 2)
     assert np.array_equal(proj, batch.sums[:, :, 0])
+
+
+def _oracle_sums(chain, t0, t1, n, rng, value):
+    """Running sums of value(t)[state] along n paths, drawn without chain.walk:
+    one rng.random(n) per time, next state #{cumulative probability <= u}."""
+    cum = np.cumsum(chain.marginal(t0))
+    s = np.minimum((cum <= rng.random(n)[:, None]).sum(axis=1), cum.size - 1)
+    total = {t0: value(t0)[s]}
+    for t in range(t0 + 1, t1 + 1):
+        cum = np.cumsum(chain.kernel(t - 1), axis=1)
+        s = np.minimum((cum[s] <= rng.random(n)[:, None]).sum(axis=1), cum.shape[1] - 1)
+        total[t] = total[t - 1] + value(t)[s]
+    return total
+
+
+def test_sampling_streams_match_an_independent_oracle(sym):
+    eng = engine_for(sym)
+    batch = sample_paths(sym, 30, 2500, 5, [1, 13, 30])
+    for c, lo in enumerate(range(0, 2500, 1024)):
+        hi = min(lo + 1024, 2500)
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy=5, spawn_key=(c,)))
+        )
+        want = _oracle_sums(sym, 1, 30, hi - lo, rng, eng.centered)
+        for i, t in enumerate(batch.checkpoints):
+            assert np.array_equal(batch.sums[lo:hi, i], want[t])
+    u = np.array([1.0])
+    r = eng.lp_norm(3, 12, u, 4, atom_cap=2, mc=(3000, 9))
+    assert r.method == "monte-carlo"
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(9)))
+    x = _oracle_sums(sym, 3, 12, 3000, rng, lambda t: eng.centered(t) @ u)[12]
+    assert r.value == float((np.abs(x) ** 4).mean()) ** 0.25
