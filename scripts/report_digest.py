@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Digest the CLI reports for every chain in chains/.
 
-Runs `asipkit simulate --paths 2000 --seed 7` and `asipkit blocks` on each
-chains/*.json into a temporary directory, two commands at a time, and prints
-one `<sha256>  <chain>/<file>` line per report file.  Exit codes and wall
-times go to stderr.  A refactor that claims byte-identical reports is checked
-by diffing this output before and after it:
+Runs `asipkit simulate --paths 2000 --seed 7`, `asipkit blocks` and
+`asipkit mixing` on each chains/*.json into a temporary directory, two
+commands at a time, and prints one `<sha256>  <chain>/<file>` line per report
+file.  Exit codes and wall times go to stderr.  A refactor that claims
+byte-identical reports is checked by diffing this output before and after it:
 
     python3 scripts/report_digest.py > after.txt
 """
@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COMMANDS = (["simulate", "--paths", "2000", "--seed", "7"], ["blocks"])
+COMMANDS = (["simulate", "--paths", "2000", "--seed", "7"], ["blocks"], ["mixing"])
 
 
 def _run(args: list, env: dict) -> str:

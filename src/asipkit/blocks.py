@@ -91,8 +91,9 @@ def q_of_amplitude(amplitude: float, q0: float) -> float:
 def select_amplitude(q0: float) -> tuple[float, float]:
     """Minimal A >= 1 with A >= 4 Q(A) + 1, plus the certificate value.
 
-    Closed form from the quadratic in sqrt(A), confirmed by bisection on the
-    certificate A - 4 Q(A) - 1.
+    Closed form from the quadratic in sqrt(A), stepped up one float at a time
+    while the certificate A - 4 Q(A) - 1 is negative, and confirmed by
+    bisection on the certificate.
     """
     if q0 < 0:
         raise ChainConfigError(f"Q0 must be nonnegative, got {q0}")
@@ -104,13 +105,9 @@ def select_amplitude(q0: float) -> tuple[float, float]:
     def cert(x: float) -> float:
         return x - 4.0 * q_of_amplitude(x, q0) - 1.0
 
+    while cert(a) < 0.0:
+        a = float(np.nextafter(a, math.inf))
     c = cert(a)
-    if c < 0.0:
-        # float slop on the closed form; nudge up to certified territory
-        hi = a
-        while cert(hi) < 0.0:
-            hi *= 1.0 + 1e-12
-        a, c = hi, cert(hi)
     # bisection cross-check: certificate must change sign just below a
     lo, hi = max(1.0, 0.5 * a), a
     if cert(lo) < 0.0:
@@ -511,8 +508,8 @@ def covariance_inequality_check(
     """|Cov(S(M1) . u, S(M2) . u)| against 8 ||S(M1)||_p ||S(M2)||_p alpha(r)^(1-2/p).
 
     Both sides exact: the covariance by masked sweeps, the L^p norms by the
-    distribution DP, alpha(r) by event enumeration at the separating gap r =
-    min M2 - max M1.
+    distribution DP, alpha(r) from its closed form over the pair laws at the
+    separating gap r = min M2 - max M1.
     """
     eng = engine or engine_for(chain)
     u = _default_u0(chain) if u is None else np.asarray(u, dtype=float)

@@ -346,16 +346,20 @@ def walk(chain: ChainSpec, t0: int, steps: int, n: int, rng: np.random.Generator
     """Yield (t, states) for t = t0, ..., t0 + steps along n paths started
     from the exact marginal at t0.  Each time, the start included, draws one
     u = rng.random(n); the next state is #{cumulative probability <= u},
-    clipped to the last state, so a u equal to a cumulative value moves on."""
-    cums: dict = {}  # id(kernel) -> (kernel, cumulative rows); the kernel pins its id
+    clipped to the last state with positive mass in the row, so a u equal to
+    a cumulative value moves on and no path enters a zero-mass state."""
+    # id(kernel) -> (kernel, cumulative rows, last positive state per row);
+    # the kernel pins its id
+    cums: dict = {}
     states = np.zeros(n, dtype=np.int64)  # the start law is a one-row kernel
     for t in range(t0, t0 + steps + 1):
         k = chain.marginal(t0)[None, :] if t == t0 else chain.kernel(t - 1)
         if id(k) not in cums:
-            cums[id(k)] = (k, np.cumsum(k, axis=1))
-        cum = cums[id(k)][1]
+            last = k.shape[1] - 1 - np.argmax(k[:, ::-1] > 0, axis=1)
+            cums[id(k)] = (k, np.cumsum(k, axis=1), last)
+        _, cum, last = cums[id(k)]
         u = rng.random(n)
-        states = np.minimum(np.sum(cum[states] <= u[:, None], axis=1), cum.shape[1] - 1)
+        states = np.minimum(np.sum(cum[states] <= u[:, None], axis=1), last[states])
         yield t, states
 
 

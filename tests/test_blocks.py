@@ -50,6 +50,13 @@ def test_select_amplitude_closed_form():
     assert abs(a1 - (4 * math.sqrt(3) + math.sqrt(53)) ** 2) < 1e-6
     assert cert1 >= 0.0
     assert select_amplitude(4.0)[0] > a1
+    # closed forms that round short of the certificate step up to the
+    # smallest float that certifies
+    for q0 in (0.125, 1.5, 6.0, 9.0):
+        a = select_amplitude(q0)[0]
+        below = float(np.nextafter(a, 0.0))
+        assert a - 4.0 * q_of_amplitude(a, q0) - 1.0 >= 0.0
+        assert below - 4.0 * q_of_amplitude(below, q0) - 1.0 < 0.0
 
 
 def test_build_blocks_iid(iid2):

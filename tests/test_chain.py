@@ -263,3 +263,13 @@ def test_walk_tie_rule_and_clip():
     # last cumulative value it stays on the last state
     assert got == [[0, 1, 1], [1, 2, 0], [0, 1, 2]]
     assert next(draws.rows, None) is None  # one draw per time
+    # past the last cumulative value of a row whose last state has no mass,
+    # the clip stops on the last state that has some
+    ch4 = build_chain({
+        "kernels": {"periodic": [[[0.6, 0.3, 0.1, 0.0]] * 4]},
+        "initial": [0.0, 0.0, 0.0, 1.0],
+        "observable": {"constant": [[0.0], [0.0], [0.0], [0.0]]},
+        "L": 1.0,
+    })
+    got = [states.tolist() for _, states in walk(ch4, 1, 1, 1, _Draws([[0.5], [top]]))]
+    assert got == [[3], [2]]

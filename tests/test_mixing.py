@@ -2,16 +2,20 @@
 
 The symmetric reference chain has hand-enumerable coefficients: events over
 single coordinates give alpha(k) = 0.25 * 0.5^k and phi(k) = 0.5 * 0.5^k.
+The closed forms for alpha and phi are checked against a brute force over
+every event pair.
 """
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from asipkit.battery import entry
-from asipkit.chain import build_chain
+from asipkit.battery import battery, entry
+from asipkit.chain import ChainConfigError, build_chain, pair_joint
 from asipkit.mixing import (
     Envelope,
+    _alpha_phi_pair,
     alpha_phi,
     alpha_phi_windowed,
     condition_h_gap,
@@ -30,10 +34,63 @@ def test_alpha_phi_hand_oracles(sym):
     assert a2 == 0.0625 and abs(p2 - 0.125) < 1e-15
 
 
+def _brute_alpha_phi(joint):
+    """max |P(A and B) - P(A) P(B)| and its largest ratio to P(A) > 0, over
+    every pair of events A, B."""
+    p, q = joint.sum(axis=1), joint.sum(axis=0)
+    alpha = phi = 0.0
+    for a in itertools.product((False, True), repeat=joint.shape[0]):
+        a = np.array(a)
+        pa = p[a].sum()
+        for b in itertools.product((False, True), repeat=joint.shape[1]):
+            b = np.array(b)
+            dev = abs(joint[np.ix_(a, b)].sum() - pa * q[b].sum())
+            alpha = max(alpha, dev)
+            if pa > 0:
+                phi = max(phi, dev / pa)
+    return alpha, phi
+
+
+def test_alpha_phi_closed_forms_match_event_enumeration():
+    for e in battery():
+        chain = e.build()
+        for j in (1, 4, 8):
+            for k in range(1, 13):
+                got = alpha_phi(chain, k, [j])
+                want = _brute_alpha_phi(pair_joint(chain, j, j + k).matrix)
+                assert np.allclose(got, want, rtol=0.0, atol=1e-14), (e.name, j, k)
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        na, nb = (int(x) for x in rng.integers(1, 6, size=2))
+        joint = rng.random((na, nb)) * (rng.random((na, nb)) < 0.7)
+        joint[rng.integers(na)] = 0.0
+        joint[:, rng.integers(nb)] = 0.0
+        joint[rng.integers(na), rng.integers(nb)] += 0.5
+        joint /= joint.sum()
+        got = _alpha_phi_pair(joint)
+        assert np.allclose(got, _brute_alpha_phi(joint), rtol=0.0, atol=1e-14), joint
+
+
+def test_event_cap_on_the_smaller_side():
+    assert _alpha_phi_pair(np.full((9, 9), 1.0 / 81.0)) == (0.0, 0.0)
+    # the cap bounds 2^min(na, nb) * max(na, nb); 2^12 * 16 meets it exactly
+    assert np.allclose(_alpha_phi_pair(np.full((16, 12), 1.0 / 192.0)), 0.0, atol=1e-15)
+    for shape in ((12, 17), (13, 13)):
+        with pytest.raises(ChainConfigError, match="exceeds cap"):
+            _alpha_phi_pair(np.full(shape, 1.0 / np.prod(shape)))
+
+
 def test_alpha_phi_windowed_agrees_with_pairs(sym):
     aw, pw = alpha_phi_windowed(sym, 3, range(2, 6), width=2)
     a3, p3 = alpha_phi(sym, 3, range(1, 9))
     assert abs(aw - a3) < 1e-12 and abs(pw - p3) < 1e-12
+    # three states, delta start; at j = 1 the past window is one time, so
+    # the cylinder law is 3 x 9
+    leaky = entry("leaky3_delta").build()
+    for k in (1, 2, 5):
+        aw, pw = alpha_phi_windowed(leaky, k, range(1, 6), width=2)
+        ap, pp = alpha_phi(leaky, k, range(1, 6))
+        assert abs(aw - ap) < 1e-12 and abs(pw - pp) < 1e-12
 
 
 def test_alpha_phi_iid_zero(iid2):
