@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Digest the CLI reports for every chain in chains/.
 
-Runs `asipkit simulate --paths 2000 --seed 7`, `asipkit blocks` and
-`asipkit mixing` on each chains/*.json into a temporary directory, two
-commands at a time, and prints one `<sha256>  <chain>/<file>` line per report
-file.  Exit codes and wall times go to stderr.  A refactor that claims
-byte-identical reports is checked by diffing this output before and after it:
+Runs `asipkit verify` once, and `asipkit simulate --paths 2000 --seed 7`,
+`asipkit blocks` and `asipkit mixing` on each chains/*.json, into a temporary
+directory, two commands at a time, and prints one `<sha256>  <dir>/<file>`
+line per report file (`verify/verify_report.json` for the battery).  Exit
+codes and wall times go to stderr.  A refactor that claims byte-identical
+reports is checked by diffing this output before and after it:
 
     python3 scripts/report_digest.py > after.txt
 """
@@ -41,7 +42,7 @@ def main() -> int:
     )
     chains = sorted((ROOT / "chains").glob("*.json"))
     with tempfile.TemporaryDirectory() as tmp:
-        jobs = [
+        jobs = [["verify", "--out", os.path.join(tmp, "verify")]] + [
             [*cmd, "--chain", f"chains/{c.name}", "--out", os.path.join(tmp, c.stem)]
             for c in chains for cmd in COMMANDS
         ]

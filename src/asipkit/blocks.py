@@ -24,9 +24,10 @@ from .moments import (
     SupportOverflow,
     _dyadic_scale,
     _mc_lp,
+    _polar_directions,
+    _polarize,
     engine_for,
 )
-from .util import direction_grid
 
 SEPARATION_MAX = 100_000
 
@@ -91,9 +92,10 @@ def q_of_amplitude(amplitude: float, q0: float) -> float:
 def select_amplitude(q0: float) -> tuple[float, float]:
     """Minimal A >= 1 with A >= 4 Q(A) + 1, plus the certificate value.
 
-    Closed form from the quadratic in sqrt(A), stepped up one float at a time
-    while the certificate A - 4 Q(A) - 1 is negative, and confirmed by
-    bisection on the certificate.
+    Closed form from the quadratic in sqrt(A), then moved one float at a
+    time: up while the certificate A - 4 Q(A) - 1 is negative, and down
+    while the float below A, still >= 1, certifies.  So the certificate is
+    >= 0 at A and < 0 at the float below it.
     """
     if q0 < 0:
         raise ChainConfigError(f"Q0 must be nonnegative, got {q0}")
@@ -107,19 +109,10 @@ def select_amplitude(q0: float) -> tuple[float, float]:
 
     while cert(a) < 0.0:
         a = float(np.nextafter(a, math.inf))
-    c = cert(a)
-    # bisection cross-check: certificate must change sign just below a
-    lo, hi = max(1.0, 0.5 * a), a
-    if cert(lo) < 0.0:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if cert(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        if not math.isclose(hi, a, rel_tol=1e-9):
-            raise RuntimeError("amplitude bisection disagrees with closed form")
-    return a, c
+    below = float(np.nextafter(a, 0.0))
+    while below >= 1.0 and cert(below) >= 0.0:
+        a, below = below, float(np.nextafter(below, 0.0))
+    return a, cert(a)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +275,10 @@ def build_blocks(
 
 @dataclass
 class BlockVerification:
-    """Exact extrema realizing the partition inequalities over the tested
-    horizon and direction grid.  Failures are findings, not errors."""
+    """Exact extrema realizing the partition inequalities over n <= horizon
+    and every unit direction u.  Each extremum of u^T V u is an eigenvalue of
+    a d x d covariance V; r1_witness and r2_witness are (n, unit eigenvector).
+    Failures are findings, not errors."""
 
     a1: float
     a2: float
@@ -303,7 +298,6 @@ class BlockVerification:
     separation_ok: bool
     norms_ok: bool
     coverage_ok: bool
-    n_directions: int
     horizon: int
     per_block: list = field(default_factory=list)
 
@@ -322,8 +316,7 @@ class BlockVerification:
             "ratio_pass": self.ratio_pass, "ratio_hypotheses": self.ratio_hypotheses,
             "separation_ok": self.separation_ok, "norms_ok": self.norms_ok,
             "coverage_ok": self.coverage_ok, "structural_ok": self.structural_ok,
-            "n_directions": self.n_directions, "horizon": self.horizon,
-            "per_block": self.per_block,
+            "horizon": self.horizon, "per_block": self.per_block,
         }
 
 
@@ -352,37 +345,37 @@ def verify_partition(
     chain: ChainSpec,
     partition: BlockPartition,
     horizon: int | None = None,
-    directions: np.ndarray | None = None,
     engine: MomentEngine | None = None,
 ) -> BlockVerification:
-    """Exact evaluation of the partition inequalities over n <= horizon and a
-    deterministic direction grid (d = 1 collapses to the single direction)."""
+    """Exact evaluation of the partition inequalities over n <= horizon and
+    every unit direction u.
+
+    Each extremum of Var(S . u) over unit u is an eigenvalue of the d x d
+    covariance of S, polarized from d(d+1)/2 sweep columns: a1 is the least
+    sqrt(lambda_min) of a cover covariance, a2 and c the largest
+    sqrt(lambda_max) of a prefix and of a suffix sum inside a cover, r1 and
+    r2 the extremes of lambda_min(V_n) / k_n and lambda_max(V_n) / k_n.
+    Their witnesses are (n, unit eigenvector)."""
     eng = engine or engine_for(chain)
     part = partition
     horizon = part.cover_end if horizon is None else int(horizon)
     if chain.max_time is not None:
         horizon = min(horizon, chain.max_time)
+    polar = _polar_directions(chain.d)
 
-    if directions is None:
-        if chain.d == 1:
-            directions = np.array([[1.0]])
-        else:
-            vn = eng.v_matrix(horizon)
-            eig = np.linalg.eigh(vn).eigenvectors.T
-            directions = direction_grid(chain.d, count=64, extra=eig)
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+    def top_norm(variances, a: int, b: int) -> float:
+        eig = np.linalg.eigvalsh(_polarize(variances(a, b, polar), chain.d))
+        return math.sqrt(max(float(eig[:, -1].max()), 0.0))
 
-    # per block x direction: prefix norms over the cover, and suffix norms
+    # per cover: least cover norm, largest prefix and suffix norms
     a1 = math.inf
     a2 = 0.0
     c = 0.0
     per_block = []
-    for (a, b), nrm, tv in zip(part.blocks, part.norms, part.theta_var()):
-        pv = eng.prefix_variances(a, b + part.r, dirs)
-        sv = eng.suffix_variances(a, b + part.r, dirs)
-        i_norm = math.sqrt(max(float(pv[-1].min()), 0.0))
-        peak = math.sqrt(max(float(pv.max()), 0.0))
-        s_peak = math.sqrt(max(float(sv.max()), 0.0))
+    for (a, b), nrm, tv, cov in zip(part.blocks, part.norms, part.theta_var(), part.theta_cov):
+        i_norm = math.sqrt(max(float(np.linalg.eigvalsh(cov)[0]), 0.0))
+        peak = top_norm(eng.prefix_variances, a, b + part.r)
+        s_peak = top_norm(eng.suffix_variances, a, b + part.r)
         a1 = min(a1, i_norm)
         a2 = max(a2, peak)
         c = max(c, s_peak)
@@ -392,21 +385,21 @@ def verify_partition(
             "prefix_norm_max": peak, "suffix_norm_max": s_peak,
         })
 
-    # Var(S_n . u) / k_n bracket over n <= horizon with k_n >= 1
+    # lambda(V_n) / k_n bracket over n <= horizon with k_n >= 1
     kn = part.k_array(horizon)
     r1 = r2 = None
     r1_wit = r2_wit = None
     live = kn >= 1
     if live.any():
-        pv_full = eng.prefix_variances(1, horizon, dirs)
-        ratios = pv_full[live] / kn[live, None].astype(float)
-        flat_min = int(np.argmin(ratios))
-        flat_max = int(np.argmax(ratios))
+        vn = eng.v_curve(horizon)[live]
         ns = np.arange(1, horizon + 1)[live]
-        r1 = float(ratios.ravel()[flat_min])
-        r2 = float(ratios.ravel()[flat_max])
-        r1_wit = (int(ns[flat_min // dirs.shape[0]]), int(flat_min % dirs.shape[0]))
-        r2_wit = (int(ns[flat_max // dirs.shape[0]]), int(flat_max % dirs.shape[0]))
+        eig = np.linalg.eigvalsh(vn)
+        low = eig[:, 0] / kn[live]
+        high = eig[:, -1] / kn[live]
+        i, j = int(np.argmin(low)), int(np.argmax(high))
+        r1, r2 = float(low[i]), float(high[j])
+        r1_wit = (int(ns[i]), [float(x) for x in np.linalg.eigh(vn[i]).eigenvectors[:, 0]])
+        r2_wit = (int(ns[j]), [float(x) for x in np.linalg.eigh(vn[j]).eigenvectors[:, -1]])
 
     # masked-variance sandwich and the block/cover ratio, both along u0
     var_m = _masked_prefix_vars(eng, part.u0, part.blocks, part.r, masked=True)
@@ -446,8 +439,7 @@ def verify_partition(
         sandwich_pass=sandwich_pass, sandwich_gated=sandwich_gated,
         ratio_max_dev=ratio_max_dev, ratio_bound=bound, ratio_pass=ratio_pass,
         ratio_hypotheses=hyp, separation_ok=separation_ok, norms_ok=norms_ok,
-        coverage_ok=coverage_ok, n_directions=dirs.shape[0], horizon=horizon,
-        per_block=per_block,
+        coverage_ok=coverage_ok, horizon=horizon, per_block=per_block,
     )
 
 
@@ -744,9 +736,11 @@ def plan_partition(
 
     The exact variance growth rate over the first 256 times is probed first;
     a rate <= 1e-12 raises VarianceStarvedError at the probe index, with or
-    without a given horizon.  The horizon, when not given, is sized from that
-    rate so at least min_blocks blocks close, then doubled as needed up to
-    horizon_cap."""
+    without a given horizon.  A given horizon is final: the partition that
+    closes there is returned, even with fewer than min_blocks blocks, and
+    VarianceStarvedError(horizon) is raised when none closes.  Otherwise the
+    horizon is sized from that rate so at least min_blocks blocks close, then
+    doubled as needed up to horizon_cap."""
     eng = engine or engine_for(chain)
     u0 = _default_u0(chain) if u0 is None else np.asarray(u0, dtype=float)
     rep = mixing_report(chain, k_max=k_max)
@@ -766,6 +760,8 @@ def plan_partition(
         horizon = int(min_blocks * (amplitude / rate) * 1.4)
         horizon += (min_blocks + 1) * (r + 1) + 64
         horizon = max(2048, min(horizon, horizon_cap))
+    else:
+        horizon_cap = horizon
 
     while True:
         try:

@@ -319,16 +319,13 @@ def cmd_blocks(args) -> int:
         print(f"block construction failed: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
 
-    dirs = None
-    if args.directions is not None:
-        dirs = direction_grid(chain.d, args.directions)
-    ver = verify_partition(chain, part, directions=dirs)
+    ver = verify_partition(chain, part)
     doc = _report(
         "blocks", chain.name,
         {
             "chain_path": args.chain, "p": p, "cp": cp,
             "amplitude_override": args.amplitude, "separation_override": args.separation,
-            "horizon": args.horizon, "directions": args.directions,
+            "horizon": args.horizon,
         },
         exactness={"variances": "exact", "selection": "certified" if plan_doc else "as-given"},
     )
@@ -414,7 +411,7 @@ def cmd_simulate(args) -> int:
     vm = rate = None
     surrogate_seed = None
     if part is not None and part.count >= 1:
-        vm = variance_matching_diagnostic(chain, part, delta=delta, directions=dirs)
+        vm = variance_matching_diagnostic(chain, part, delta=delta)
         surrogate_seed = seed + 1
         sur = gaussian_surrogate(part, paths, surrogate_seed)
         kvals = [int(x) for x in np.unique(
@@ -465,7 +462,7 @@ def cmd_simulate(args) -> int:
     written = [jpath, kpath]
     if vm is not None:
         vpath = os.path.join(out, "variance_matching.csv")
-        _write_csv(vpath, ["k", "n", "gap", "normalizer", "ratio", "direction_id"], vm.to_rows())
+        _write_csv(vpath, ["k", "n", "gap", "normalizer", "ratio"], vm.to_rows())
         written.append(vpath)
     if rate is not None:
         rpath = os.path.join(out, "rate_curve.csv")
@@ -545,7 +542,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--amplitude", type=float, help="block variance target A (default: certified)")
     sp.add_argument("--separation", type=int, help="gap length r (default: certified)")
     sp.add_argument("--horizon", type=int, help="cover horizon (default: auto)")
-    sp.add_argument("--directions", type=int, help="verification direction-grid size")
     sp.set_defaults(fn=cmd_blocks)
 
     sp = sub.add_parser("simulate", help="seeded path sampling with CLT/variance diagnostics")
@@ -558,7 +554,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cp", type=float, help="moment constant c_p (default 8)")
     sp.add_argument("--amplitude", type=float, help="block variance target A (default: planned)")
     sp.add_argument("--separation", type=int, help="gap length r (default: planned)")
-    sp.add_argument("--directions", type=int, help="direction-grid size for d > 1 (default 4)")
+    sp.add_argument("--directions", type=int, help="KS direction-grid size for d > 1 (default 4)")
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("verify", help="run the hard-invariant suite on the built-in battery")

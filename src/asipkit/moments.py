@@ -285,10 +285,7 @@ class MomentEngine:
 
     def s_value(self, n: int) -> float:
         """s_n: smallest eigenvalue of V_n."""
-        v = self.v_matrix(n)
-        if self.d == 1:
-            return float(v[0, 0])
-        return float(np.linalg.eigvalsh(v)[0])
+        return float(np.linalg.eigvalsh(self.v_matrix(n))[0])
 
     def v_curve(self, horizon: int) -> np.ndarray:
         """V_n for every n in [1, horizon], shape (horizon, d, d).
@@ -302,10 +299,7 @@ class MomentEngine:
 
     def s_curve(self, horizon: int) -> np.ndarray:
         """s_n for every n in [1, horizon] (one sweep, batched eigenvalues)."""
-        v = self.v_curve(horizon)
-        if self.d == 1:
-            return v[:, 0, 0].copy()
-        return np.linalg.eigvalsh(v)[:, 0]
+        return np.linalg.eigvalsh(self.v_curve(horizon))[:, 0]
 
     def var_window(self, n: int, m: int, u: np.ndarray) -> float:
         """Var(S_{n,m} . u) by a scalar recursion."""

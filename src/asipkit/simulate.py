@@ -298,7 +298,6 @@ class VarianceMatchPoint:
     gap: float
     normalizer: float
     ratio: float
-    direction: int
 
 
 @dataclass
@@ -310,7 +309,7 @@ class VarianceMatchCurve:
     def to_rows(self) -> list:
         return [
             {"k": p.k, "n": p.n, "gap": p.gap, "normalizer": p.normalizer,
-             "ratio": p.ratio, "direction_id": p.direction}
+             "ratio": p.ratio}
             for p in self.points
         ]
 
@@ -319,37 +318,32 @@ def variance_matching_diagnostic(
     chain: ChainSpec,
     partition,
     delta: float = 0.1,
-    directions: np.ndarray | None = None,
     engine: MomentEngine | None = None,
 ) -> VarianceMatchCurve:
-    """Exact gap curve g(k) = |Var(S_{1..cover_k} . u) - sum_j Var(Theta_j . u)|
-    against the normalizer s_n^(1/2+delta); no Monte Carlo involved.
+    """Exact gap curve g(k) = ||V_n - sum_{j<=k} Cov(Theta_j)||_2 at the end
+    n of cover k, against the normalizer s_n^(1/2+delta); no Monte Carlo
+    involved.
 
-    The reported constant is the max ratio over k and the direction grid.
+    The spectral norm, the largest |eigenvalue|, is the largest gap
+    |Var(S_n . u) - sum_j Var(Theta_j . u)| over every unit direction u, so
+    the reported constant, the max ratio over k, holds in all directions.
     """
     eng = engine or engine_for(chain)
-    if directions is None:
-        directions = np.eye(chain.d)[:1]
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     ends = partition.i_ends
-    pv = eng.prefix_variances(1, int(ends[-1]), dirs)[ends - 1]  # (K, n_dirs)
-    theta = np.stack(partition.theta_cov)  # (K, d, d)
-    tv = np.einsum("kd,jde,ke->jk", dirs, theta, dirs)  # (K, n_dirs)
-    csum = np.cumsum(tv, axis=0)
+    vn = eng.v_curve(int(ends[-1]))[ends - 1]  # (K, d, d)
+    csum = np.cumsum(np.stack(partition.theta_cov), axis=0)
+    gaps = np.abs(np.linalg.eigvalsh(vn - csum)).max(axis=1)
+    s_ns = np.linalg.eigvalsh(vn)[:, 0]
     e = 0.5 + delta
     points = []
     c_max = 0.0
-    for k in range(ends.shape[0]):
-        s_n = eng.s_value(int(ends[k]))
+    for k, (n, gap, s_n) in enumerate(zip(ends, gaps.tolist(), s_ns.tolist()), start=1):
         norm = s_n**e if s_n > 0 else math.inf
-        for idx in range(dirs.shape[0]):
-            gap = abs(float(pv[k, idx] - csum[k, idx]))
-            ratio = gap / norm if norm > 0 else math.inf
-            c_max = max(c_max, ratio)
-            points.append(VarianceMatchPoint(
-                k=k + 1, n=int(ends[k]), gap=gap, normalizer=float(norm),
-                ratio=float(ratio), direction=idx,
-            ))
+        ratio = gap / norm if norm > 0 else math.inf
+        c_max = max(c_max, ratio)
+        points.append(VarianceMatchPoint(
+            k=k, n=int(n), gap=gap, normalizer=float(norm), ratio=float(ratio),
+        ))
     return VarianceMatchCurve(points=points, c_max=c_max, delta=delta)
 
 

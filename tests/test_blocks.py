@@ -1,9 +1,12 @@
 """Block partitions: parameter selection, greedy construction, verification."""
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from asipkit.battery import battery_chain
 from asipkit.blocks import (
     VarianceStarvedError,
     build_blocks,
@@ -16,7 +19,10 @@ from asipkit.blocks import (
     tail_statistics,
     verify_partition,
 )
+from asipkit.chain import build_chain
 from asipkit.mixing import Envelope
+from asipkit.moments import engine_for
+from asipkit.util import direction_grid
 
 ENV_UNIT = Envelope(c=1.0, delta=0.5, degenerate=False)
 ENV_IID = Envelope(c=0.0, delta=0.5, degenerate=True)
@@ -52,9 +58,13 @@ def test_select_amplitude_closed_form():
     assert select_amplitude(4.0)[0] > a1
     # closed forms that round short of the certificate step up to the
     # smallest float that certifies
-    for q0 in (0.125, 1.5, 6.0, 9.0):
+    # and closed forms that overshoot step down to it
+    rng = np.random.default_rng(2024)
+    sample = np.exp(rng.uniform(-12.0, 6.0, 2000))
+    for q0 in (0.125, 1.5, 6.0, 9.0, *sample.tolist()):
         a = select_amplitude(q0)[0]
         below = float(np.nextafter(a, 0.0))
+        assert a > 1.0
         assert a - 4.0 * q_of_amplitude(a, q0) - 1.0 >= 0.0
         assert below - 4.0 * q_of_amplitude(below, q0) - 1.0 < 0.0
 
@@ -85,6 +95,14 @@ def test_variance_starved(zero):
     with pytest.raises(VarianceStarvedError) as ei:
         plan_partition(zero, horizon=32)
     assert ei.value.index == 256
+    # a given horizon is final: the planner neither doubles past it ...
+    doc = json.loads((Path(__file__).parents[1] / "chains" / "chain3_d2.json").read_text())
+    part, plan = plan_partition(build_chain(doc), horizon=2048)
+    assert plan.horizon == 2048 and part.horizon == 2048
+    # ... and raises at that horizon when nothing closes inside it
+    with pytest.raises(VarianceStarvedError) as ei:
+        plan_partition(battery_chain("sym2_p05"), horizon=300)
+    assert ei.value.index == 300
 
 
 def test_verify_partition_iid_oracles(iid2):
@@ -94,6 +112,7 @@ def test_verify_partition_iid_oracles(iid2):
     assert abs(ver.a2 - math.sqrt(11)) < 1e-12
     assert abs(ver.c - math.sqrt(11)) < 1e-12
     assert abs(ver.r1 - 11.0) < 1e-12 and abs(ver.r2 - 21.0) < 1e-12
+    assert ver.r1_witness[1] == [1.0] and ver.r2_witness[1] == [1.0]
     assert abs(ver.sandwich_min - 1.0) < 1e-12
     assert abs(ver.sandwich_max - 1.0) < 1e-12
     assert ver.sandwich_pass and not ver.sandwich_gated
@@ -157,3 +176,90 @@ def test_partition_doc_round_trip(iid2):
     assert len(doc["blocks"]) == part.count and doc["cover_end"] == part.cover_end
     assert doc["certified"] is False  # manual A and r carry no certificates
     assert doc["block_l2_norms"] == [3.0] * part.count
+
+
+def _pair_covs(chain, n: int) -> np.ndarray:
+    """Cov(X_i, X_j) for 1 <= i, j <= n, shape (n, d, n, d), from the exact
+    pair laws diag(marginal_i) K_i ... K_{j-1}, one lag at a time."""
+    marg = np.stack([chain.marginal(t) for t in range(1, n + 1)])
+    obs = np.stack([chain.obs(t) for t in range(1, n + 1)])
+    kern = np.stack([chain.kernel(t) for t in range(1, n)])
+    mean = np.einsum("ts,tsd->td", marg, obs)
+    out = np.zeros((n, chain.d, n, chain.d))
+    idx = np.arange(n)
+    out[idx, :, idx, :] = np.einsum("tsd,ts,tse->tde", obs, marg, obs) - np.einsum(
+        "td,te->tde", mean, mean
+    )
+    joint = marg[:, :, None] * np.eye(marg.shape[1])
+    for lag in range(1, n):
+        joint = joint[:-1] @ kern[lag - 1 :]
+        c = np.einsum("isd,ist,ite->ide", obs[:-lag], joint, obs[lag:]) - np.einsum(
+            "id,ie->ide", mean[:-lag], mean[lag:]
+        )
+        out[idx[:-lag], :, idx[lag:], :] = c
+        out[idx[lag:], :, idx[:-lag], :] = c.transpose(0, 2, 1)
+    return out
+
+
+def _window_covs(pairs: np.ndarray, a: int, b: int, reverse: bool = False) -> np.ndarray:
+    """Cov of the sums over [a, t] for t = a..b, or over [t, b] for t = b..a
+    with reverse=True, shape (b - a + 1, d, d)."""
+    blk = pairs[a - 1 : b, :, a - 1 : b, :]
+    if reverse:
+        blk = blk[::-1, :, ::-1, :]
+    w = blk.cumsum(axis=0).cumsum(axis=2)
+    idx = np.arange(b - a + 1)
+    return w[idx, :, idx, :]
+
+
+@pytest.mark.parametrize("name", ["kron4_d2", "chain3_d2", "corr_d2", "iid2_d2_zero"])
+def test_verification_extrema_are_exact_over_the_sphere(name):
+    ch = battery_chain(name)
+    part = build_blocks(ch, 300.0, 5, 1200)
+    ver = verify_partition(ch, part)
+    n = part.cover_end
+    pairs = _pair_covs(ch, n)
+    vn = _window_covs(pairs, 1, n)
+    v_pairwise, _ = engine_for(ch).cov_partial_sum_pairwise(1, n)
+    assert np.max(np.abs(vn[-1] - v_pairwise)) <= 1e-12 * np.max(np.abs(v_pairwise))
+
+    grid = direction_grid(2, 64)
+    covers = [(a, b + part.r) for a, b in part.blocks]
+    prefix = [_window_covs(pairs, a, e) for a, e in covers]
+    suffix = [_window_covs(pairs, a, e, reverse=True) for a, e in covers]
+    kn = part.k_array(n)
+    live = kn >= 1
+
+    def on_sphere(v):  # (smallest, largest) eigenvalue of each matrix
+        eig = np.linalg.eigvalsh(v)
+        return eig[..., 0], eig[..., -1]
+
+    def on_grid(v):  # (smallest, largest) u^T V u over the grid
+        q = np.einsum("ud,...de,ue->...u", grid, v, grid)
+        return q.min(axis=-1), q.max(axis=-1)
+
+    def extrema(quad):
+        lo_n, hi_n = quad(vn[live])
+        return {
+            "a1": min(math.sqrt(max(quad(p[-1])[0], 0.0)) for p in prefix),
+            "a2": max(math.sqrt(quad(p)[1].max()) for p in prefix),
+            "c": max(math.sqrt(quad(s)[1].max()) for s in suffix),
+            "r1": float((lo_n / kn[live]).min()),
+            "r2": float((hi_n / kn[live]).max()),
+        }
+
+    exact = extrema(on_sphere)
+    gridded = extrema(on_grid)
+    for key, want in exact.items():
+        got = getattr(ver, key)
+        assert abs(got - want) <= 1e-12 * abs(want), (key, got, want)
+    # the grid never beats the sphere: infima from below, suprema from above
+    for key in ("a1", "r1"):
+        assert gridded[key] >= exact[key] * (1.0 - 1e-12), key
+    for key in ("a2", "c", "r2"):
+        assert gridded[key] <= exact[key] * (1.0 + 1e-12), key
+
+    for (wn, u), r in ((ver.r1_witness, ver.r1), (ver.r2_witness, ver.r2)):
+        u = np.asarray(u)
+        assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
+        assert abs(u @ vn[wn - 1] @ u / part.k_of(wn) - r) <= 1e-12 * abs(r)

@@ -145,6 +145,15 @@ def test_bad_flags_exit_2(chain_files, tmp_path, capsys):
         assert "input error" in capsys.readouterr().err
 
 
+def test_blocks_has_no_direction_grid(chain_files, tmp_path, capsys):
+    # verification extrema are eigenvalues over every direction
+    with pytest.raises(SystemExit) as ei:
+        main(["blocks", "--chain", chain_files["iid"], "--directions", "8",
+              "--out", str(tmp_path / "bd")])
+    assert ei.value.code == EXIT_INPUT
+    assert "--directions" in capsys.readouterr().err
+
+
 def test_malformed_json_exit_2(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
@@ -194,7 +203,7 @@ def test_simulate_short_horizon_drops_plan(chain_files, tmp_path):
     assert rc == EXIT_OK
     doc = read_json(out / "simulate_report.json")
     assert doc["partition"] is None
-    assert "exceeds horizon" in doc["partition_note"]
+    assert "index 64" in doc["partition_note"]
 
 
 def test_report_json_is_sorted_and_newline_terminated(chain_files, tmp_path):

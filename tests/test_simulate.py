@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from asipkit.battery import battery_chain
 from asipkit.blocks import build_blocks, plan_partition
 from asipkit.chain import ChainConfigError
 from asipkit.moments import engine_for
@@ -93,7 +94,21 @@ def test_variance_matching_sym_cross_covariances(sym):
         assert abs(pt.gap - 4.0 * (k - 1)) < 1e-6
     assert vm.c_max < math.inf
     rows = vm.to_rows()
-    assert set(rows[0]) == {"k", "n", "gap", "normalizer", "ratio", "direction_id"}
+    assert set(rows[0]) == {"k", "n", "gap", "normalizer", "ratio"}
+
+
+def test_variance_matching_is_a_spectral_norm():
+    # the largest gap over every unit direction, not along e1 only
+    ch = battery_chain("chain3_d2")
+    part = build_blocks(ch, 300.0, 5, 1200)
+    vm = variance_matching_diagnostic(ch, part, delta=0.1)
+    vn = engine_for(ch).v_curve(part.cover_end)[part.i_ends - 1]
+    diff = vn - np.cumsum(np.stack(part.theta_cov), axis=0)
+    gaps = np.abs(np.linalg.eigvalsh(diff)).max(axis=1)
+    s_n = np.linalg.eigvalsh(vn)[:, 0]
+    want = float((gaps / s_n**0.6).max())
+    assert abs(vm.c_max - want) <= 1e-12 * want
+    assert [pt.k for pt in vm.points] == list(range(1, part.count + 1))
 
 
 def test_rate_scaling_diagnostic(iid2):
