@@ -232,18 +232,19 @@ def build_blocks(
     norms: list[float] = []
     a = 1
     while a <= scan_top:
-        for b, sweep in eng.scan(a, scan_top, u0):
-            var = float(sweep.var()[0])
-            if var >= amplitude:
+        for t, v in eng.scan(a, scan_top, u0):
+            hit = np.flatnonzero(v[:, 0] >= amplitude)
+            if hit.size:
                 break
-        if var < amplitude:
+        else:
             break
+        b = t + int(hit[0])
         blocks.append((a, b))
-        norms.append(math.sqrt(var))
+        norms.append(math.sqrt(float(v[hit[0], 0])))
         a = b + r + 1
 
-    # covers must stay inside the chain's defined times
-    while blocks and max_t is not None and blocks[-1][1] + r > max_t:
+    # covers must end inside the horizon
+    while blocks and blocks[-1][1] + r > scan_top:
         blocks.pop()
         norms.pop()
     if not blocks:
@@ -252,9 +253,7 @@ def build_blocks(
     # construction postcondition: sqrt(A) <= ||S(M_j)|| <= sqrt(A) + increment
     root_a = math.sqrt(amplitude)
     for (a_j, b_j), nrm in zip(blocks, norms):
-        inc = max(
-            float(np.max(np.abs(eng.centered(t) @ u0))) for t in range(a_j, b_j + 1)
-        )
+        inc = eng.centered_max(a_j, b_j, u0)
         if not (root_a <= nrm + 1e-9 and nrm <= root_a + inc + 1e-9):
             raise RuntimeError(
                 f"block [{a_j}, {b_j}] norm {nrm} outside [sqrt(A), sqrt(A) + L]"
@@ -330,15 +329,12 @@ def _masked_prefix_vars(
     the cover ends b_j + r (variance of S(I^(k)) . u0).
     """
     a1 = blocks[0][0]
-    stops = [b if masked else b + r for _, b in blocks]
+    stops = np.array([b if masked else b + r for _, b in blocks])
     inside = np.zeros(stops[-1] - a1 + 1, dtype=bool)
     for (a, _), stop in zip(blocks, stops):
         inside[a - a1 : stop - a1 + 1] = True
-    at = set(stops)
-    return np.array([
-        float(sweep.var()[0])
-        for t, sweep in eng.scan(a1, stops[-1], u0, inside) if t in at
-    ])
+    var = np.concatenate([v[:, 0] for _, v in eng.scan(a1, int(stops[-1]), u0, inside)])
+    return var[stops - a1]
 
 
 def verify_partition(

@@ -67,6 +67,11 @@ class KernelSchedule:
     def kernel(self, j: int) -> np.ndarray:  # pragma: no cover - interface
         raise NotImplementedError
 
+    def repeats(self) -> tuple[int, int] | None:
+        """(j0, period) with kernel(j + period) equal to kernel(j) for every
+        j >= j0, or None when the schedule never repeats."""
+        return None
+
 
 class ExplicitKernels(KernelSchedule):
     def __init__(self, kernels: Sequence):
@@ -112,6 +117,9 @@ class PeriodicKernels(KernelSchedule):
             raise ChainConfigError(f"kernel index {j} < 1")
         return self.kernels[(j - 1) % self.period]
 
+    def repeats(self) -> tuple[int, int]:
+        return 1, self.period
+
 
 class MixtureKernels(KernelSchedule):
     """P_j = (1 - w(j)) K0 + w(j) K1 with a deterministic weight rule."""
@@ -149,6 +157,9 @@ class MixtureKernels(KernelSchedule):
         if not 0.0 <= w <= 1.0:
             raise ChainConfigError(f"mixture weight {w!r} at step {j} outside [0, 1]")
         return w
+
+    def repeats(self) -> tuple[int, int] | None:
+        return None if self._flat_from is None else (self._flat_from, 1)
 
     def kernel(self, j: int) -> np.ndarray:
         if j < 1:
@@ -214,6 +225,18 @@ class ObservableSchedule:
         if j > len(self.tables):
             raise ChainConfigError(f"observable index {j} outside explicit horizon {len(self.tables)}")
         return self.tables[j - 1]
+
+    def stack(self, a: int, b: int) -> np.ndarray:
+        """Tables at times a..b, shape (b - a + 1, states, d); raises
+        ValueError when the state count changes over [a, b]."""
+        self.table(a), self.table(b)  # range checks
+        if self.kind == "explicit":
+            return np.stack(self.tables[a - 1 : b])
+        return np.stack(self.tables)[np.arange(a - 1, b) % len(self.tables)]
+
+    def period(self) -> int | None:
+        """Period of the tables from time 1 on, or None for explicit tables."""
+        return None if self.kind == "explicit" else len(self.tables)
 
     @property
     def d(self) -> int:
@@ -306,6 +329,12 @@ class ChainSpec:
             nxt = self._marginals[-1] @ self.kernel(t)
             self._marginals.append(nxt)
         return self._marginals[j - 1]
+
+    def marginals(self, a: int, b: int) -> np.ndarray:
+        """Exact laws at times a..b, shape (b - a + 1, states); raises
+        ValueError when the state count changes over [a, b]."""
+        self.marginal(b)
+        return np.stack(self._marginals[a - 1 : b])
 
     def step_matrix(self, i: int, j: int) -> np.ndarray:
         """Product P_i ... P_{j-1}; identity when i == j."""

@@ -391,14 +391,7 @@ def cmd_simulate(args) -> int:
         part = build_blocks(chain, amp, r, horizon, p=p)
     else:
         try:
-            cand, _plan = plan_partition(chain, p=p, c_p=cp, horizon=horizon)
-            if cand.cover_end > horizon:
-                part_note = (
-                    f"planned cover end {cand.cover_end} exceeds horizon {horizon}; "
-                    f"rerun with --horizon >= {cand.cover_end} or pass --amplitude"
-                )
-            else:
-                part = cand
+            part, _plan = plan_partition(chain, p=p, c_p=cp, horizon=horizon)
         except (VarianceStarvedError, ChainConfigError) as exc:
             part_note = f"no partition at this horizon: {exc}"
 
@@ -569,7 +562,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = _build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:  # usage errors exit 2 (EXIT_INPUT), --help 0
+        return exc.code
     try:
         _validate_common(args)
         return args.fn(args)

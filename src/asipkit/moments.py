@@ -1,15 +1,30 @@
 """Exact first and second moments of observable partial sums.
 
 Everything here is computed from the chain's exact laws, not by simulation.
-The workhorse is a forward recursion over (state, accumulated sum) moments
-that yields window covariances in time linear in the window length; a
-pairwise-covariance accumulation path is kept alongside as an independent
-cross-check and for callers that want per-pair terms.
+The workhorse is one moment scan (MomentEngine.scan) over (state,
+accumulated sum) moments, linear in the window length.  Forward it gives
+prefix variances; backward it runs the conditional-moment recursion
+g1_t = v_t + K_t g1_{t+1}, g2_t = v_t^2 + 2 v_t K_t g1_{t+1} + K_t g2_{t+1}
+and reads suffix variances as m_t . g2_t - (m_t . g1_t)^2, on forward
+kernels only.
+
+The scan is run-aware.  From the time a chain's kernels and observable
+repeat with a common period (periodic schedules from the start, constant or
+linear mixtures from their flat step), one step is a fixed affine map on
+the moment triple, given node values shifted by the stationary mean of
+each phase; the shift is deterministic, so every variance stays exact.  There
+the scan advances up to B steps with one stacked power of that map and
+reads the B variances in one batched reduction (a blocked linear-recurrence
+scan).  Times outside the run, explicit and cosine schedules, and chains
+with non-square kernels take one step at a time.
+
+A pairwise-covariance accumulation path is kept alongside as an
+independent cross-check and for callers that want per-pair terms.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,16 +41,28 @@ _DYADIC_MAX_DEN = 1 << 24
 
 
 # ---------------------------------------------------------------------------
-# forward sweep
+# moment sweep
+
+# Steps one stacked power advances inside a run, rounded down to a multiple
+# of the run's period (at least one period).
+B = 256
+# Stacked powers kept per engine, one per (scan direction, direction rows).
+_POWERS_KEPT = 4
 
 
 class _Sweep:
-    """Tracks exact E[T 1{state}] and E[T^2 1{state}] per direction for
-    running sums T, one column per direction.
+    """Exact moments of running sums T, one column per direction.
 
-    T accumulates node values (s, k) at each time and optional edge values
-    (s, s', k) across each transition.  All values must already be centered
-    by the caller if a centered sum is wanted.
+    Forward, the state is the triple (P(x), E[T 1{x}], E[T^2 1{x}]) over the
+    current state x, and var() pairs it with 1.  Backward, it is the triple
+    (1, E[T | x], E[T^2 | x]) of conditional moments of the sum over the
+    current time onward, and var(w) pairs it with the marginal w.  Either way
+    one step is the affine map
+        p' = Q p,  phi' = Q phi + v Q p,  psi' = Q psi + 2 v Q phi + v^2 Q p
+    with Q the transposed kernel forward and the kernel backward, and v the
+    node values of the time entered; step() also takes optional forward edge
+    values (s, s', c) across the transition.  All values must already be
+    centered by the caller if a centered sum is wanted.
     """
 
     def __init__(self, p0: np.ndarray, node0: np.ndarray | None, channels: int):
@@ -64,20 +91,54 @@ class _Sweep:
             phi_t = phi_t + node * pt[:, None]
         self.p, self.phi, self.psi = pt, phi_t, psi_t
 
-    def var(self) -> np.ndarray:
-        m = self.phi.sum(axis=0)
-        return self.psi.sum(axis=0) - m * m
+    def jump(self, power, k: int, w: np.ndarray, live: bool) -> np.ndarray:
+        """Apply the first k maps of a stacked power (see _compose) and
+        return the variances after each, shape (k, channels), read with the
+        weight rows w (k, states).  live=False drops the node terms."""
+        q, x, y = (z[:k] for z in power)
+        p, phi, psi = self.p, self.phi, self.psi
+        wq = np.einsum("ks,kst->kt", w, q)
+        mean, e2 = wq @ phi, wq @ psi
+        self.p, self.phi, self.psi = q[-1] @ p, q[-1] @ phi, q[-1] @ psi
+        if live:
+            wx = np.einsum("ks,kcst->kct", w, x)
+            mean += wx @ p
+            e2 += np.einsum("ks,kcst->kct", w, y) @ p + 2.0 * np.einsum("kct,tc->kc", wx, phi)
+            self.phi += (x[-1] @ p).T
+            self.psi += (y[-1] @ p).T + 2.0 * np.einsum("cst,tc->sc", x[-1], phi)
+        return e2 - mean * mean
+
+    def var(self, w: np.ndarray | None = None) -> np.ndarray:
+        if w is None:
+            m, e2 = self.phi.sum(axis=0), self.psi.sum(axis=0)
+        else:
+            m, e2 = w @ self.phi, w @ self.psi
+        return e2 - m * m
 
 
-def _reversed_kernel(fwd: np.ndarray, m_from: np.ndarray, m_to: np.ndarray) -> np.ndarray:
-    """Kernel of the time-reversed chain from time t + 1 back to time t."""
-    rev = (fwd * m_from[:, None]).T  # (s_{t+1}, s_t), rows to renormalize
-    denom = np.where(m_to > 0, m_to, 1.0)
-    rev = rev / denom[:, None]
-    rev[m_to <= 0] = 0.0
-    if rev.shape[1]:
-        rev[m_to <= 0, 0] = 1.0  # arbitrary valid row; carries zero mass
-    return rev
+def _compose(later, earlier):
+    """Composite of two step maps, each (Q, X, Y) for the block matrix
+    [[Q, 0, 0], [X, Q, 0], [Y, 2X, Q]] on (p, phi, psi), with X and Y per
+    direction (leading axis c).  `later` may carry a leading stack axis."""
+    q2, x2, y2 = later
+    q1, x1, y1 = earlier
+    q2c = q2[..., None, :, :]
+    return q2 @ q1, x2 @ q1 + q2c @ x1, y2 @ q1 + 2.0 * (x2 @ x1) + q2c @ y1
+
+
+@dataclass
+class _Run:
+    """From time t0 on, the steps into and out of each time repeat with
+    `period`; `centers[phase]` is the stationary mean of the observable at
+    that phase, and `span` the steps of one stacked power."""
+
+    t0: int
+    period: int
+    centers: np.ndarray
+
+    @property
+    def span(self) -> int:
+        return B // self.period * self.period
 
 
 def _polar_directions(d: int) -> np.ndarray:
@@ -159,6 +220,7 @@ class MomentEngine:
         self._centered: dict[int, np.ndarray] = {}
         self._vlist: list = [None]  # _vlist[n] = V_{1,n}, grown on demand
         self._vscan = self.scan(1, None, _polar_directions(self.d))
+        self._powers: dict = {}  # (backward, direction rows) -> stacked power
 
     # -- per-time -----------------------------------------------------------
 
@@ -175,6 +237,16 @@ class MomentEngine:
             c = self.chain.obs(j) - self.mean_obs(j)
             self._centered[j] = c
         return c
+
+    def centered_max(self, a: int, b: int, u: np.ndarray) -> float:
+        """max |(f_t(x) - E f_t) . u| over t in [a, b] and every state x,
+        one reduction over the stacked marginals."""
+        try:
+            marg = self.chain.marginals(a, b)
+            vals = self.chain.observable.stack(a, b) @ u
+        except ValueError:  # the state count changes inside [a, b]
+            return max(float(np.max(np.abs(self.centered(t) @ u))) for t in range(a, b + 1))
+        return float(np.max(np.abs(vals - np.sum(marg * vals, axis=1, keepdims=True))))
 
     # -- pairwise covariance path --------------------------------------------
 
@@ -228,46 +300,169 @@ class MomentEngine:
 
     # -- recursion path -------------------------------------------------------
 
-    def scan(self, a: int, b: int | None, directions: np.ndarray, inside=None, reverse=False):
+    @functools.cached_property
+    def _run(self) -> _Run | None:
+        """The run the chain enters, or None: from t0 on, kernel(t - 1),
+        kernel(t) and f_t repeat with the lcm of the kernel and observable
+        periods, that period is at most B, and every kernel is square of one
+        size."""
+        chain = self.chain
+        ks, obs = chain.kernels.repeats(), chain.observable.period()
+        if ks is None or obs is None:
+            return None
+        period = math.lcm(ks[1], obs)
+        if period > B:
+            return None
+        t0 = ks[0] + 1
+        kern = [chain.kernel(t) for t in range(t0, t0 + period)]
+        size = kern[0].shape[0]
+        if any(k.shape != (size, size) for k in kern):
+            return None
+        # stationary law at t0: Cesaro mean of the period product's powers
+        # 0 .. 2^52 - 1, started from the marginal at t0.  Rows are
+        # renormalized after each squaring: kernels are accepted with row sums
+        # off 1 by up to STOCHASTIC_ATOL, which 2^52 steps would blow up.
+        power = np.linalg.multi_dot([np.eye(size), *kern])
+        mean = np.eye(size)
+        for _ in range(52):
+            mean = 0.5 * (mean + mean @ power)
+            power = power @ power
+            mean /= mean.sum(axis=1, keepdims=True)
+            power /= power.sum(axis=1, keepdims=True)
+        law = chain.marginal(t0) @ mean
+        law /= law.sum()
+        centers = []
+        for phase, k in enumerate(kern):
+            centers.append(law @ chain.obs(t0 + phase))
+            law = law @ k
+        return _Run(t0=t0, period=period, centers=np.array(centers))
+
+    def _node(self, t: int) -> np.ndarray:
+        """f_t shifted by a constant: by the run's stationary mean from t0
+        on, by E f_t before.  Shifts are deterministic, so variances are
+        those of the centered sums."""
+        run = self._run
+        if run is None or t < run.t0:
+            return self.centered(t)
+        return self.chain.obs(t) - run.centers[(t - run.t0) % run.period]
+
+    def _power(self, dirs: np.ndarray, back: bool):
+        """Stacked (Q, X, Y) of the run's first k step maps, k = 1..span.
+        Forward the maps enter times of phase 0, 1, ...; backward they leave
+        times of phase period - 1, period - 2, ...  Built from one period of
+        maps, then by doubling: map k + h is map k after map h, h a multiple
+        of the period."""
+        key = (back, dirs.shape, dirs.tobytes())
+        power = self._powers.get(key)
+        if power is not None:
+            return power
+        run = self._run
+        phases = range(run.period - 1, -1, -1) if back else range(run.period)
+        maps = []
+        for phase in phases:
+            t = run.t0 + phase
+            q = self.chain.kernel(t) if back else self.chain.kernel(t - 1).T
+            v = (self._node(t) @ dirs.T).T[:, :, None]  # (c, s, 1) scales rows
+            maps.append((q, v * q, v * v * q))
+        stack = [maps[0]]
+        for m in maps[1:]:
+            stack.append(_compose(m, stack[-1]))
+        power = tuple(np.stack(z) for z in zip(*stack))
+        while len(power[0]) < run.span:
+            h = len(power[0])
+            more = _compose(
+                tuple(z[: run.span - h] for z in power), tuple(z[h - 1] for z in power)
+            )
+            power = tuple(np.concatenate(pair) for pair in zip(power, more))
+        if len(self._powers) >= _POWERS_KEPT:
+            self._powers.pop(next(iter(self._powers)))
+        self._powers[key] = power
+        return power
+
+    def _stride(self, nxt: int, stop: int | None, edges, back: bool) -> int:
+        """Steps a stacked power can take from the step into time nxt: 0
+        unless that step is in the run at the power's first phase; else up
+        to its span, and no further than `stop` or the next mask edge."""
+        run = self._run
+        if run is None or nxt < run.t0:
+            return 0
+        if (nxt - run.t0) % run.period != (run.period - 1 if back else 0):
+            return 0
+        k = run.span
+        if back:
+            k = min(k, nxt - max(stop, run.t0) + 1)
+        elif stop is not None:
+            k = min(k, stop - nxt + 1)
+        if edges is not None:  # times where a mask segment begins
+            i = np.searchsorted(edges, nxt, side="right")
+            if back and i:
+                k = min(k, nxt - int(edges[i - 1]) + 1)
+            elif not back and i < len(edges):
+                k = min(k, int(edges[i]) - nxt)
+        return k
+
+    def scan(self, start: int, stop: int | None, directions: np.ndarray, inside=None):
         """Exact moment scan of S . u for every direction row u.
 
-        Yields (t, sweep) after each time t enters the sum: t = a, ..., b, or
-        without end when b is None.  With reverse=True the scan walks the
-        time-reversed chain, t = b, ..., a, so sweep holds the suffix sum over
-        [t, b].  `inside`, a boolean mask indexed by t - a, keeps the times
-        where it is False out of the sum.  The sweep is one object updated
-        in place; call sweep.var() at the times to record.
+        Walks from `start` toward `stop` and yields (t, v) chunks: v[i] holds
+        the variances of the sum over the times from `start` through the
+        i-th time of the chunk, t being the first.  Forward (stop >= start,
+        or None for no end) these are prefix sums, one time per step.
+        Backward (stop < start) they are suffix sums over [t, start], by the
+        conditional-moment recursion g1_t = v_t + K_t g1_{t+1},
+        g2_t = v_t^2 + 2 v_t K_t g1_{t+1} + K_t g2_{t+1}, read as
+        Var = m_t . g2_t - (m_t . g1_t)^2 with m_t the marginal at t.
+
+        Inside the chain's run a chunk is up to B steps from one stacked
+        power; elsewhere one step.  `inside`, a boolean mask indexed by t
+        minus the lower end, keeps the times where it is False out of the
+        sum; a mask edge ends a chunk.
         """
         dirs = np.atleast_2d(np.asarray(directions, dtype=float))
         chain = self.chain
+        back = stop is not None and stop < start
+        sign = -1 if back else 1
+        lo = stop if back else start
+        edges = None
+        if inside is not None:
+            edges = np.flatnonzero(inside[1:] != inside[:-1]) + 1 + lo
+
+        def live(t):
+            return inside is None or inside[t - lo]
 
         def node(t):
-            if inside is None or inside[t - a]:
-                return self.centered(t) @ dirs.T
-            return None
+            return self._node(t) @ dirs.T if live(t) else None
 
-        if reverse:
-            times = range(b, a - 1, -1)
-        else:
-            times = itertools.count(a) if b is None else range(a, b + 1)
-        sweep = None
-        for t in times:
-            if sweep is None:
-                sweep = _Sweep(chain.marginal(t), node(t), dirs.shape[0])
-            elif reverse:
-                rev = _reversed_kernel(chain.kernel(t), chain.marginal(t), chain.marginal(t + 1))
-                sweep.step(rev, node(t))
+        def weight(t):
+            return chain.marginal(t) if back else None
+
+        t = start
+        p0 = np.ones(chain.state_size(t)) if back else chain.marginal(t)
+        sweep = _Sweep(p0, node(t), dirs.shape[0])
+        yield t, sweep.var(weight(t))[None]
+        while stop is None or t != stop:
+            nxt = t + sign
+            k = self._stride(nxt, stop, edges, back)
+            if k:
+                if back:
+                    w = chain.marginals(nxt - k + 1, nxt)[::-1]
+                else:
+                    w = np.ones((k, sweep.p.shape[0]))
+                yield nxt, sweep.jump(self._power(dirs, back), k, w, live(nxt))
+                t = nxt + sign * (k - 1)
             else:
-                sweep.step(chain.kernel(t - 1), node(t))
-            yield t, sweep
+                kernel = chain.kernel(min(t, nxt))
+                sweep.step(kernel.T if back else kernel, node(nxt))
+                t = nxt
+                yield t, sweep.var(weight(t))[None]
 
     def _end_var(self, a: int, b: int, directions, inside=None) -> np.ndarray:
         """Var(S . u) over [a, b] per direction row, recorded once at b."""
         if b < a:
             raise ChainConfigError(f"bad window [{a}, {b}]")
-        for _, sweep in self.scan(a, b, directions, inside):
+        for _, v in self.scan(a, b, directions, inside):
             pass
-        return sweep.var()
+        return v[-1]
 
     def cov_partial_sum(self, n: int, m: int) -> np.ndarray:
         """Exact V_{n,m} = Cov(S_{n,m}) by the forward recursion, O(m - n)."""
@@ -279,8 +474,8 @@ class MomentEngine:
             raise ChainConfigError("n must be >= 1")
         self.chain.state_size(n)  # rejects times past the chain's horizon
         while len(self._vlist) <= n:
-            _, sweep = next(self._vscan)
-            self._vlist.append(_polarize(sweep.var(), self.d))
+            _, v = next(self._vscan)
+            self._vlist.extend(_polarize(v, self.d))
         return self._vlist[n]
 
     def s_value(self, n: int) -> float:
@@ -322,24 +517,15 @@ class MomentEngine:
 
         Returns shape (b - a + 1, n_directions).
         """
-        dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-        out = np.empty((b - a + 1, dirs.shape[0]))
-        for t, sweep in self.scan(a, b, dirs):
-            out[t - a] = sweep.var()
-        return out
+        return np.concatenate([v for _, v in self.scan(a, b, directions)])
 
     def suffix_variances(self, a0: int, b: int, directions: np.ndarray) -> np.ndarray:
         """Var(S_{a,b} . u) for every a in [a0, b] and every direction row.
 
         Returns shape (b - a0 + 1, n_directions); entry [a - a0, i] is the
-        variance of the suffix sum starting at a, from one scan over the
-        time-reversed chain.
+        variance of the suffix sum starting at a, from one backward scan.
         """
-        dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-        out = np.empty((b - a0 + 1, dirs.shape[0]))
-        for t, sweep in self.scan(a0, b, dirs, reverse=True):
-            out[t - a0] = sweep.var()
-        return out
+        return np.concatenate([v for _, v in self.scan(b, a0, directions)])[::-1]
 
     # -- pair observables -----------------------------------------------------
 

@@ -80,6 +80,22 @@ def test_build_blocks_iid(iid2):
     assert np.allclose(part.theta_var(), 11.0)
 
 
+def test_covers_end_inside_the_horizon():
+    iid = battery_chain("sym2_p00")
+    # block (1, 9) closes inside horizon 10, but its cover ends at 11
+    with pytest.raises(VarianceStarvedError) as ei:
+        build_blocks(iid, 9.0, 2, 10)
+    assert ei.value.index == 10
+    # iid signs: cover j is [11j - 10, 11j], kept while 11j <= horizon
+    for horizon in range(11, 60):
+        part = build_blocks(iid, 9.0, 2, horizon)
+        assert part.cover_end <= horizon
+        assert part.count == horizon // 11
+    for name, horizon in (("leaky3_delta", 700), ("period2", 333), ("mixture2_ramp", 450)):
+        part = build_blocks(battery_chain(name), 30.0, 5, horizon)
+        assert part.cover_end <= horizon
+
+
 def test_build_blocks_sym(sym):
     part = build_blocks(sym, 9.0, 2, 200)
     assert part.blocks[0] == (1, 5)

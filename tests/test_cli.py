@@ -7,8 +7,6 @@ import csv
 import json
 import os
 
-import pytest
-
 from asipkit import __version__
 from asipkit.cli import (
     EXIT_CONSTRUCTION,
@@ -147,11 +145,15 @@ def test_bad_flags_exit_2(chain_files, tmp_path, capsys):
 
 def test_blocks_has_no_direction_grid(chain_files, tmp_path, capsys):
     # verification extrema are eigenvalues over every direction
-    with pytest.raises(SystemExit) as ei:
-        main(["blocks", "--chain", chain_files["iid"], "--directions", "8",
-              "--out", str(tmp_path / "bd")])
-    assert ei.value.code == EXIT_INPUT
+    rc = main(["blocks", "--chain", chain_files["iid"], "--directions", "8",
+               "--out", str(tmp_path / "bd")])
+    assert rc == EXIT_INPUT
     assert "--directions" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["blocks", "--help"]) == 0
+    assert "--chain" in capsys.readouterr().out
 
 
 def test_malformed_json_exit_2(tmp_path, capsys):

@@ -5,10 +5,12 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from asipkit.battery import battery
-from asipkit.chain import ChainSpec, ExplicitKernels, ObservableSchedule
-from asipkit.moments import MomentEngine, engine_for
+from asipkit.battery import battery, battery_chain
+from asipkit.chain import ChainSpec, ExplicitKernels, ObservableSchedule, build_chain
+from asipkit.moments import B, MomentEngine, _polar_directions, engine_for
 
 
 def small_random_chain(sizes, d, seed):
@@ -140,6 +142,182 @@ def test_scan_matches_pairwise_oracle_on_battery():
         assert abs(eng.var_segments(dirs[-1], [(1, 4), (9, n)]) - want) <= tol, e.name
 
 
+def pair_cov_matrix(chain, a, b, u):
+    """Cov(X_i . u, X_j . u) for i, j in [a, b] from the exact pair laws:
+    entry (i, j), i <= j, is (m_i f_i) . K_i ... K_{j-1} f_j with f centered,
+    built one row at a time from the last."""
+    f = [(chain.obs(t) - chain.marginal(t) @ chain.obs(t)) @ u for t in range(a, b + 1)]
+    n = len(f)
+    cov = np.zeros((n, n))
+    w = np.zeros((f[-1].shape[0], 0))  # columns K_i ... K_{j-1} f_j for j > i
+    for i in range(n - 1, -1, -1):
+        row = chain.marginal(a + i) * f[i]
+        cov[i, i] = row @ f[i]
+        cov[i, i + 1:] = cov[i + 1:, i] = row @ w
+        if i:
+            w = chain.kernel(a + i - 1) @ np.column_stack([f[i], w])
+    return cov
+
+
+def assert_scans_match_pairs(chain, a, b, mask_seed=0):
+    """Prefix, suffix and masked variances, V_n and V_{a,b} against sums of
+    the pair-covariance matrix, to 1e-10 relative."""
+    eng = MomentEngine(chain)
+    dirs = _polar_directions(chain.d)
+    covs = [pair_cov_matrix(chain, a, b, u) for u in dirs]
+    pre = np.array([np.diag(c.cumsum(0).cumsum(1)) for c in covs]).T
+    suf = np.array([np.diag(c[::-1, ::-1].cumsum(0).cumsum(1))[::-1] for c in covs]).T
+    tol = 1e-10 * max(pre.max(), suf.max())  # relative to the largest variance
+    assert np.abs(eng.prefix_variances(a, b, dirs) - pre).max() <= tol
+    assert np.abs(eng.suffix_variances(a, b, dirs) - suf).max() <= tol
+    # masked: random segments, some shorter than a period, some longer than B
+    r = np.random.default_rng(mask_seed)
+    cuts = np.sort(r.choice(np.arange(a + 1, b + 1), size=min(9, b - a), replace=False))
+    bounds = [a, *cuts.tolist(), b + 1]
+    segs = [(lo, hi - 1) for lo, hi in zip(bounds[:-1], bounds[1:])][:: 2]
+    keep = np.zeros(b - a + 1, dtype=bool)
+    for lo, hi in segs:
+        keep[lo - a : hi - a + 1] = True
+    for u, c in zip(dirs, covs):
+        want = c[keep][:, keep].sum()
+        assert abs(eng.var_segments(u, segs) - want) <= tol
+        # masked suffix sums, from the backward scan
+        back = np.concatenate([v[:, 0] for _, v in eng.scan(b, a, u, keep)])[::-1]
+        kc = np.where(keep[:, None] & keep[None, :], c, 0.0)
+        want = np.diag(kc[::-1, ::-1].cumsum(0).cumsum(1))[::-1]
+        assert np.abs(back - want).max() <= tol
+    if a == 1:
+        for t in sorted({1, B - 1, B, B + 1, 2 * B + 1, b} & set(range(1, b + 1))):
+            assert np.abs(_quads(eng.v_matrix(t), dirs) - pre[t - 1]).max() <= tol
+    assert np.abs(_quads(eng.cov_partial_sum(a, b), dirs) - pre[-1]).max() <= tol
+    return eng, covs
+
+
+def _quads(v, dirs):
+    return np.einsum("kd,de,ke->k", dirs, v, dirs)
+
+
+def _lazy3_period2():
+    g = np.random.default_rng(20261017)
+    return [(0.15 * np.eye(3) + 0.85 * t[None, :]).tolist() for t in g.dirichlet([16.0] * 3, size=2)]
+
+
+LONG = 2 * B + 77  # window length past two stacked powers
+
+RUN_CASES = {
+    # name: (chain, window start); starts off the period's first phase
+    "leaky3_delta": (lambda: battery_chain("leaky3_delta"), 1),
+    "period2": (lambda: battery_chain("period2"), 4),
+    "random3": (lambda: build_chain({
+        "kernels": {"periodic": _lazy3_period2()}, "initial": [0.7, 0.2, 0.1],
+        "observable": {"constant": [[0.93], [-0.04], [-0.87]]}, "L": 1.0}), 3),
+    "corr_d2": (lambda: battery_chain("corr_d2"), 1),
+    # the ramp turns flat at step 201: the window crosses into the run
+    "mixture2_ramp": (lambda: battery_chain("mixture2_ramp"), 150),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_CASES))
+def test_run_scan_matches_pair_oracles_past_block_length(name):
+    make, a = RUN_CASES[name]
+    chain = make()
+    b = a + LONG - 1
+    eng, covs = assert_scans_match_pairs(chain, a, b, mask_seed=len(name))
+    # the pair matrix is the pairwise oracle's sum, term by term
+    oracle, _ = eng.cov_partial_sum_pairwise(a, b)
+    dirs = _polar_directions(chain.d)
+    assert np.abs(_quads(oracle, dirs) - [c.sum() for c in covs]).max() <= 1e-10 * np.abs(oracle).max()
+    assert np.abs(eng.cov_partial_sum(a, b) - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+
+@given(
+    st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 2), st.integers(2, 3),
+    st.integers(1, 7), st.integers(1, 2 * B + 40),
+)
+@settings(max_examples=25, deadline=None)
+def test_run_scan_on_random_periodic_chains(seed, k_period, o_period, states, a, length):
+    r = np.random.default_rng(seed)
+    kernels = r.random((k_period, states, states)) + 0.05
+    kernels /= kernels.sum(axis=2, keepdims=True)
+    init = r.random(states) + 0.05
+    chain = build_chain({
+        "kernels": {"periodic": kernels.tolist()},
+        "initial": (init / init.sum()).tolist(),
+        "observable": {"periodic": (r.random((o_period, states, 1)) * 2 - 1).tolist()},
+        "L": 1.0,
+    })
+    assert_scans_match_pairs(chain, a, a + length - 1, mask_seed=seed)
+
+
+def _per_step_engine(chain):
+    """An engine whose scan never jumps: every time takes _Sweep.step."""
+    eng = MomentEngine(chain)
+    eng.__dict__["_run"] = None
+    return eng
+
+
+def _periodic_chain(kernels, obs_tables, init):
+    return build_chain({
+        "kernels": {"periodic": np.asarray(kernels).tolist()},
+        "initial": list(init),
+        "observable": {"periodic": np.asarray(obs_tables).tolist()},
+        "L": 2.0,
+    })
+
+
+@pytest.mark.parametrize("defect", [5e-13, -5e-13])
+def test_run_scan_on_kernels_off_stochastic_by_the_tolerance(defect):
+    # rows summing to 1 + defect pass validation; the stationary law that
+    # centres the run must stay a probability law, not grow with them
+    r = np.random.default_rng(7)
+    kernels = r.random((3, 3, 3)) + 0.1
+    kernels /= kernels.sum(axis=2, keepdims=True)
+    kernels *= 1.0 + defect
+    obs = r.random((2, 3, 1)) + 0.5  # nonzero mean
+    chain = _periodic_chain(kernels, obs, [0.5, 0.3, 0.2])
+    eng = MomentEngine(chain)
+    assert np.all(np.isfinite(eng._run.centers))
+    assert np.all((eng._run.centers >= 0.5) & (eng._run.centers <= 1.5))
+    # against the per-step scan on the same kernels (pair oracles centre by
+    # E f_t under laws whose mass drifts, which moves them by ~1e-10 here)
+    n = 20_000
+    ref = _per_step_engine(chain)
+    for got, want in (
+        (eng.prefix_variances(2, n, [[1.0]]), ref.prefix_variances(2, n, [[1.0]])),
+        (eng.suffix_variances(2, n, [[1.0]]), ref.suffix_variances(2, n, [[1.0]])),
+        (eng.v_matrix(n), ref.v_matrix(n)),
+        (eng.cov_partial_sum(3, n), ref.cov_partial_sum(3, n)),
+    ):
+        assert np.abs(got / want - 1.0).max() <= 1e-10
+    segs = [(3, 700), (1000, 1001), (1500, n)]
+    assert abs(eng.var_segments([1.0], segs) / ref.var_segments([1.0], segs) - 1.0) <= 1e-10
+
+
+def test_period_past_b_takes_single_steps():
+    # kernel period 2, observable period B + 1: the lcm exceeds B, so no run
+    r = np.random.default_rng(3)
+    kernels = r.random((2, 2, 2)) + 0.1
+    kernels /= kernels.sum(axis=2, keepdims=True)
+    chain = _periodic_chain(kernels, r.random((B + 1, 2, 1)), [0.4, 0.6])
+    eng = MomentEngine(chain)
+    assert eng._run is None
+    assert_scans_match_pairs(chain, 1, LONG)
+
+
+@pytest.mark.parametrize("pi", [0.5, 0.9])
+def test_stationary_sym2_closed_form_to_1e5(pi):
+    # Var(S_n) = n (1 + pi) / (1 - pi) - 2 pi (1 - pi^n) / (1 - pi)^2
+    n = 100_000
+    ns = np.arange(1, n + 1)
+    want = ns * (1 + pi) / (1 - pi) - 2 * pi * (1 - pi**ns) / (1 - pi) ** 2
+    eng = MomentEngine(battery_chain(f"sym2_p{round(10 * pi):02d}"))
+    pre = eng.prefix_variances(1, n, [[1.0]])[:, 0]
+    assert np.abs(pre / want - 1.0).max() <= 1e-10
+    suf = eng.suffix_variances(1, n, [[1.0]])[:, 0]
+    assert np.abs(suf / want[::-1] - 1.0).max() <= 1e-10
+    assert abs(eng.v_matrix(n)[0, 0] / want[-1] - 1.0) <= 1e-10
+
+
 def test_symmetric_chain_closed_form(sym):
     # Cov(X_i, X_j) = 0.5^(j-i), so Var(S_n) = 3n - 4(1 - 0.5^n)
     eng = engine_for(sym)
@@ -201,6 +379,17 @@ def test_eigen_ratio_trivial_for_d1(sym):
     assert rep.bounded
     for w in rep.windows:
         assert abs(w.ratio - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("sizes", [[3] * 8, [2, 3, 2, 2, 3, 3, 2, 3]])
+def test_centered_max_matches_per_time_values(sizes):
+    # one reduction over stacked marginals; a changing state count stacks per time
+    ch = small_random_chain(sizes, 2, 17)
+    eng = MomentEngine(ch)
+    u = np.array([0.6, -0.8])
+    for a, b in ((1, 8), (2, 5), (4, 4)):
+        want = max(float(np.max(np.abs(eng.centered(t) @ u))) for t in range(a, b + 1))
+        assert abs(eng.centered_max(a, b, u) - want) <= 1e-15
 
 
 def test_mean_obs_centering(sym, iid2):
