@@ -330,11 +330,12 @@ class ChainSpec:
             self._marginals.append(nxt)
         return self._marginals[j - 1]
 
-    def marginals(self, a: int, b: int) -> np.ndarray:
-        """Exact laws at times a..b, shape (b - a + 1, states); raises
-        ValueError when the state count changes over [a, b]."""
-        self.marginal(b)
-        return np.stack(self._marginals[a - 1 : b])
+    def marginals(self, times: np.ndarray) -> np.ndarray:
+        """Exact laws at the given times, shape (len(times), states); raises
+        ValueError when their state counts differ."""
+        self._check_time(int(times.min()))
+        self.marginal(int(times.max()))
+        return np.stack([self._marginals[t - 1] for t in times.tolist()])
 
     def step_matrix(self, i: int, j: int) -> np.ndarray:
         """Product P_i ... P_{j-1}; identity when i == j."""

@@ -7,20 +7,33 @@ alpha from the events of the smaller side only.  For Markov chains this
 equals the full past/future definition (dependence factors through the
 boundary pair); a windowed variant over cylinder events is available for
 validation.
+
+The pair laws of all requested start times come from one stacked pass: the
+kernels and marginals of up to PASS_CHUNK start times are stacked, one
+running product P_j ... P_{j+k-1} advances over the stack for k = 1, 2, ...,
+and the closed forms and the contraction coefficients pi and rho take
+whole stacks.  So the numpy calls grow with k_max, not with the number of
+start times.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainConfigError, ChainSpec, pair_joint
+from .chain import ChainConfigError, ChainSpec
 from .util import dobrushin
 
 EVENT_PAIR_CAP = 1 << 16
+# start times stacked at once by the pair-law pass; one (4096, 4, 4) float
+# stack is 0.5 MiB
+PASS_CHUNK = 4096
+# floats in one stacked block of event sums (2 MiB)
+EVENT_STACK_CAP = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +49,7 @@ def _check_event_cap(na: int, nb: int) -> None:
         )
 
 
-def _alpha_phi_pair(joint: np.ndarray) -> tuple[float, float]:
+def _alpha_phi_pair(joint: np.ndarray):
     """alpha and phi of a 2-coordinate law from their closed forms.
 
     With p, q the row and column sums and D = J - p q^T, phi is the largest
@@ -45,29 +58,115 @@ def _alpha_phi_pair(joint: np.ndarray) -> tuple[float, float]:
     sum_a (sum_{b in B} D(a, b))^+ over column events B: for a fixed B the
     best A collects the positive terms.  alpha is symmetric, so B runs over
     the events of the smaller side.
+
+    Works on the last two axes: one (na, nb) law gives two floats, a
+    (J, na, nb) stack two arrays of length J.
     """
-    _check_event_cap(*joint.shape)
-    p = joint.sum(axis=1)
-    dev = joint - np.outer(p, joint.sum(axis=0))
+    na, nb = joint.shape[-2:]
+    _check_event_cap(na, nb)
+    laws = joint.reshape(-1, na, nb)
+    p = laws.sum(axis=-1)
+    dev = laws - p[:, :, None] * laws.sum(axis=-2)[:, None, :]
     live = p > 0
-    phi = float((np.maximum(dev[live], 0.0).sum(axis=1) / p[live]).max(initial=0.0))
-    if dev.shape[1] > dev.shape[0]:
-        dev = dev.T
-    m = dev.shape[1]
+    ratio = np.divide(
+        np.maximum(dev, 0.0).sum(axis=-1), p, out=np.zeros_like(p), where=live
+    )
+    phi = ratio.max(axis=-1, initial=0.0)
+    if nb <= na:
+        dev = dev.swapaxes(-1, -2)
+    m, n = dev.shape[-2:]
     events = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(float)
-    alpha = float(np.maximum(events @ dev.T, 0.0).sum(axis=1).max())
+    step = max(1, EVENT_STACK_CAP // ((1 << m) * n))
+    # one matmul per block of laws: the event sums of law i fill columns
+    # i * n .. (i + 1) * n - 1
+    alpha = np.concatenate([
+        np.maximum(events @ dev[i : i + step].swapaxes(0, 1).reshape(m, -1), 0.0)
+        .reshape(1 << m, -1, n).sum(axis=-1).max(axis=0)
+        for i in range(0, len(dev), step)
+    ])
+    if joint.ndim == 2:
+        return float(alpha[0]), float(phi[0])
     return alpha, phi
+
+
+def _pair_pass(chain: ChainSpec, j_range, k_max: int):
+    """Stacked pair laws over the distinct start times of j_range.
+
+    Returns an iterator of (starts, marginals, kernels, laws) over groups of
+    at most PASS_CHUNK start times whose kernels P_j..P_{j+k_max-1} agree in
+    shape: the (J, |X_j|) laws of xi_j, the (J, |X_j|, |X_{j+1}|) stack of
+    P_j, and a generator of the stacked pair laws diag(m_j) P_j ... P_{j+k-1}
+    for k = 1..k_max.  One running product per group, folded left as in
+    ChainSpec.step_matrix, so each law equals pair_joint's bit for bit.
+    Start times and k_max are checked against the horizon before any law is
+    built.
+    """
+    if k_max < 1:
+        raise ChainConfigError("gap k must be >= 1")
+    starts = np.unique(np.fromiter(j_range, dtype=np.int64))
+    if starts.size and starts[0] < 1:
+        raise ChainConfigError(f"start time {starts[0]} < 1")
+    top = chain.max_time
+    if starts.size and top is not None and starts[-1] + k_max > top:
+        raise ChainConfigError(
+            f"gap k_max={k_max} from start time j={starts[-1]} passes the "
+            f"horizon {top}"
+        )
+    return _pair_groups(chain, starts, k_max)
+
+
+def _pair_groups(chain: ChainSpec, starts: np.ndarray, k_max: int):
+    """The groups of _pair_pass over sorted, checked start times."""
+    lags = np.arange(k_max)
+    for c in range(0, starts.size, PASS_CHUNK):
+        chunk = starts[c : c + PASS_CHUNK]
+        times, pos = np.unique(chunk[:, None] + lags, return_inverse=True)
+        pos = pos.reshape(chunk.size, k_max)
+        kernels = [chain.kernel(t) for t in times.tolist()]
+        shape_ids: dict = {}
+        ids = [shape_ids.setdefault(k.shape, len(shape_ids)) for k in kernels]
+        # one stack per kernel shape; row[i] is kernel i's place in its stack
+        stacks = [np.stack([k for k, s in zip(kernels, ids) if s == i])
+                  for i in range(len(shape_ids))]
+        sid = np.array(ids)
+        row = np.zeros(sid.size, dtype=np.int64)
+        for i in range(len(shape_ids)):
+            row[sid == i] = np.arange(np.count_nonzero(sid == i))
+        sig = sid[pos]
+        for mine in _row_groups(sig):
+            marg = chain.marginals(chunk[mine])
+
+            def kernel(k, mine=mine):
+                return stacks[sig[mine[0], k]][row[pos[mine, k]]]
+
+            yield chunk[mine], marg, kernel(0), _fold(marg, kernel, k_max)
+
+
+def _row_groups(rows: np.ndarray) -> list:
+    """Index arrays of the sets of equal rows of a 2-d array."""
+    if (rows == rows[0]).all():
+        return [np.arange(len(rows))]
+    _, which = np.unique(rows, axis=0, return_inverse=True)
+    which = which.ravel()
+    return [np.flatnonzero(which == g) for g in range(int(which.max()) + 1)]
+
+
+def _fold(marg: np.ndarray, kernel, k_max: int):
+    """Stacked diag(m_j) P_j ... P_{j+k-1} for k = 1..k_max."""
+    prod = kernel(0)
+    yield marg[:, :, None] * prod
+    for k in range(1, k_max):
+        prod = prod @ kernel(k)
+        yield marg[:, :, None] * prod
 
 
 def alpha_phi(chain: ChainSpec, k: int, j_range) -> tuple[float, float]:
     """(alpha(k), phi(k)) maximized over start times j in j_range."""
-    if k < 1:
-        raise ChainConfigError("gap k must be >= 1")
     alpha = phi = 0.0
-    for j in j_range:
-        a, p = _alpha_phi_pair(pair_joint(chain, j, j + k).matrix)
-        alpha = max(alpha, a)
-        phi = max(phi, p)
+    for _, _, _, laws in _pair_pass(chain, j_range, k):
+        a, p = _alpha_phi_pair(deque(laws, maxlen=1).pop())
+        alpha = max(alpha, float(a.max()))
+        phi = max(phi, float(p.max()))
     return alpha, phi
 
 
@@ -132,16 +231,25 @@ def rho_coefficient(chain: ChainSpec, j: int) -> float:
     are dropped.
     """
     m0 = chain.marginal(j)
-    m1 = chain.marginal(j + 1)
     joint = m0[:, None] * chain.kernel(j)
-    keep0 = m0 > 0
-    keep1 = m1 > 0
-    j_r = joint[np.ix_(keep0, keep1)]
-    b = j_r / np.sqrt(m0[keep0])[:, None] / np.sqrt(m1[keep1])[None, :]
-    sv = np.linalg.svd(b, compute_uv=False)
-    if sv.shape[0] < 2:
-        return 0.0
-    return float(min(sv[1], 1.0))
+    return float(_rho_rows(m0[None], joint[None], chain.marginal(j + 1)[None])[0])
+
+
+def _rho_rows(m0: np.ndarray, joint: np.ndarray, m1: np.ndarray) -> np.ndarray:
+    """rho of stacked one-step laws: m0 (J, na), joint (J, na, nb), m1 (J, nb).
+    Laws with the same zero-mass states share one stacked SVD."""
+    keep = np.concatenate([m0 > 0, m1 > 0], axis=1)
+    rho = np.zeros(len(m0))
+    na = m0.shape[1]
+    for rows in _row_groups(keep):
+        keep0, keep1 = keep[rows[0], :na], keep[rows[0], na:]
+        if min(keep0.sum(), keep1.sum()) < 2:
+            continue
+        b = (joint[rows][:, keep0][:, :, keep1]
+             / np.sqrt(m0[rows][:, keep0])[:, :, None]
+             / np.sqrt(m1[rows][:, keep1])[:, None, :])
+        rho[rows] = np.minimum(np.linalg.svd(b, compute_uv=False)[:, 1], 1.0)
+    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -341,20 +449,33 @@ def mixing_report(
 ) -> MixingReport:
     """alpha/phi over k = 1..k_max, per-time contraction coefficients, and the
     fitted envelope.  j_probe defaults to a horizon-aware window of start
-    times (enough to see a full period for periodic schedules)."""
+    times (enough to see a full period for periodic schedules); a probed j
+    with j + k_max past the horizon raises ChainConfigError."""
     if j_probe is None:
         horizon = chain.max_time
         top = min(horizon - k_max, 8) if horizon else 8
         j_probe = list(range(1, max(top, 1) + 1))
     j_probe = list(j_probe)
-    alphas = {}
-    phis = {}
-    for k in range(1, k_max + 1):
-        a, p = alpha_phi(chain, k, j_probe)
-        alphas[k] = a
-        phis[k] = p
-    pis = [dobrushin_coefficient(chain, j) for j in j_probe]
-    rhos = [rho_coefficient(chain, j) for j in j_probe]
+    groups = _pair_pass(chain, j_probe, k_max)
+    alpha = np.zeros(k_max)
+    phi = np.zeros(k_max)
+    rows = []  # (starts, pi, rho) per group
+    for starts, marg, kern, laws in groups:
+        for k, joint in enumerate(laws):
+            a, p = _alpha_phi_pair(joint)
+            alpha[k] = max(alpha[k], a.max())
+            phi[k] = max(phi[k], p.max())
+            if k == 0:
+                m1 = chain.marginals(starts + 1)
+                rows.append((starts, dobrushin(kern), _rho_rows(marg, joint, m1)))
+    alphas = dict(zip(range(1, k_max + 1), alpha.tolist()))
+    phis = dict(zip(range(1, k_max + 1), phi.tolist()))
+    pis, rhos = [], []
+    if rows:
+        starts, pi, rho = (np.concatenate(c) for c in zip(*rows))
+        order = np.argsort(starts)
+        at = order[np.searchsorted(starts, j_probe, sorter=order)]
+        pis, rhos = pi[at].tolist(), rho[at].tolist()
     env, n0 = fit_envelope(alphas, phis)
     return MixingReport(
         ks=list(alphas),

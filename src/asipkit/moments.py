@@ -242,7 +242,7 @@ class MomentEngine:
         """max |(f_t(x) - E f_t) . u| over t in [a, b] and every state x,
         one reduction over the stacked marginals."""
         try:
-            marg = self.chain.marginals(a, b)
+            marg = self.chain.marginals(np.arange(a, b + 1))
             vals = self.chain.observable.stack(a, b) @ u
         except ValueError:  # the state count changes inside [a, b]
             return max(float(np.max(np.abs(self.centered(t) @ u))) for t in range(a, b + 1))
@@ -445,7 +445,7 @@ class MomentEngine:
             k = self._stride(nxt, stop, edges, back)
             if k:
                 if back:
-                    w = chain.marginals(nxt - k + 1, nxt)[::-1]
+                    w = chain.marginals(np.arange(nxt - k + 1, nxt + 1))[::-1]
                 else:
                     w = np.ones((k, sweep.p.shape[0]))
                 yield nxt, sweep.jump(self._power(dirs, back), k, w, live(nxt))

@@ -5,17 +5,17 @@ from __future__ import annotations
 import numpy as np
 
 
-def dobrushin(kernel: np.ndarray) -> float:
-    """Contraction coefficient: max total-variation distance between rows."""
+def dobrushin(kernel: np.ndarray):
+    """Contraction coefficient: max total-variation distance between rows.
+
+    Works on the last two axes: one kernel gives a float, a (J, n, m) stack
+    an array of length J."""
     k = np.asarray(kernel, dtype=float)
-    if k.shape[0] == 1:
-        return 0.0
-    best = 0.0
-    for a in range(k.shape[0] - 1):
-        tv = 0.5 * np.max(np.abs(k[a + 1 :] - k[a]).sum(axis=1))
-        if tv > best:
-            best = float(tv)
-    return best
+    best = np.zeros(k.shape[:-2])
+    for a in range(k.shape[-2] - 1):
+        tv = np.abs(k[..., a + 1 :, :] - k[..., a : a + 1, :]).sum(axis=-1)
+        best = np.maximum(best, 0.5 * tv.max(axis=-1))
+    return float(best) if k.ndim == 2 else best
 
 
 def direction_grid(d: int, count: int = 64, extra: np.ndarray | None = None) -> np.ndarray:

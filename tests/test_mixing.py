@@ -3,16 +3,20 @@
 The symmetric reference chain has hand-enumerable coefficients: events over
 single coordinates give alpha(k) = 0.25 * 0.5^k and phi(k) = 0.5 * 0.5^k.
 The closed forms for alpha and phi are checked against a brute force over
-every event pair.
+every event pair, and the stacked pass over start times against pair_joint
+one start time at a time.
 """
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from test_moments import small_random_chain
 
 from asipkit.battery import battery, entry
 from asipkit.chain import ChainConfigError, build_chain, pair_joint
+from asipkit.cli import EXIT_INPUT, main
 from asipkit.mixing import (
     Envelope,
     _alpha_phi_pair,
@@ -32,6 +36,12 @@ def test_alpha_phi_hand_oracles(sym):
     assert a1 == 0.125 and p1 == 0.25
     a2, p2 = alpha_phi(sym, 2, range(1, 9))
     assert a2 == 0.0625 and abs(p2 - 0.125) < 1e-15
+
+
+def test_alpha_phi_across_pass_chunks(sym):
+    # 10,000 start times span three stacked chunks of the pass
+    for k in (1, 2):
+        assert alpha_phi(sym, k, range(1, 10001)) == (0.25 * 0.5**k, 0.5 * 0.5**k)
 
 
 def _brute_alpha_phi(joint):
@@ -69,6 +79,42 @@ def test_alpha_phi_closed_forms_match_event_enumeration():
         joint /= joint.sum()
         got = _alpha_phi_pair(joint)
         assert np.allclose(got, _brute_alpha_phi(joint), rtol=0.0, atol=1e-14), joint
+
+
+def test_stacked_pass_matches_pair_joint():
+    # state counts change along the explicit chain, so start times split
+    # into groups by kernel shapes; leaky3_delta has zero-mass states
+    cases = [
+        (small_random_chain([2, 3, 2, 2, 3, 3, 2, 3], 1, 8), [4, 1, 3, 1, 2, 4], 4),
+        (entry("leaky3_delta").build(), [7, 3, 3, 1, 12, 5, 1, 2], 12),
+    ]
+    for chain, j_range, k_max in cases:
+        for k in range(1, k_max + 1):
+            laws = [pair_joint(chain, j, j + k).matrix for j in j_range]
+            pairs = [_alpha_phi_pair(joint) for joint in laws]
+            got = alpha_phi(chain, k, j_range)
+            assert got == tuple(max(col) for col in zip(*pairs)), k
+            want = [max(col) for col in zip(*map(_brute_alpha_phi, laws))]
+            assert np.allclose(got, want, rtol=0.0, atol=1e-14), k
+        rep = mixing_report(chain, k_max=k_max, j_probe=j_range)
+        assert rep.pi == [dobrushin_coefficient(chain, j) for j in j_range]
+        assert rep.rho == [rho_coefficient(chain, j) for j in j_range]
+
+
+def test_mixing_report_fails_fast_on_short_horizons(tmp_path, capsys):
+    doc = {
+        "kernels": [[[0.75, 0.25], [0.25, 0.75]]] * 5,
+        "initial": [0.5, 0.5],
+        "observable": {"constant": [[1.0], [-1.0]]},
+        "L": 1.0,
+    }
+    msg = "k_max=12 from start time j=1 passes the horizon 6"
+    with pytest.raises(ChainConfigError, match=msg):
+        mixing_report(build_chain(doc))
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc))
+    assert main(["mixing", "--chain", str(path), "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    assert msg in capsys.readouterr().err
 
 
 def test_event_cap_on_the_smaller_side():
@@ -191,4 +237,4 @@ def test_report_aligned_lags(sym):
     # per-time contraction rows match the direct coefficients
     for j, pi_j, rho_j in zip(rep.j_probe, rep.pi, rep.rho):
         assert pi_j == dobrushin_coefficient(sym, j)
-        assert abs(rho_j - rho_coefficient(sym, j)) < 1e-12
+        assert rho_j == rho_coefficient(sym, j)
