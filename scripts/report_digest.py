@@ -2,10 +2,11 @@
 """Digest the CLI reports for every chain in chains/.
 
 Runs `asipkit verify` once, and `asipkit simulate --paths 2000 --seed 7`,
-`asipkit blocks` and `asipkit mixing` on each chains/*.json, into a temporary
-directory, two commands at a time, and prints one `<sha256>  <dir>/<file>`
-line per report file (`verify/verify_report.json` for the battery).  Exit
-codes and wall times go to stderr.  A refactor that claims byte-identical
+`asipkit blocks`, `asipkit mixing` and `asipkit moments` on each
+chains/*.json, into a temporary directory, two commands at a time, and
+prints one `<sha256>  <dir>/<file>` line per report file
+(`verify/verify_report.json` for the battery).  Exit codes and wall times go
+to stderr.  A refactor that claims byte-identical
 reports is checked by diffing this output before and after it:
 
     python3 scripts/report_digest.py > after.txt
@@ -23,7 +24,9 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COMMANDS = (["simulate", "--paths", "2000", "--seed", "7"], ["blocks"], ["mixing"])
+COMMANDS = (
+    ["simulate", "--paths", "2000", "--seed", "7"], ["blocks"], ["mixing"], ["moments"],
+)
 
 
 def _run(args: list, env: dict) -> str:

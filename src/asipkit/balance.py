@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainConfigError, ChainSpec
-from .moments import MomentEngine
+from .moments import engine_for
 
 HEXAGON_ENUM_CAP = 1_000_000
 
@@ -112,34 +112,29 @@ def verify_var2_sandwich(
     u: np.ndarray,
     windows,
     pair_observable,
-    balance_values: dict | None = None,
-    hexagon_law=None,
 ) -> SandwichFit:
     """Fits sandwich constants for windows of a transition-observable sum.
 
     For each window (n, m) with m - n >= 3, compares the exact
     Var(sum_{j=n}^m f_j(xi_j, xi_{j+1}) . u) against the balance sum
-    sum_{j=n+3}^m u_j^2.  balance_values may pre-supply u_j^2 per position.
+    sum_{j=n+3}^m u_j^2 under the built-in hexagon law.
     """
     u = np.asarray(u, dtype=float)
-    engine = MomentEngine(chain)
-    cache: dict = dict(balance_values or {})
+    engine = engine_for(chain)
+    cache: dict = {}
 
     def u2(j: int) -> float:
         v = cache.get(j)
         if v is None:
-            v = balance_variance(chain, j, u, pair_observable, hexagon_law)
+            v = balance_variance(chain, j, u, pair_observable)
             cache[j] = v
         return v
-
-    def tables(j):
-        return pair_observable(j)
 
     rows = []
     for (n, m) in windows:
         if m - n < 3:
             raise ChainConfigError(f"window [{n}, {m}] shorter than 4 terms")
-        cov = engine.pair_window_cov(tables, n, m)
+        cov = engine.pair_window_cov(pair_observable, n, m)
         var = float(u @ cov @ u)
         total = sum(u2(j) for j in range(n + 3, m + 1))
         rows.append((n, m, var, total))

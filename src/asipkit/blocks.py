@@ -30,15 +30,18 @@ from .moments import (
 )
 
 SEPARATION_MAX = 100_000
+# largest horizon the planner sizes for itself
+HORIZON_CAP = 500_000
+# Monte Carlo paths per gap and seed of the gap-maximum statistics
+TAIL_MC_PATHS = 512
+TAIL_MC_SEED = 17
 
 
 # ---------------------------------------------------------------------------
 # parameter selection
 
 
-def select_separation(
-    envelope: Envelope, p: float, c_p: float = 8.0, r_max: int = SEPARATION_MAX
-) -> tuple[int, float]:
+def select_separation(envelope: Envelope, p: float, c_p: float = 8.0) -> tuple[int, float]:
     """Minimal separation r with sum_m alpha(rm)^(1-2/p) < 1/(32 c_p).
 
     The sum is the envelope's exact geometric tail.  Returns (r, achieved
@@ -50,38 +53,29 @@ def select_separation(
         raise ChainConfigError("no exponential envelope: delta >= 1")
     threshold = 1.0 / (32.0 * c_p)
     e = 1.0 - 2.0 / p
-    for r in range(1, r_max + 1):
+    for r in range(1, SEPARATION_MAX + 1):
         tail = envelope.geometric_tail(r, e)
         if tail < threshold:
             return r, tail
-    raise ChainConfigError(f"no separation r <= {r_max} meets the tail bound")
+    raise ChainConfigError(f"no separation r <= {SEPARATION_MAX} meets the tail bound")
 
 
-def _q_zero(
-    r: int, p: float, big_l: float, envelope: Envelope,
-    c_p: float = 8.0, exponent: str = "2-2/p",
-) -> float:
-    if exponent == "2-2/p":
-        e = 2.0 - 2.0 / p
-    elif exponent == "1-2/p":
-        e = 1.0 - 2.0 / p
-    else:
-        raise ChainConfigError(f"unknown Q exponent switch {exponent!r}")
+def _q_zero(r: int, p: float, big_l: float, envelope: Envelope, c_p: float) -> float:
     # tail over every gap m >= 1 (separation enters the prefactor only)
-    tail = envelope.geometric_tail(1, e)
+    tail = envelope.geometric_tail(1, 2.0 - 2.0 / p)
     return 2.0 * c_p * (1.0 + r * big_l) * (1.0 + big_l) * tail
 
 
 def compute_q(
     amplitude: float, r: int, p: float, big_l: float, envelope: Envelope,
-    c_p: float = 8.0, exponent: str = "2-2/p",
+    c_p: float = 8.0,
 ) -> tuple[float, float]:
     """(Q0, Q(A)) with Q(A) = Q0 + 2 sqrt(3 A Q0).
 
-    Q0 = 2 c_p (1 + r L)(1 + L) sum_m alpha(m)^e; the exponent defaults to
-    the printed 2 - 2/p and can be switched to 1 - 2/p.
+    Q0 = 2 c_p (1 + r L)(1 + L) sum_m alpha(m)^(2 - 2/p), the exponent the
+    paper prints.
     """
-    q0 = _q_zero(r, p, big_l, envelope, c_p, exponent)
+    q0 = _q_zero(r, p, big_l, envelope, c_p)
     return q0, q_of_amplitude(amplitude, q0)
 
 
@@ -205,16 +199,15 @@ def build_blocks(
     amplitude: float,
     r: int,
     horizon: int,
-    u0: np.ndarray | None = None,
     p: float = 4.0,
     q0: float | None = None,
     q_at_a: float | None = None,
     r_certified: bool = False,
     a_certified: bool = False,
-    engine: MomentEngine | None = None,
 ) -> BlockPartition:
     """Greedy construction: each block is the shortest interval starting
-    r + 1 past the previous block with Var(S(M) . u0) >= amplitude.
+    r + 1 past the previous block with Var(S(M) . u0) >= amplitude, u0 the
+    first coordinate direction.
 
     Raises VarianceStarvedError when not even one block closes with its cover
     inside the usable horizon.
@@ -223,8 +216,8 @@ def build_blocks(
         raise ChainConfigError(f"separation must be >= 1, got {r}")
     if amplitude < 1.0:
         raise ChainConfigError(f"amplitude must be >= 1, got {amplitude}")
-    eng = engine or engine_for(chain)
-    u0 = _default_u0(chain) if u0 is None else np.asarray(u0, dtype=float)
+    eng = engine_for(chain)
+    u0 = _default_u0(chain)
     max_t = chain.max_time
     scan_top = horizon if max_t is None else min(horizon, max_t)
 
@@ -341,7 +334,6 @@ def verify_partition(
     chain: ChainSpec,
     partition: BlockPartition,
     horizon: int | None = None,
-    engine: MomentEngine | None = None,
 ) -> BlockVerification:
     """Exact evaluation of the partition inequalities over n <= horizon and
     every unit direction u.
@@ -352,7 +344,7 @@ def verify_partition(
     sqrt(lambda_max) of a prefix and of a suffix sum inside a cover, r1 and
     r2 the extremes of lambda_min(V_n) / k_n and lambda_max(V_n) / k_n.
     Their witnesses are (n, unit eigenvector)."""
-    eng = engine or engine_for(chain)
+    eng = engine_for(chain)
     part = partition
     horizon = part.cover_end if horizon is None else int(horizon)
     if chain.max_time is not None:
@@ -487,20 +479,18 @@ def covariance_inequality_check(
     m1,
     m2,
     p: int = 4,
-    u: np.ndarray | None = None,
-    j_probe=None,
-    atom_cap: int = ATOM_CAP_DEFAULT,
-    mc: tuple[int, int] | None = None,
-    engine: MomentEngine | None = None,
 ) -> CovInequality:
-    """|Cov(S(M1) . u, S(M2) . u)| against 8 ||S(M1)||_p ||S(M2)||_p alpha(r)^(1-2/p).
+    """|Cov(S(M1) . u, S(M2) . u)| against 8 ||S(M1)||_p ||S(M2)||_p alpha(r)^(1-2/p),
+    u the first coordinate direction.
 
     Both sides exact: the covariance by masked sweeps, the L^p norms by the
     distribution DP, alpha(r) from its closed form over the pair laws at the
-    separating gap r = min M2 - max M1.
+    separating gap r = min M2 - max M1, maximized over start times
+    j <= min(max M2, 24).  A support past the DP's atom cap raises
+    SupportOverflow.
     """
-    eng = engine or engine_for(chain)
-    u = _default_u0(chain) if u is None else np.asarray(u, dtype=float)
+    eng = engine_for(chain)
+    u = _default_u0(chain)
     segs1 = _as_intervals(m1)
     segs2 = _as_intervals(m2)
     r = segs2[0][0] - segs1[-1][1]
@@ -509,15 +499,11 @@ def covariance_inequality_check(
     cov = abs(eng.cross_cov_segments(u, segs1, segs2))
 
     def lp(segs) -> LpNorm:
-        return eng.lp_norm(
-            segs[0][0], segs[-1][1], u, p, atom_cap=atom_cap, mc=mc, segments=segs
-        )
+        return eng.lp_norm(segs[0][0], segs[-1][1], u, p, segments=segs)
 
     n1 = lp(segs1)
     n2 = lp(segs2)
-    if j_probe is None:
-        j_probe = range(1, min(segs2[-1][1], 24) + 1)
-    alpha_r, _ = alpha_phi(chain, r, j_probe)
+    alpha_r, _ = alpha_phi(chain, r, range(1, min(segs2[-1][1], 24) + 1))
     bound = 8.0 * n1.value * n2.value * alpha_r ** (1.0 - 2.0 / p)
     return CovInequality(
         cov_abs=cov, bound=bound, passes=bool(cov <= bound + 1e-12), r=r,
@@ -566,8 +552,7 @@ class TailStats:
 
 
 def _gap_lp_dp(
-    chain: ChainSpec, eng: MomentEngine, b: int, r: int, p: int,
-    atom_cap: int, grid: float,
+    chain: ChainSpec, eng: MomentEngine, b: int, r: int, p: int
 ) -> tuple[float, bool]:
     """Exact ||max_{0<=l<=r} |sum of X over (b, b+l]| ||_{L^p} by a DP over
     (state, accumulated vector, running max of the squared norm)."""
@@ -575,7 +560,7 @@ def _gap_lp_dp(
     scale = _dyadic_scale([t.ravel() for t in tables], r)
     exact_keys = scale is not None
     if not exact_keys:
-        scale = 1.0 / grid
+        scale = 1.0 / GRID_DEFAULT
     enc = [np.rint(t * scale).astype(np.int64) for t in tables]
 
     d = chain.d
@@ -598,9 +583,9 @@ def _gap_lp_dp(
                     slot = np.zeros(vals.shape[0])
                     nxt[key] = slot
                 slot[x] += w[x]
-        if len(nxt) > atom_cap:
+        if len(nxt) > ATOM_CAP_DEFAULT:
             raise SupportOverflow(
-                f"gap DP support {len(nxt)} exceeds cap {atom_cap}"
+                f"gap DP support {len(nxt)} exceeds cap {ATOM_CAP_DEFAULT}"
             )
         atoms = nxt
     inv2 = 1.0 / (scale * scale)
@@ -628,46 +613,42 @@ def tail_statistics(
     chain: ChainSpec,
     partition: BlockPartition,
     p: int = 4,
-    atom_cap: int = ATOM_CAP_DEFAULT,
-    grid: float = GRID_DEFAULT,
-    eps: tuple = (0.1, 0.25),
-    mc_paths: int = 512,
-    mc_seed: int = 17,
-    engine: MomentEngine | None = None,
 ) -> TailStats:
     """L^p norms of the between-block maxima D_q = max over the gap after
     block q of |S_n - S_{b_q}|, plus a Monte Carlo boundedness check of
-    max_q D_q / q^eps.
+    max_q D_q / q^eps for eps = 0.1 and 0.25.
 
-    Exact DP per gap with a Monte Carlo fallback past the atom cap.  The
-    Monte Carlo walks sample each gap independently from its exact entry
-    marginal (cross-gap dependence dropped; per-gap laws exact).
+    Exact DP per gap (dyadic keys, else a GRID_DEFAULT lattice) with a
+    Monte Carlo fallback past ATOM_CAP_DEFAULT atoms.  The Monte Carlo walks,
+    TAIL_MC_PATHS per gap from seed TAIL_MC_SEED, sample each gap
+    independently from its exact entry marginal (cross-gap dependence
+    dropped; per-gap laws exact).
     """
     p = int(p)
     if p < 2 or p % 2:
         raise ChainConfigError(f"p must be an even integer >= 2, got {p}")
-    eng = engine or engine_for(chain)
+    eng = engine_for(chain)
     part = partition
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(mc_seed)))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(TAIL_MC_SEED)))
     norms: list[TailNorm] = []
     fallback = False
     for q, (_, b) in enumerate(part.blocks, start=1):
         try:
-            val, exact_keys = _gap_lp_dp(chain, eng, b, part.r, p, atom_cap, grid)
+            val, exact_keys = _gap_lp_dp(chain, eng, b, part.r, p)
             norms.append(TailNorm(
                 q=q, value=val, exact=True,
                 method="dp-dyadic" if exact_keys else "dp-grid",
             ))
         except SupportOverflow:
             fallback = True
-            val, se = _mc_lp(_walk_gap(eng, b, part.r, rng, mc_paths), p)
+            val, se = _mc_lp(_walk_gap(eng, b, part.r, rng, TAIL_MC_PATHS), p)
             norms.append(TailNorm(
                 q=q, value=val, exact=False, method="monte-carlo", stderr=se,
             ))
 
-    per_gap = np.array([_walk_gap(eng, b, part.r, rng, mc_paths) for _, b in part.blocks])
+    per_gap = np.array([_walk_gap(eng, b, part.r, rng, TAIL_MC_PATHS) for _, b in part.blocks])
     qs = np.arange(1, part.count + 1, dtype=float)[:, None]
-    scores = {float(e): float((per_gap / qs**e).max()) for e in eps}
+    scores = {float(e): float((per_gap / qs**e).max()) for e in (0.1, 0.25)}
 
     return TailStats(
         norms=norms,
@@ -675,8 +656,8 @@ def tail_statistics(
         all_exact=not fallback,
         eps_maxima=scores,
         mc_fallback=fallback,
-        mc_paths=mc_paths,
-        mc_seed=mc_seed,
+        mc_paths=TAIL_MC_PATHS,
+        mc_seed=TAIL_MC_SEED,
     )
 
 
@@ -720,29 +701,26 @@ def plan_partition(
     chain: ChainSpec,
     p: float = 4.0,
     c_p: float = 8.0,
-    u0: np.ndarray | None = None,
     horizon: int | None = None,
     min_blocks: int = 3,
-    k_max: int = 12,
-    q_exponent: str = "2-2/p",
-    horizon_cap: int = 500_000,
-    engine: MomentEngine | None = None,
 ) -> tuple[BlockPartition, PartitionPlan]:
     """Full pipeline: mixing envelope -> separation -> amplitude -> blocks.
 
-    The exact variance growth rate over the first 256 times is probed first;
-    a rate <= 1e-12 raises VarianceStarvedError at the probe index, with or
-    without a given horizon.  A given horizon is final: the partition that
-    closes there is returned, even with fewer than min_blocks blocks, and
+    The envelope is mixing_report's default fit, and the blocks are built
+    along the first coordinate direction u0.  The exact variance growth rate
+    along u0 over the first 256 times is probed first; a rate <= 1e-12
+    raises VarianceStarvedError at the probe index, with or without a given
+    horizon.  A given horizon is final: the partition that closes
+    there is returned, even with fewer than min_blocks blocks, and
     VarianceStarvedError(horizon) is raised when none closes.  Otherwise the
     horizon is sized from that rate so at least min_blocks blocks close, then
-    doubled as needed up to horizon_cap."""
-    eng = engine or engine_for(chain)
-    u0 = _default_u0(chain) if u0 is None else np.asarray(u0, dtype=float)
-    rep = mixing_report(chain, k_max=k_max)
+    doubled as needed up to HORIZON_CAP."""
+    eng = engine_for(chain)
+    u0 = _default_u0(chain)
+    rep = mixing_report(chain)
     env = rep.envelope
     r, tail = select_separation(env, p, c_p)
-    q0 = _q_zero(r, p, chain.L, env, c_p, q_exponent)
+    q0 = _q_zero(r, p, chain.L, env, c_p)
     amplitude, cert = select_amplitude(q0)
     q_at_a = q_of_amplitude(amplitude, q0)
 
@@ -753,6 +731,7 @@ def plan_partition(
     if rate <= 1e-12:
         raise VarianceStarvedError(probe)
     if horizon is None:
+        horizon_cap = HORIZON_CAP
         horizon = int(min_blocks * (amplitude / rate) * 1.4)
         horizon += (min_blocks + 1) * (r + 1) + 64
         horizon = max(2048, min(horizon, horizon_cap))
@@ -762,8 +741,8 @@ def plan_partition(
     while True:
         try:
             part = build_blocks(
-                chain, amplitude, r, horizon, u0=u0, p=p, q0=q0, q_at_a=q_at_a,
-                r_certified=True, a_certified=True, engine=eng,
+                chain, amplitude, r, horizon, p=p, q0=q0, q_at_a=q_at_a,
+                r_certified=True, a_certified=True,
             )
         except VarianceStarvedError:
             part = None

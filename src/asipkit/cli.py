@@ -172,6 +172,37 @@ def _validate_common(args) -> None:
         _require(args.directions >= 1, f"--directions must be >= 1, got {args.directions}")
 
 
+def _override_partition(chain, args, p: float, cp: float, horizon: int):
+    """The partition `--amplitude` and/or `--separation` ask for.
+
+    The mixing envelope is computed only when one of the two is missing; the
+    certified r or A then fills it in.  Q0 and Q(A) are recorded whenever an
+    envelope exists.  Given both, nothing is certified."""
+    envelope = None
+    if args.amplitude is None or args.separation is None:
+        envelope = mixing_report(chain).envelope
+    r_cert = a_cert = False
+    q0 = qa = None
+    if args.separation is None:
+        r, _ = select_separation(envelope, p, c_p=cp)
+        r_cert = True
+    else:
+        r = args.separation
+    if args.amplitude is None:
+        q0, _ = compute_q(1.0, r, p, chain.L, envelope, c_p=cp)
+        amplitude, _cert = select_amplitude(q0)
+        qa = q_of_amplitude(amplitude, q0)
+        a_cert = r_cert
+    else:
+        amplitude = args.amplitude
+        if envelope is not None:
+            q0, qa = compute_q(amplitude, r, p, chain.L, envelope, c_p=cp)
+    return build_blocks(
+        chain, amplitude, r, horizon, p=p, q0=q0, q_at_a=qa,
+        r_certified=r_cert, a_certified=a_cert,
+    )
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -288,30 +319,8 @@ def cmd_blocks(args) -> int:
             plan_doc = plan.to_doc()
         else:
             plan_doc = None
-            envelope = None
-            if args.amplitude is None or args.separation is None:
-                envelope = mixing_report(chain).envelope
-            r_cert = a_cert = False
-            q0 = qa = None
-            if args.separation is None:
-                r, _ = select_separation(envelope, p, c_p=cp)
-                r_cert = True
-            else:
-                r = args.separation
-            if args.amplitude is None:
-                q0, _ = compute_q(1.0, r, p, chain.L, envelope, c_p=cp)
-                amplitude, _cert = select_amplitude(q0)
-                qa = q_of_amplitude(amplitude, q0)
-                a_cert = r_cert
-            else:
-                amplitude = args.amplitude
-                if envelope is not None:
-                    q0, qa = compute_q(amplitude, r, p, chain.L, envelope, c_p=cp)
             horizon = args.horizon if args.horizon is not None else 2048
-            part = build_blocks(
-                chain, amplitude, r, horizon, p=p, q0=q0, q_at_a=qa,
-                r_certified=r_cert, a_certified=a_cert,
-            )
+            part = _override_partition(chain, args, p, cp, horizon)
     except VarianceStarvedError as exc:
         print(f"block construction failed: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
@@ -384,11 +393,9 @@ def cmd_simulate(args) -> int:
     part = None
     part_note = None
     if args.amplitude is not None or args.separation is not None:
-        # Explicit overrides build an uncertified partition; failure here is
-        # a construction error, not something to paper over with a note.
-        r = args.separation if args.separation is not None else 1
-        amp = args.amplitude if args.amplitude is not None else 1.0
-        part = build_blocks(chain, amp, r, horizon, p=p)
+        # failure here is a construction error, not something to paper over
+        # with a note
+        part = _override_partition(chain, args, p, cp, horizon)
     else:
         try:
             part, _plan = plan_partition(chain, p=p, c_p=cp, horizon=horizon)

@@ -5,8 +5,8 @@ alpha and phi are exact over the coordinate sigma-algebras sigma(xi_j),
 sigma(xi_{j+k}), from closed forms on the pair law: phi from single states,
 alpha from the events of the smaller side only.  For Markov chains this
 equals the full past/future definition (dependence factors through the
-boundary pair); a windowed variant over cylinder events is available for
-validation.
+boundary pair); a windowed variant over cylinder events on two
+coordinates per side is available for validation.
 
 The pair laws of all requested start times come from one stacked pass: the
 kernels and marginals of up to PASS_CHUNK start times are stacked, one
@@ -170,19 +170,13 @@ def alpha_phi(chain: ChainSpec, k: int, j_range) -> tuple[float, float]:
     return alpha, phi
 
 
-def alpha_phi_windowed(
-    chain: ChainSpec, k: int, j_range, width: int = 2
-) -> tuple[float, float]:
-    """Validation variant: events are cylinders on windows of `width`
-    consecutive coordinates ending at j and starting at j+k.  Exponential in
-    width; width <= 3 enforced."""
-    if width < 1 or width > 3:
-        raise ChainConfigError("window width must be in 1..3")
+def alpha_phi_windowed(chain: ChainSpec, k: int, j_range) -> tuple[float, float]:
+    """Validation variant: events are cylinders on the two consecutive
+    coordinates ending at j (one at j = 1) and the two starting at j+k."""
     alpha = phi = 0.0
     for j in j_range:
-        lo = max(1, j - width + 1)
-        past = list(range(lo, j + 1))
-        future = list(range(j + k, j + k + width))
+        past = list(range(max(1, j - 1), j + 1))
+        future = [j + k, j + k + 1]
         joint = _cylinder_joint(chain, past, future)
         a, p = _alpha_phi_pair(joint)
         alpha = max(alpha, a)
@@ -263,7 +257,6 @@ class Envelope:
     c: float
     delta: float
     degenerate: bool
-    nonmonotone: bool = False
 
     def value(self, k: float) -> float:
         return self.c * self.delta**k
@@ -291,11 +284,10 @@ def fit_envelope(alphas, phis=None) -> tuple[Envelope, int | None]:
         raise ChainConfigError("no alpha values to fit")
     ks = np.array([k for k, _ in items], dtype=float)
     vals = np.array([v for _, v in items], dtype=float)
-    nonmono = bool(np.any(np.diff(vals) > 1e-12))
 
     pos = vals > 0
     if pos.sum() == 0:
-        env = Envelope(c=0.0, delta=0.5, degenerate=True, nonmonotone=nonmono)
+        env = Envelope(c=0.0, delta=0.5, degenerate=True)
     else:
         if pos.sum() >= 2:
             slope, intercept = np.polyfit(ks[pos], np.log(vals[pos]), 1)
@@ -310,7 +302,7 @@ def fit_envelope(alphas, phis=None) -> tuple[Envelope, int | None]:
         while any(v > c * delta**k for k, v in items):
             c = float(np.nextafter(c, np.inf))
         degenerate = bool(pos.sum() < 3)
-        env = Envelope(c=c, delta=delta, degenerate=degenerate, nonmonotone=nonmono)
+        env = Envelope(c=c, delta=delta, degenerate=degenerate)
 
     n0 = None
     if phis is not None:
@@ -358,11 +350,6 @@ def condition_h_gap(chain: ChainSpec, group1, group2, t_values) -> float:
     return abs(e_joint - e1 * e2)
 
 
-def default_eps0(chain: ChainSpec, max_block_len: int) -> float:
-    """Frequency cap keeping block phases nondegenerate."""
-    return math.pi / (2.0 * chain.L * max_block_len)
-
-
 @dataclass
 class ConditionHProfile:
     gaps: list  # (k, gap)
@@ -376,29 +363,19 @@ class ConditionHProfile:
         return self.all_zero or (self.c_prime is not None and self.c_prime > 0)
 
 
-def condition_h_profile(
-    chain: ChainSpec,
-    k_values=range(1, 13),
-    base: int = 1,
-    block_len: int = 2,
-    eps0: float | None = None,
-) -> ConditionHProfile:
-    """Gap-vs-separation profile with a fitted envelope gap <= C' e^{-c' k}.
+def condition_h_profile(chain: ChainSpec) -> ConditionHProfile:
+    """Gap-vs-separation profile with a fitted envelope gap <= C' e^{-c' k}
+    over k = 1..12.
 
-    Group one is two adjacent blocks of block_len starting at `base`; group
-    two is a single index shifted k past group one, matching the
-    factorization condition's shifted-window structure.
+    Group one is the blocks [1, 2] and [3, 4]; group two is the single index
+    k + 5, shifted k past group one, matching the factorization condition's
+    shifted-window structure.  Frequencies are +-eps0 with eps0 = pi / (2 L * 2), the cap
+    that keeps the phases of two-step blocks nondegenerate.
     """
-    if eps0 is None:
-        eps0 = default_eps0(chain, block_len)
-    end1 = base + 2 * block_len - 1
-    rows = []
-    for k in k_values:
-        g1 = [(base, base + block_len - 1, 0), (base + block_len, end1, 1)]
-        g2 = [(end1 + k + 1, end1 + k + 1, 2)]
-        d = chain.d
-        ts = [np.full(d, eps0), np.full(d, -eps0), np.full(d, eps0)]
-        rows.append((int(k), condition_h_gap(chain, g1, g2, ts)))
+    eps0 = math.pi / (4.0 * chain.L)
+    g1 = [(1, 2, 0), (3, 4, 1)]
+    ts = [np.full(chain.d, eps0), np.full(chain.d, -eps0), np.full(chain.d, eps0)]
+    rows = [(k, condition_h_gap(chain, g1, [(k + 5, k + 5, 2)], ts)) for k in range(1, 13)]
     gaps = np.array([g for _, g in rows])
     ks = np.array([float(k) for k, _ in rows])
     if np.all(gaps == 0.0):
@@ -430,7 +407,7 @@ class MixingReport:
     n0: int | None
     j_probe: list = field(default_factory=list)
 
-    def check_identities(self, atol: float = 1e-10):
+    def check_identities(self):
         """Raises AssertionError on any violated structural identity."""
         for a, p in zip(self.alpha, self.phi):
             assert a <= p + 1e-15, f"alpha {a} > phi {p}"
@@ -439,7 +416,7 @@ class MixingReport:
         for p1, p2 in zip(self.phi, self.phi[1:]):
             assert p2 <= p1 + 1e-12, "phi not nonincreasing"
         for r, p in zip(self.rho, self.pi):
-            assert r <= math.sqrt(p) + atol, f"rho {r} > sqrt(pi) {math.sqrt(p)}"
+            assert r <= math.sqrt(p) + 1e-10, f"rho {r} > sqrt(pi) {math.sqrt(p)}"
         for k, a in zip(self.ks, self.alpha):
             assert a <= self.envelope.value(k) + 0.0, "envelope not dominating"
 

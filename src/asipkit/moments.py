@@ -218,8 +218,6 @@ class MomentEngine:
         self.d = chain.d
         self._means: dict[int, np.ndarray] = {}
         self._centered: dict[int, np.ndarray] = {}
-        self._vlist: list = [None]  # _vlist[n] = V_{1,n}, grown on demand
-        self._vscan = self.scan(1, None, _polar_directions(self.d))
         self._powers: dict = {}  # (backward, direction rows) -> stacked power
 
     # -- per-time -----------------------------------------------------------
@@ -469,14 +467,8 @@ class MomentEngine:
         return _polarize(self._end_var(n, m, _polar_directions(self.d)), self.d)
 
     def v_matrix(self, n: int) -> np.ndarray:
-        """V_n = V_{1,n}, resumable prefix scan cached per n."""
-        if n < 1:
-            raise ChainConfigError("n must be >= 1")
-        self.chain.state_size(n)  # rejects times past the chain's horizon
-        while len(self._vlist) <= n:
-            _, v = next(self._vscan)
-            self._vlist.extend(_polarize(v, self.d))
-        return self._vlist[n]
+        """V_n = V_{1,n}, the last matrix of v_curve(n)."""
+        return self.v_curve(n)[-1]
 
     def s_value(self, n: int) -> float:
         """s_n: smallest eigenvalue of V_n."""
@@ -545,14 +537,14 @@ class MomentEngine:
 
     def window_distribution(
         self, n: int, m: int, u: np.ndarray, atom_cap: int = ATOM_CAP_DEFAULT,
-        grid: float = GRID_DEFAULT, segments=None,
+        segments=None,
     ) -> tuple[np.ndarray, np.ndarray, bool]:
         """Exact law of the centered projected sum over [n, m].
 
         Returns (values, probabilities, exact_keys).  Sums are keyed exactly
         on a common dyadic grid when all per-time values admit one (then
-        exact_keys is True), otherwise on a `grid`-spaced lattice.  Raises
-        SupportOverflow past `atom_cap` atoms.
+        exact_keys is True), otherwise on a GRID_DEFAULT-spaced lattice.
+        Raises SupportOverflow past `atom_cap` atoms.
         """
         u = np.asarray(u, dtype=float)
         inside = _segment_mask(sorted(segments), n, m) if segments else None
@@ -569,8 +561,8 @@ class MomentEngine:
             dec = 1.0 / scale
             method_exact = True
         else:
-            enc = [np.rint(v / grid).astype(np.int64) for v in all_vals]
-            dec = grid
+            enc = [np.rint(v / GRID_DEFAULT).astype(np.int64) for v in all_vals]
+            dec = GRID_DEFAULT
             method_exact = False
 
         keys = np.unique(enc[0])
@@ -597,8 +589,8 @@ class MomentEngine:
 
     def lp_norm(
         self, n: int, m: int, u: np.ndarray, p: int,
-        atom_cap: int = ATOM_CAP_DEFAULT, grid: float = GRID_DEFAULT,
-        mc: tuple[int, int] | None = None, segments=None,
+        atom_cap: int = ATOM_CAP_DEFAULT, mc: tuple[int, int] | None = None,
+        segments=None,
     ) -> LpNorm:
         """Exact ||S_{n,m} . u||_{L^p} for even integer p >= 2.
 
@@ -610,7 +602,7 @@ class MomentEngine:
             raise ChainConfigError(f"p must be an even integer >= 2, got {p}")
         try:
             values, w, exact_keys = self.window_distribution(
-                n, m, u, atom_cap=atom_cap, grid=grid, segments=segments
+                n, m, u, atom_cap=atom_cap, segments=segments
             )
             moment = float(np.sum(w * np.abs(values) ** p))
             return LpNorm(
@@ -745,10 +737,6 @@ def cov_partial_sum(chain: ChainSpec, n: int, m: int) -> np.ndarray:
 
 def s_value(chain: ChainSpec, n: int) -> float:
     return engine_for(chain).s_value(n)
-
-
-def lp_norm_partial_sum(chain: ChainSpec, n: int, m: int, u, p: int, **kw) -> LpNorm:
-    return engine_for(chain).lp_norm(n, m, u, p, **kw)
 
 
 def eigen_ratio_report(chain: ChainSpec, windows, c1: float = 1.0) -> EigenRatioReport:

@@ -17,10 +17,12 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .chain import ChainConfigError, ChainSpec, walk
-from .moments import MomentEngine, engine_for
+from .moments import engine_for
 
 CHUNK = 1024
 PSD_TOL = -1e-10
+# bootstrap resamples behind each rate-curve standard error
+BOOTSTRAP_REPS = 16
 # std of the Kolmogorov distribution, for the asymptotic KS standard error
 _KOLMOGOROV_STD = 0.26
 
@@ -75,7 +77,6 @@ def sample_paths(
     seed: int,
     checkpoints,
     partition=None,
-    engine: MomentEngine | None = None,
 ) -> PathBatch:
     """N independent chain trajectories, streamed to centered partial sums at
     the requested checkpoints (and per-cover block sums when a partition is
@@ -92,7 +93,7 @@ def sample_paths(
             raise ChainConfigError(
                 f"partition cover end {partition.cover_end} exceeds horizon {n_max}"
             )
-    eng = engine or engine_for(chain)
+    eng = engine_for(chain)
     d = chain.d
     sums = np.zeros((n_paths, len(cps), d))
     blocks = np.zeros((n_paths, len(covers), d)) if covers is not None else None
@@ -250,26 +251,16 @@ class KsCurve:
         live = [p.ks for p in self.points if not p.skipped]
         return max(live) if live else None
 
-    def to_rows(self) -> list:
-        return [
-            {"n": p.n, "direction_id": p.direction,
-             "ks": None if p.skipped else p.ks,
-             "stderr": p.stderr, "variance": p.variance,
-             "skipped": p.skipped, "reason": p.reason}
-            for p in self.points
-        ]
-
 
 def clt_diagnostic(
     batch: PathBatch,
     chain: ChainSpec,
     directions: np.ndarray | None = None,
-    engine: MomentEngine | None = None,
 ) -> KsCurve:
     """KS distance of exact-variance-standardized checkpoint sums to the
     standard normal, per checkpoint and direction.  Zero-variance checkpoints
     are reported as skipped."""
-    eng = engine or engine_for(chain)
+    eng = engine_for(chain)
     if directions is None:
         directions = np.eye(chain.d)[:1]
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
@@ -318,7 +309,6 @@ def variance_matching_diagnostic(
     chain: ChainSpec,
     partition,
     delta: float = 0.1,
-    engine: MomentEngine | None = None,
 ) -> VarianceMatchCurve:
     """Exact gap curve g(k) = ||V_n - sum_{j<=k} Cov(Theta_j)||_2 at the end
     n of cover k, against the normalizer s_n^(1/2+delta); no Monte Carlo
@@ -328,7 +318,7 @@ def variance_matching_diagnostic(
     |Var(S_n . u) - sum_j Var(Theta_j . u)| over every unit direction u, so
     the reported constant, the max ratio over k, holds in all directions.
     """
-    eng = engine or engine_for(chain)
+    eng = engine_for(chain)
     ends = partition.i_ends
     vn = eng.v_curve(int(ends[-1]))[ends - 1]  # (K, d, d)
     csum = np.cumsum(np.stack(partition.theta_cov), axis=0)
@@ -390,23 +380,20 @@ def rate_scaling_diagnostic(
     chain: ChainSpec,
     partition,
     delta: float = 0.1,
-    u: np.ndarray | None = None,
     surrogate: SurrogateBatch | None = None,
-    n_boot: int = 16,
     k_values=None,
-    engine: MomentEngine | None = None,
 ) -> RateCurve:
-    """W1(empirical law of S at cover end k, law of the surrogate Gaussian sum)
-    normalized by s_n^(1/4+delta).
+    """W1(empirical law of S . u at cover end k, law of the surrogate Gaussian
+    sum) normalized by s_n^(1/4+delta), u the first coordinate direction.
 
     With surrogate=None the Gaussian side is exact N(0, sum_j u'Cov(Theta_j)u)
     and W1 is computed by exact CDF integration; a supplied surrogate batch is
-    compared sample-to-sample instead.  k_values restricts to the given
+    compared sample-to-sample instead.  Standard errors come from
+    BOOTSTRAP_REPS bootstrap resamples.  k_values restricts to the given
     1-based block indices (default: every block)."""
     if batch.block_sums is None:
         raise ChainConfigError("batch was sampled without a partition")
-    eng = engine or engine_for(chain)
-    u = np.eye(chain.d)[0] if u is None else np.asarray(u, dtype=float)
+    u = np.eye(chain.d)[0]
     proj = np.cumsum(batch.block_sums @ u, axis=1)  # (paths, K)
     tvar = partition.theta_var(u)
     cum_var = np.cumsum(tvar)
@@ -418,6 +405,8 @@ def rate_scaling_diagnostic(
         k_iter = sorted({int(k) - 1 for k in k_values})
         if k_iter and (k_iter[0] < 0 or k_iter[-1] >= proj.shape[1]):
             raise ChainConfigError(f"k_values outside 1..{proj.shape[1]}")
+    if k_iter:  # s_n for every n up to the last cover end asked for
+        s_curve = engine_for(chain).s_curve(int(partition.i_ends[k_iter[-1]]))
     for k in k_iter:
         n = int(partition.i_ends[k])
         sigma = math.sqrt(max(cum_var[k], 0.0))
@@ -429,8 +418,8 @@ def rate_scaling_diagnostic(
         else:
             stat = partial(w1_two_sample, ys=surrogate.projected(u)[:, k])
         w1 = stat(xs)
-        se = _bootstrap_se(xs, stat, n_boot, batch.seed + k)
-        s_n = eng.s_value(n)
+        se = _bootstrap_se(xs, stat, BOOTSTRAP_REPS, batch.seed + k)
+        s_n = float(s_curve[n - 1])
         norm = s_n**e if s_n > 0 else math.inf
         points.append(RatePoint(
             k=k + 1, n=n, w1=w1, stderr=se, normalizer=float(norm),
@@ -460,13 +449,12 @@ def lil_diagnostic(
     n_max: int,
     n_paths: int,
     seed: int,
-    u: np.ndarray | None = None,
-    engine: MomentEngine | None = None,
 ) -> LilReport:
-    """Per-path running maximum of the iterated-logarithm ratio, streamed with
-    the same chunked deterministic sampling as sample_paths."""
-    eng = engine or engine_for(chain)
-    u = np.eye(chain.d)[0] if u is None else np.asarray(u, dtype=float)
+    """Per-path running maximum of the iterated-logarithm ratio along the
+    first coordinate direction, streamed with the same chunked deterministic
+    sampling as sample_paths."""
+    eng = engine_for(chain)
+    u = np.eye(chain.d)[0]
     v = eng.prefix_variances(1, n_max, u[None, :])[:, 0]
     gate = v >= math.exp(math.e)
     if not gate.any():

@@ -44,9 +44,6 @@ def test_compute_q_closed_form():
     assert abs(q0 - 96 * geo) < 1e-9
     assert abs(qa - q_of_amplitude(9.0, q0)) < 1e-15
     assert abs(q_of_amplitude(9.0, 1.0) - (1.0 + 2 * math.sqrt(27.0))) < 1e-12
-    # smaller exponent keeps more of each alpha power, so Q0 grows
-    q0s, _ = compute_q(9.0, 2, 4, 1.0, ENV_UNIT, 8.0, exponent="1-2/p")
-    assert q0s > q0
 
 
 def test_select_amplitude_closed_form():

@@ -184,6 +184,19 @@ def test_simulate_small_run(chain_files, tmp_path):
     assert "time" not in json.dumps(doc).lower()
 
 
+def test_simulate_and_blocks_share_one_override(chain_files, tmp_path):
+    # a missing --separation is the certified r in both commands
+    flags = ["--chain", chain_files["sym"], "--amplitude", "30", "--horizon", "512"]
+    assert main(["blocks", *flags, "--out", str(tmp_path / "ob")]) == EXIT_OK
+    assert main([
+        "simulate", *flags, "--paths", "50", "--seed", "3", "--out", str(tmp_path / "os"),
+    ]) == EXIT_OK
+    built = read_json(tmp_path / "ob" / "blocks_report.json")["partition"]
+    sampled = read_json(tmp_path / "os" / "simulate_report.json")["partition"]
+    assert sampled == built
+    assert built["r"] > 1 and built["amplitude"] == 30.0 and built["q0"] is not None
+
+
 def test_simulate_degenerate_chain(chain_files, tmp_path):
     out = tmp_path / "sz"
     rc = main([

@@ -127,14 +127,14 @@ def test_event_cap_on_the_smaller_side():
 
 
 def test_alpha_phi_windowed_agrees_with_pairs(sym):
-    aw, pw = alpha_phi_windowed(sym, 3, range(2, 6), width=2)
+    aw, pw = alpha_phi_windowed(sym, 3, range(2, 6))
     a3, p3 = alpha_phi(sym, 3, range(1, 9))
     assert abs(aw - a3) < 1e-12 and abs(pw - p3) < 1e-12
     # three states, delta start; at j = 1 the past window is one time, so
     # the cylinder law is 3 x 9
     leaky = entry("leaky3_delta").build()
     for k in (1, 2, 5):
-        aw, pw = alpha_phi_windowed(leaky, k, range(1, 6), width=2)
+        aw, pw = alpha_phi_windowed(leaky, k, range(1, 6))
         ap, pp = alpha_phi(leaky, k, range(1, 6))
         assert abs(aw - ap) < 1e-12 and abs(pw - pp) < 1e-12
 
