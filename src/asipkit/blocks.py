@@ -185,6 +185,8 @@ class BlockPartition:
             "q0": self.q0,
             "q_at_amplitude": self.q_at_a,
             "certified": bool(self.r_certified and self.a_certified),
+            "r_certified": bool(self.r_certified),
+            "amplitude_certified": bool(self.a_certified),
         }
 
 

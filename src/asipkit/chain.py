@@ -378,18 +378,23 @@ def walk(chain: ChainSpec, t0: int, steps: int, n: int, rng: np.random.Generator
     u = rng.random(n); the next state is #{cumulative probability <= u},
     clipped to the last state with positive mass in the row, so a u equal to
     a cumulative value moves on and no path enters a zero-mass state."""
-    # id(kernel) -> (kernel, cumulative rows, last positive state per row);
-    # the kernel pins its id
+    # id(kernel) -> (kernel, threshold columns, last positive state per row);
+    # the kernel pins its id.  Column i holds the cumulative probability of
+    # states 0..i for every row; the last column is left out, since a u at or
+    # past it counts every state and the clip to `last` gives the same state.
     cums: dict = {}
     states = np.zeros(n, dtype=np.int64)  # the start law is a one-row kernel
     for t in range(t0, t0 + steps + 1):
         k = chain.marginal(t0)[None, :] if t == t0 else chain.kernel(t - 1)
         if id(k) not in cums:
             last = k.shape[1] - 1 - np.argmax(k[:, ::-1] > 0, axis=1)
-            cums[id(k)] = (k, np.cumsum(k, axis=1), last)
-        _, cum, last = cums[id(k)]
+            cums[id(k)] = (k, np.cumsum(k, axis=1)[:, :-1].T.copy(), last)
+        _, cols, last = cums[id(k)]
         u = rng.random(n)
-        states = np.minimum(np.sum(cum[states] <= u[:, None], axis=1), last[states])
+        count = np.zeros(n, dtype=np.int64)
+        for col in cols:
+            count += col[states] <= u
+        states = np.minimum(count, last[states])
         yield t, states
 
 

@@ -203,6 +203,19 @@ def _override_partition(chain, args, p: float, cp: float, horizon: int):
     )
 
 
+def _selection(part, args) -> str | None:
+    """How r and A were chosen, for `exactness.selection`."""
+    if part is None:
+        return None
+    if part.r_certified and part.a_certified:
+        return "certified"
+    if args.amplitude is not None and args.separation is not None:
+        return "as-given"
+    if part.r_certified:
+        return "r certified, amplitude as-given"
+    return "r as-given, amplitude from Q0 at that r"
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -336,7 +349,7 @@ def cmd_blocks(args) -> int:
             "amplitude_override": args.amplitude, "separation_override": args.separation,
             "horizon": args.horizon,
         },
-        exactness={"variances": "exact", "selection": "certified" if plan_doc else "as-given"},
+        exactness={"variances": "exact", "selection": _selection(part, args)},
     )
     doc["plan"] = plan_doc
     doc["partition"] = part.to_doc()
@@ -435,6 +448,7 @@ def cmd_simulate(args) -> int:
         exactness={
             "ks": "monte-carlo", "variance_matching": "exact",
             "rate_w1": "monte-carlo vs surrogate samples",
+            "selection": _selection(part, args),
         },
     )
     ks_rows = [

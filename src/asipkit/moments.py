@@ -15,8 +15,12 @@ the moment triple, given node values shifted by the stationary mean of
 each phase; the shift is deterministic, so every variance stays exact.  There
 the scan advances up to B steps with one stacked power of that map and
 reads the B variances in one batched reduction (a blocked linear-recurrence
-scan).  Times outside the run, explicit and cosine schedules, and chains
-with non-square kernels take one step at a time.
+scan).  Outside the run (explicit and cosine schedules, times before a
+mixture turns flat, a common period above B) the scan stacks the steps' own
+maps for up to B times, composes them into prefix composites in
+ceil(log2 k) stacked passes (Hillis-Steele) and applies them the same way.
+One step at a time remains only where a kernel changes shape, for off-phase
+steps inside a run and for one-step remnants.
 
 A pairwise-covariance accumulation path is kept alongside as an
 independent cross-check and for callers that want per-pair terms.
@@ -92,9 +96,10 @@ class _Sweep:
         self.p, self.phi, self.psi = pt, phi_t, psi_t
 
     def jump(self, power, k: int, w: np.ndarray, live: bool) -> np.ndarray:
-        """Apply the first k maps of a stacked power (see _compose) and
-        return the variances after each, shape (k, channels), read with the
-        weight rows w (k, states).  live=False drops the node terms."""
+        """Apply the first k maps of a stack of composites (a run's power or
+        a chunk; see _compose) and return the variances after each, shape
+        (k, channels), read with the weight rows w (k, states).  live=False
+        drops the node terms."""
         q, x, y = (z[:k] for z in power)
         p, phi, psi = self.p, self.phi, self.psi
         wq = np.einsum("ks,kst->kt", w, q)
@@ -119,11 +124,24 @@ class _Sweep:
 def _compose(later, earlier):
     """Composite of two step maps, each (Q, X, Y) for the block matrix
     [[Q, 0, 0], [X, Q, 0], [Y, 2X, Q]] on (p, phi, psi), with X and Y per
-    direction (leading axis c).  `later` may carry a leading stack axis."""
+    direction (axis c before the matrix axes).  Either side may carry a
+    leading stack axis; two stacks compose entry by entry."""
     q2, x2, y2 = later
     q1, x1, y1 = earlier
-    q2c = q2[..., None, :, :]
-    return q2 @ q1, x2 @ q1 + q2c @ x1, y2 @ q1 + 2.0 * (x2 @ x1) + q2c @ y1
+    q1c, q2c = q1[..., None, :, :], q2[..., None, :, :]
+    return q2 @ q1, x2 @ q1c + q2c @ x1, y2 @ q1c + 2.0 * (x2 @ x1) + q2c @ y1
+
+
+def _prefix(maps):
+    """Inclusive prefix composites of a stack of step maps (entry i is map i
+    after ... after map 0), by Hillis-Steele doubling: ceil(log2 k) passes
+    of one stacked _compose."""
+    h = 1
+    while h < len(maps[0]):
+        tail = _compose(tuple(z[h:] for z in maps), tuple(z[:-h] for z in maps))
+        maps = tuple(np.concatenate([z[:h], w]) for z, w in zip(maps, tail))
+        h *= 2
+    return maps
 
 
 @dataclass
@@ -236,15 +254,20 @@ class MomentEngine:
             self._centered[j] = c
         return c
 
+    def centered_stack(self, a: int, b: int) -> np.ndarray:
+        """centered(t) for t in [a, b], shape (b - a + 1, states, d), from the
+        stacked marginals and tables; raises ValueError when the state count
+        changes inside [a, b]."""
+        tables = self.chain.observable.stack(a, b)
+        marg = self.chain.marginals(np.arange(a, b + 1))
+        return tables - marg[:, None, :] @ tables
+
     def centered_max(self, a: int, b: int, u: np.ndarray) -> float:
-        """max |(f_t(x) - E f_t) . u| over t in [a, b] and every state x,
-        one reduction over the stacked marginals."""
+        """max |(f_t(x) - E f_t) . u| over t in [a, b] and every state x."""
         try:
-            marg = self.chain.marginals(np.arange(a, b + 1))
-            vals = self.chain.observable.stack(a, b) @ u
+            return float(np.max(np.abs(self.centered_stack(a, b) @ u)))
         except ValueError:  # the state count changes inside [a, b]
             return max(float(np.max(np.abs(self.centered(t) @ u))) for t in range(a, b + 1))
-        return float(np.max(np.abs(vals - np.sum(marg * vals, axis=1, keepdims=True))))
 
     # -- pairwise covariance path --------------------------------------------
 
@@ -377,27 +400,55 @@ class MomentEngine:
         self._powers[key] = power
         return power
 
-    def _stride(self, nxt: int, stop: int | None, edges, back: bool) -> int:
-        """Steps a stacked power can take from the step into time nxt: 0
-        unless that step is in the run at the power's first phase; else up
-        to its span, and no further than `stop` or the next mask edge."""
+    def _stride(self, nxt: int, stop: int | None, edges, back: bool) -> tuple[int, bool]:
+        """(k, from_run): the steps the scan may take at once from the step
+        into time nxt.  In the run, up to the stacked power's span when that
+        step is at its first phase (from_run True), else one step.  Outside
+        the run, up to B steps of a composed chunk, ending before the run's
+        t0.  No further than `stop` (or the horizon) or the next mask edge."""
         run = self._run
-        if run is None or nxt < run.t0:
-            return 0
-        if (nxt - run.t0) % run.period != (run.period - 1 if back else 0):
-            return 0
-        k = run.span
+        from_run = run is not None and nxt >= run.t0
+        if from_run:
+            if (nxt - run.t0) % run.period != (run.period - 1 if back else 0):
+                return 1, False
+            k = run.span
+            if back:
+                k = min(k, nxt - run.t0 + 1)
+        else:
+            k = B if back or run is None else min(B, run.t0 - nxt)
         if back:
-            k = min(k, nxt - max(stop, run.t0) + 1)
-        elif stop is not None:
-            k = min(k, stop - nxt + 1)
+            k = min(k, nxt - stop + 1)
+        else:
+            end = self.chain.max_time if stop is None else stop
+            if end is not None:
+                k = min(k, end - nxt + 1)
         if edges is not None:  # times where a mask segment begins
             i = np.searchsorted(edges, nxt, side="right")
             if back and i:
                 k = min(k, nxt - int(edges[i - 1]) + 1)
             elif not back and i < len(edges):
                 k = min(k, int(edges[i]) - nxt)
-        return k
+        return k, from_run
+
+    def _chunk(self, nxt: int, k: int, dirs: np.ndarray, back: bool, live: bool):
+        """Stacked (Q, X, Y) of the first 1..k of the step maps into times
+        nxt, nxt + 1, ... (nxt - 1, ... backward), as _power gives them, or
+        None when the kernels of those steps differ in shape.  The maps are
+        the steps' own, composed by _prefix; live=False leaves X and Y zero."""
+        a, b = (nxt - k + 1, nxt) if back else (nxt, nxt + k - 1)
+        try:
+            if back:  # the step into time t uses kernel t backward, t - 1 forward
+                q = np.stack([self.chain.kernel(t) for t in range(b, a - 1, -1)])
+            else:
+                q = np.stack([self.chain.kernel(t).T for t in range(a - 1, b)])
+            v = self.centered_stack(a, b) @ dirs.T if live else np.zeros((k, q.shape[1], len(dirs)))
+        except ValueError:  # the state count changes along the steps
+            return None
+        if back:
+            v = v[::-1]
+        v = v.transpose(0, 2, 1)[..., None]  # (k, c, s, 1) scales rows
+        q4 = q[:, None]
+        return _prefix((q, v * q4, v * v * q4))
 
     def scan(self, start: int, stop: int | None, directions: np.ndarray, inside=None):
         """Exact moment scan of S . u for every direction row u.
@@ -412,9 +463,12 @@ class MomentEngine:
         Var = m_t . g2_t - (m_t . g1_t)^2 with m_t the marginal at t.
 
         Inside the chain's run a chunk is up to B steps from one stacked
-        power; elsewhere one step.  `inside`, a boolean mask indexed by t
-        minus the lower end, keeps the times where it is False out of the
-        sum; a mask edge ends a chunk.
+        power, and off the power's first phase one step.  Outside it a chunk
+        is up to B steps whose own maps are composed on the spot (_chunk),
+        ending where the run begins; where kernels change shape, and for a
+        chunk of one time, the scan steps once.  `inside`, a boolean mask
+        indexed by t minus the lower end, keeps the times where it is False
+        out of the sum; a mask edge ends a chunk.
         """
         dirs = np.atleast_2d(np.asarray(directions, dtype=float))
         chain = self.chain
@@ -440,13 +494,17 @@ class MomentEngine:
         yield t, sweep.var(weight(t))[None]
         while stop is None or t != stop:
             nxt = t + sign
-            k = self._stride(nxt, stop, edges, back)
-            if k:
+            k, from_run = self._stride(nxt, stop, edges, back)
+            if from_run:
+                maps = self._power(dirs, back)
+            else:
+                maps = self._chunk(nxt, k, dirs, back, live(nxt)) if k > 1 else None
+            if maps is not None:
                 if back:
                     w = chain.marginals(np.arange(nxt - k + 1, nxt + 1))[::-1]
                 else:
                     w = np.ones((k, sweep.p.shape[0]))
-                yield nxt, sweep.jump(self._power(dirs, back), k, w, live(nxt))
+                yield nxt, sweep.jump(maps, k, w, live(nxt))
                 t = nxt + sign * (k - 1)
             else:
                 kernel = chain.kernel(min(t, nxt))

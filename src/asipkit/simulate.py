@@ -70,6 +70,16 @@ def _chunk_walks(chain: ChainSpec, n_max: int, n_paths: int, seed: int):
         yield lo, hi, walk(chain, 1, n_max - 1, hi - lo, _stream(seed, c))
 
 
+def _centered_tables(chain: ChainSpec, n_max: int):
+    """centered(t) for t = 1..n_max, indexed by t - 1: one stack, or a list
+    when the state count changes."""
+    eng = engine_for(chain)
+    try:
+        return eng.centered_stack(1, n_max)
+    except ValueError:
+        return [eng.centered(t) for t in range(1, n_max + 1)]
+
+
 def sample_paths(
     chain: ChainSpec,
     n_max: int,
@@ -93,7 +103,7 @@ def sample_paths(
             raise ChainConfigError(
                 f"partition cover end {partition.cover_end} exceeds horizon {n_max}"
             )
-    eng = engine_for(chain)
+    tables = _centered_tables(chain, n_max)
     d = chain.d
     sums = np.zeros((n_paths, len(cps), d))
     blocks = np.zeros((n_paths, len(covers), d)) if covers is not None else None
@@ -103,7 +113,7 @@ def sample_paths(
     for lo, hi, paths in _chunk_walks(chain, n_max, n_paths, seed):
         total = np.zeros((hi - lo, d))
         for t, states in paths:
-            vals = eng.centered(t)[states]
+            vals = tables[t - 1][states]
             total += vals
             if lut is not None and lut[t] >= 0:
                 blocks[lo:hi, lut[t]] += vals
@@ -466,11 +476,12 @@ def lil_diagnostic(
     norm[gate] = np.sqrt(2.0 * v[gate] * lv[gate])
     first_n = int(np.argmax(gate)) + 1
 
+    vals = [c @ u for c in _centered_tables(chain, n_max)]
     best = np.zeros(n_paths)
     for lo, hi, paths in _chunk_walks(chain, n_max, n_paths, seed):
         total, acc = np.zeros(hi - lo), best[lo:hi]
         for t, states in paths:
-            total += (eng.centered(t) @ u)[states]
+            total += vals[t - 1][states]
             if gate[t - 1]:
                 np.maximum(acc, np.abs(total) / norm[t - 1], out=acc)
     qs = (0.1, 0.25, 0.5, 0.75, 0.9)

@@ -188,6 +188,7 @@ def test_partition_doc_round_trip(iid2):
     assert doc["blocks"][0] == [1, 9]
     assert len(doc["blocks"]) == part.count and doc["cover_end"] == part.cover_end
     assert doc["certified"] is False  # manual A and r carry no certificates
+    assert doc["r_certified"] is False and doc["amplitude_certified"] is False
     assert doc["block_l2_norms"] == [3.0] * part.count
 
 

@@ -107,6 +107,7 @@ def test_blocks_override(chain_files, tmp_path):
     assert rc == EXIT_OK
     doc = read_json(out / "blocks_report.json")
     assert doc["partition"]["blocks"][:2] == [[1, 9], [12, 20]]
+    assert doc["exactness"]["selection"] == "as-given"
     assert doc["verification"]["sandwich_pass"] is True
     table = read_csv(out / "blocks_table.csv")
     assert table[0] == ["j", "a", "b", "i_end", "norm", "theta_var"]
@@ -121,6 +122,8 @@ def test_blocks_auto_mode(chain_files, tmp_path):
     assert doc["plan"]["r"] == 15
     assert doc["plan"]["p"] == 4.0 and doc["plan"]["c_p"] == 8.0
     assert doc["partition"]["certified"] is True
+    assert doc["partition"]["r_certified"] and doc["partition"]["amplitude_certified"]
+    assert doc["exactness"]["selection"] == "certified"
     assert doc["verification"]["ratio_pass"] is True
 
 
@@ -191,10 +194,16 @@ def test_simulate_and_blocks_share_one_override(chain_files, tmp_path):
     assert main([
         "simulate", *flags, "--paths", "50", "--seed", "3", "--out", str(tmp_path / "os"),
     ]) == EXIT_OK
-    built = read_json(tmp_path / "ob" / "blocks_report.json")["partition"]
-    sampled = read_json(tmp_path / "os" / "simulate_report.json")["partition"]
+    blocks_doc = read_json(tmp_path / "ob" / "blocks_report.json")
+    simulate_doc = read_json(tmp_path / "os" / "simulate_report.json")
+    built, sampled = blocks_doc["partition"], simulate_doc["partition"]
     assert sampled == built
     assert built["r"] > 1 and built["amplitude"] == 30.0 and built["q0"] is not None
+    # the reports say that r, not A, was certified
+    assert built["r_certified"] is True and built["amplitude_certified"] is False
+    assert built["certified"] is False
+    for doc in (blocks_doc, simulate_doc):
+        assert doc["exactness"]["selection"] == "r certified, amplitude as-given"
 
 
 def test_simulate_degenerate_chain(chain_files, tmp_path):

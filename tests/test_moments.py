@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from asipkit.battery import battery, battery_chain
 from asipkit.chain import ChainSpec, ExplicitKernels, ObservableSchedule, build_chain
-from asipkit.moments import B, MomentEngine, _polar_directions, engine_for
+from asipkit.moments import B, MomentEngine, _polar_directions, _Sweep, engine_for
 
 
 def small_random_chain(sizes, d, seed):
@@ -253,6 +253,7 @@ def _per_step_engine(chain):
     """An engine whose scan never jumps: every time takes _Sweep.step."""
     eng = MomentEngine(chain)
     eng.__dict__["_run"] = None
+    eng._stride = lambda *args: (1, False)
     return eng
 
 
@@ -409,3 +410,134 @@ def test_engine_for_memo_frees_its_chain():
     del ch, eng
     gc.collect()
     assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# composed chunks outside runs
+
+
+def _explicit_chain(length, states, d, seed):
+    r = np.random.default_rng(seed)
+    kernels = r.random((length, states, states)) + 0.05
+    kernels /= kernels.sum(axis=2, keepdims=True)
+    init = r.random(states) + 0.05
+    return build_chain({
+        "kernels": kernels.tolist(),
+        "initial": (init / init.sum()).tolist(),
+        "observable": {"explicit": (r.random((length + 1, states, d)) * 2 - 1).tolist()},
+        "L": 1.0,
+    })
+
+
+def _cosine_chain():
+    return build_chain({
+        "kernels": {"mixture": {
+            "base": [[[0.7, 0.2, 0.1], [0.2, 0.6, 0.2], [0.1, 0.2, 0.7]],
+                     [[0.2, 0.4, 0.4], [0.5, 0.1, 0.4], [0.3, 0.3, 0.4]]],
+            "weights": {"kind": "cosine", "period": 37, "center": 0.5, "amplitude": 0.4},
+        }},
+        "initial": [0.6, 0.3, 0.1],
+        "observable": {"periodic": [[[1.0], [0.2], [-0.9]], [[0.4], [-1.0], [0.7]]]},
+        "L": 1.0,
+    })
+
+
+def assert_chunked_scans_match(chain, a, b, mask_seed=0, rtol=1e-12):
+    """Prefix, suffix and masked scans over [a, b] against the per-step scan
+    and the pair-covariance sums, entry by entry to `rtol` relative."""
+    eng, ref = MomentEngine(chain), _per_step_engine(chain)
+    dirs = _polar_directions(chain.d)
+    covs = [pair_cov_matrix(chain, a, b, u) for u in dirs]
+    pre = np.array([np.diag(c.cumsum(0).cumsum(1)) for c in covs]).T
+    suf = np.array([np.diag(c[::-1, ::-1].cumsum(0).cumsum(1))[::-1] for c in covs]).T
+
+    def close(got, want):
+        return np.abs(got - want).max() <= rtol * np.abs(want).max() and np.all(
+            np.abs(got - want) <= rtol * np.abs(want) + 1e-15
+        )
+
+    for got, step, pairs in (
+        (eng.prefix_variances(a, b, dirs), ref.prefix_variances(a, b, dirs), pre),
+        (eng.suffix_variances(a, b, dirs), ref.suffix_variances(a, b, dirs), suf),
+    ):
+        assert close(got, step) and close(got, pairs)
+    # the pairwise oracle is quadratic: past one chunk boundary is enough
+    top = min(b, a + B + 20)
+    oracle, _ = eng.cov_partial_sum_pairwise(a, top, truncate=None)
+    assert close(eng.cov_partial_sum(a, top), oracle)
+    # masked: random segments, some one time long, some longer than B
+    r = np.random.default_rng(mask_seed)
+    cuts = np.sort(r.choice(np.arange(a + 1, b + 1), size=min(9, b - a), replace=False))
+    bounds = [a, *cuts.tolist(), b + 1]
+    segs = [(lo, hi - 1) for lo, hi in zip(bounds[:-1], bounds[1:])][::2]
+    keep = np.zeros(b - a + 1, dtype=bool)
+    for lo, hi in segs:
+        keep[lo - a : hi - a + 1] = True
+    for u, c in zip(dirs, covs):
+        got = eng.var_segments(u, segs)
+        assert close(got, c[keep][:, keep].sum()) and close(got, ref.var_segments(u, segs))
+        back = np.concatenate([v[:, 0] for _, v in eng.scan(b, a, u, keep)])[::-1]
+        kc = np.where(keep[:, None] & keep[None, :], c, 0.0)
+        assert close(back, np.diag(kc[::-1, ::-1].cumsum(0).cumsum(1))[::-1])
+
+
+CHUNK_CASES = {
+    # name: (chain, windows); windows start and stop off chunk boundaries
+    "explicit": (lambda: _explicit_chain(2 * B + 80, 3, 2, 11), [(1, 2 * B + 81), (7, B + 3)]),
+    "cosine": (_cosine_chain, [(1, 2 * B + 77), (B - 5, 2 * B + 9)]),
+    # the ramp turns flat at step 201: chunks end where the run begins
+    "mixture2_ramp": (lambda: battery_chain("mixture2_ramp"), [(1, 2 * B + 77), (150, 460)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNK_CASES))
+def test_chunked_scans_match_pairs_and_single_steps(name):
+    make, windows = CHUNK_CASES[name]
+    chain = make()
+    for i, (a, b) in enumerate(windows):
+        assert_chunked_scans_match(chain, a, b, mask_seed=i)
+
+
+@given(st.integers(0, 10_000), st.integers(2, 3), st.integers(1, 2), st.integers(1, 2 * B + 40))
+@settings(max_examples=20, deadline=None)
+def test_chunked_scans_on_random_explicit_chains(seed, states, d, length):
+    chain = _explicit_chain(length + 5, states, d, seed)
+    a = 1 + seed % 5
+    assert_chunked_scans_match(chain, a, a + length - 1, mask_seed=seed)
+
+
+def _count_steps(monkeypatch):
+    calls = []
+    step = _Sweep.step
+
+    def counted(self, *args):
+        calls.append(1)
+        return step(self, *args)
+
+    monkeypatch.setattr(_Sweep, "step", counted)
+    return calls
+
+
+def test_single_steps_are_rare_outside_runs(monkeypatch):
+    n = 3072
+    chain = _explicit_chain(n - 1, 3, 1, 5)
+    calls = _count_steps(monkeypatch)
+    eng = MomentEngine(chain)
+    eng.prefix_variances(1, n, [[1.0]])
+    eng.suffix_variances(1, n, [[1.0]])
+    eng.var_segments([1.0], [(1, 700), (900, 901), (1500, n)])
+    assert len(calls) < 40
+
+
+def test_changing_state_count_falls_back_to_single_steps(monkeypatch):
+    chain = small_random_chain([3] * 40 + [2] * 30, 1, 8)
+    calls = _count_steps(monkeypatch)
+    eng = MomentEngine(chain)
+    pre = eng.prefix_variances(1, 70, [[1.0]])[:, 0]
+    suf = eng.suffix_variances(1, 70, [[1.0]])[:, 0]
+    assert len(calls) > 0
+    c = pair_cov_matrix(chain, 1, 70, np.array([1.0]))
+    want_pre = np.diag(c.cumsum(0).cumsum(1))
+    want_suf = np.diag(c[::-1, ::-1].cumsum(0).cumsum(1))[::-1]
+    assert np.abs(pre - want_pre).max() <= 1e-12 * want_pre.max()
+    assert np.abs(suf - want_suf).max() <= 1e-12 * want_suf.max()

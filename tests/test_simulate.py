@@ -8,7 +8,7 @@ from scipy.special import ndtr
 
 from asipkit.battery import battery_chain
 from asipkit.blocks import build_blocks, plan_partition
-from asipkit.chain import ChainConfigError
+from asipkit.chain import ChainConfigError, build_chain
 from asipkit.moments import engine_for
 from asipkit.simulate import (
     clt_diagnostic,
@@ -176,3 +176,22 @@ def test_sampling_streams_match_an_independent_oracle(sym):
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(9)))
     x = _oracle_sums(sym, 3, 12, 3000, rng, lambda t: eng.centered(t) @ u)[12]
     assert r.value == float((np.abs(x) ** 4).mean()) ** 0.25
+
+
+def test_sampling_streams_where_the_state_count_changes():
+    # three states, then two: several threshold columns, per-time tables
+    r = np.random.default_rng(4)
+    shapes = [(3, 3)] * 5 + [(3, 2)] + [(2, 2)] * 4
+    kernels = [r.random(sh) + 0.1 for sh in shapes]
+    kernels = [(k / k.sum(axis=1, keepdims=True)).tolist() for k in kernels]
+    sizes = [3] * 6 + [2] * 5
+    chain = build_chain({
+        "kernels": kernels, "initial": [0.5, 0.3, 0.2],
+        "observable": [(r.random((s, 1)) * 2 - 1).tolist() for s in sizes], "L": 1.0,
+    })
+    eng = engine_for(chain)
+    batch = sample_paths(chain, 11, 700, 3, [2, 6, 11])
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=3, spawn_key=(0,))))
+    want = _oracle_sums(chain, 1, 11, 700, rng, eng.centered)
+    for i, t in enumerate(batch.checkpoints):
+        assert np.array_equal(batch.sums[:, i], want[t])
