@@ -198,7 +198,3 @@ def battery(tags=None, exclude=()) -> list:
         drop = set(exclude)
         out = [e for e in out if not (drop & e.tags)]
     return out
-
-
-def battery_chain(name: str) -> ChainSpec:
-    return entry(name).build()

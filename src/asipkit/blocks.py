@@ -14,27 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainConfigError, ChainSpec, walk
+from .chain import ChainConfigError, ChainSpec
 from .mixing import Envelope, alpha_phi, mixing_report
-from .moments import (
-    ATOM_CAP_DEFAULT,
-    GRID_DEFAULT,
-    LpNorm,
-    MomentEngine,
-    SupportOverflow,
-    _dyadic_scale,
-    _mc_lp,
-    _polar_directions,
-    _polarize,
-    engine_for,
-)
+from .moments import LpNorm, MomentEngine, _polar_directions, _polarize, engine_for
 
 SEPARATION_MAX = 100_000
 # largest horizon the planner sizes for itself
 HORIZON_CAP = 500_000
-# Monte Carlo paths per gap and seed of the gap-maximum statistics
-TAIL_MC_PATHS = 512
-TAIL_MC_SEED = 17
 
 
 # ---------------------------------------------------------------------------
@@ -511,155 +497,6 @@ def covariance_inequality_check(
         cov_abs=cov, bound=bound, passes=bool(cov <= bound + 1e-12), r=r,
         alpha_r=alpha_r, norm1=n1.value, norm2=n2.value,
         exact=bool(n1.exact and n2.exact),
-    )
-
-
-# ---------------------------------------------------------------------------
-# gap-maximum statistics
-
-
-@dataclass
-class TailNorm:
-    q: int
-    value: float
-    exact: bool
-    method: str
-    stderr: float | None = None
-
-
-@dataclass
-class TailStats:
-    norms: list
-    c_p: float
-    all_exact: bool
-    eps_maxima: dict
-    mc_fallback: bool
-    mc_paths: int
-    mc_seed: int
-
-    def to_doc(self) -> dict:
-        return {
-            "per_gap": [
-                {"q": t.q, "value": t.value, "exact": t.exact,
-                 "method": t.method, "stderr": t.stderr}
-                for t in self.norms
-            ],
-            "c_p": self.c_p,
-            "all_exact": self.all_exact,
-            "eps_maxima": {str(k): v for k, v in self.eps_maxima.items()},
-            "mc_fallback": self.mc_fallback,
-            "mc_paths": self.mc_paths,
-            "mc_seed": self.mc_seed,
-        }
-
-
-def _gap_lp_dp(
-    chain: ChainSpec, eng: MomentEngine, b: int, r: int, p: int
-) -> tuple[float, bool]:
-    """Exact ||max_{0<=l<=r} |sum of X over (b, b+l]| ||_{L^p} by a DP over
-    (state, accumulated vector, running max of the squared norm)."""
-    tables = [eng.centered(b + s) for s in range(1, r + 1)]
-    scale = _dyadic_scale([t.ravel() for t in tables], r)
-    exact_keys = scale is not None
-    if not exact_keys:
-        scale = 1.0 / GRID_DEFAULT
-    enc = [np.rint(t * scale).astype(np.int64) for t in tables]
-
-    d = chain.d
-    zero = (0,) * d
-    atoms: dict[tuple, np.ndarray] = {(zero, 0): chain.marginal(b).astype(float)}
-    for s in range(1, r + 1):
-        kern = chain.kernel(b + s - 1)
-        vals = enc[s - 1]
-        nxt: dict[tuple, np.ndarray] = {}
-        for (tvec, r2), pv in atoms.items():
-            w = pv @ kern
-            for x in range(vals.shape[0]):
-                if w[x] == 0.0:
-                    continue
-                nt = tuple(int(a + v) for a, v in zip(tvec, vals[x]))
-                n2 = sum(a * a for a in nt)
-                key = (nt, max(r2, n2))
-                slot = nxt.get(key)
-                if slot is None:
-                    slot = np.zeros(vals.shape[0])
-                    nxt[key] = slot
-                slot[x] += w[x]
-        if len(nxt) > ATOM_CAP_DEFAULT:
-            raise SupportOverflow(
-                f"gap DP support {len(nxt)} exceeds cap {ATOM_CAP_DEFAULT}"
-            )
-        atoms = nxt
-    inv2 = 1.0 / (scale * scale)
-    moment = 0.0
-    for (_, r2), pv in atoms.items():
-        moment += (r2 * inv2) ** (p // 2) * float(pv.sum())
-    return moment ** (1.0 / p), exact_keys
-
-
-def _walk_gap(eng: MomentEngine, b: int, r: int, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Max over 0 <= l <= r of |centered sum over (b, b+l]|_2, per sampled path.
-
-    Paths start fresh from the exact marginal at time b."""
-    total = np.zeros((n, eng.d))
-    best = np.zeros(n)
-    paths = walk(eng.chain, b, r, n, rng)
-    next(paths)  # the start at b is outside the gap
-    for t, states in paths:
-        total += eng.centered(t)[states]
-        np.maximum(best, np.einsum("ij,ij->i", total, total), out=best)
-    return np.sqrt(best)
-
-
-def tail_statistics(
-    chain: ChainSpec,
-    partition: BlockPartition,
-    p: int = 4,
-) -> TailStats:
-    """L^p norms of the between-block maxima D_q = max over the gap after
-    block q of |S_n - S_{b_q}|, plus a Monte Carlo boundedness check of
-    max_q D_q / q^eps for eps = 0.1 and 0.25.
-
-    Exact DP per gap (dyadic keys, else a GRID_DEFAULT lattice) with a
-    Monte Carlo fallback past ATOM_CAP_DEFAULT atoms.  The Monte Carlo walks,
-    TAIL_MC_PATHS per gap from seed TAIL_MC_SEED, sample each gap
-    independently from its exact entry marginal (cross-gap dependence
-    dropped; per-gap laws exact).
-    """
-    p = int(p)
-    if p < 2 or p % 2:
-        raise ChainConfigError(f"p must be an even integer >= 2, got {p}")
-    eng = engine_for(chain)
-    part = partition
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(TAIL_MC_SEED)))
-    norms: list[TailNorm] = []
-    fallback = False
-    for q, (_, b) in enumerate(part.blocks, start=1):
-        try:
-            val, exact_keys = _gap_lp_dp(chain, eng, b, part.r, p)
-            norms.append(TailNorm(
-                q=q, value=val, exact=True,
-                method="dp-dyadic" if exact_keys else "dp-grid",
-            ))
-        except SupportOverflow:
-            fallback = True
-            val, se = _mc_lp(_walk_gap(eng, b, part.r, rng, TAIL_MC_PATHS), p)
-            norms.append(TailNorm(
-                q=q, value=val, exact=False, method="monte-carlo", stderr=se,
-            ))
-
-    per_gap = np.array([_walk_gap(eng, b, part.r, rng, TAIL_MC_PATHS) for _, b in part.blocks])
-    qs = np.arange(1, part.count + 1, dtype=float)[:, None]
-    scores = {float(e): float((per_gap / qs**e).max()) for e in (0.1, 0.25)}
-
-    return TailStats(
-        norms=norms,
-        c_p=max(t.value for t in norms),
-        all_exact=not fallback,
-        eps_maxima=scores,
-        mc_fallback=fallback,
-        mc_paths=TAIL_MC_PATHS,
-        mc_seed=TAIL_MC_SEED,
     )
 
 

@@ -398,61 +398,6 @@ def walk(chain: ChainSpec, t0: int, steps: int, n: int, rng: np.random.Generator
         yield t, states
 
 
-# -- uniform ellipticity ----------------------------------------------------
-
-
-@dataclass
-class EllipticityReport:
-    eps0: float
-    sup_density: float
-    min_two_step: float
-    passes_upper: bool  # sup p_i(x, y) <= 1 / eps0
-    passes_lower: bool  # inf two-step density >= eps0
-    witness_upper: tuple[int, int, int] | None  # (i, x, y)
-    witness_lower: tuple[int, int, int] | None  # (i, x, z)
-
-    @property
-    def passes(self) -> bool:
-        return self.passes_upper and self.passes_lower
-
-
-def check_uniform_ellipticity(chain: ChainSpec, eps0: float, times) -> EllipticityReport:
-    """Check sup p_i(x,y) <= 1/eps0 and the two-step lower bound >= eps0.
-
-    Densities are with respect to counting measure, so one-step densities are
-    kernel entries and the two-step density is the entry of P_i @ P_{i+1}.
-    `times` lists the step indices i to scan.
-    """
-    if eps0 <= 0:
-        raise ChainConfigError("eps0 must be positive")
-    sup_d = -np.inf
-    min_two = np.inf
-    wit_u = wit_l = None
-    times = list(times)
-    if not times:
-        raise ChainConfigError("empty time range")
-    for i in times:
-        k = chain.kernel(i)
-        xy = np.unravel_index(int(np.argmax(k)), k.shape)
-        if k[xy] > sup_d:
-            sup_d = float(k[xy])
-            wit_u = (i, int(xy[0]), int(xy[1]))
-        two = k @ chain.kernel(i + 1)
-        xz = np.unravel_index(int(np.argmin(two)), two.shape)
-        if two[xz] < min_two:
-            min_two = float(two[xz])
-            wit_l = (i, int(xz[0]), int(xz[1]))
-    return EllipticityReport(
-        eps0=float(eps0),
-        sup_density=sup_d,
-        min_two_step=min_two,
-        passes_upper=sup_d <= 1.0 / eps0 + 1e-15,
-        passes_lower=min_two >= eps0 - 1e-15,
-        witness_upper=wit_u,
-        witness_lower=wit_l,
-    )
-
-
 # -- document parsing --------------------------------------------------------
 
 

@@ -231,8 +231,10 @@ def cmd_moments(args) -> int:
     else:
         eigs = np.linalg.eigvalsh(vc)
         sc = eigs[:, 0]
+        # a rank-deficient V_n leaves rounding noise, of either sign, in eig_min
+        singular = eigs[:, 0] <= 1e-14 * np.maximum(1.0, eigs[:, -1])
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(eigs[:, 0] > 0, eigs[:, -1] / eigs[:, 0], np.inf)
+            ratios = np.where(singular, np.inf, eigs[:, -1] / eigs[:, 0])
     cols = [(i, j) for i in range(d) for j in range(i, d)]
     rows = []
     for n in range(1, horizon + 1):

@@ -5,8 +5,7 @@ alpha and phi are exact over the coordinate sigma-algebras sigma(xi_j),
 sigma(xi_{j+k}), from closed forms on the pair law: phi from single states,
 alpha from the events of the smaller side only.  For Markov chains this
 equals the full past/future definition (dependence factors through the
-boundary pair); a windowed variant over cylinder events on two
-coordinates per side is available for validation.
+boundary pair).
 
 The pair laws of all requested start times come from one stacked pass: the
 kernels and marginals of up to PASS_CHUNK start times are stacked, one
@@ -18,7 +17,6 @@ start times.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -168,44 +166,6 @@ def alpha_phi(chain: ChainSpec, k: int, j_range) -> tuple[float, float]:
         alpha = max(alpha, float(a.max()))
         phi = max(phi, float(p.max()))
     return alpha, phi
-
-
-def alpha_phi_windowed(chain: ChainSpec, k: int, j_range) -> tuple[float, float]:
-    """Validation variant: events are cylinders on the two consecutive
-    coordinates ending at j (one at j = 1) and the two starting at j+k."""
-    alpha = phi = 0.0
-    for j in j_range:
-        past = list(range(max(1, j - 1), j + 1))
-        future = [j + k, j + k + 1]
-        joint = _cylinder_joint(chain, past, future)
-        a, p = _alpha_phi_pair(joint)
-        alpha = max(alpha, a)
-        phi = max(phi, p)
-    return alpha, phi
-
-
-def _cylinder_joint(chain: ChainSpec, past, future) -> np.ndarray:
-    """Joint law of (path on past times, path on future times), flattened."""
-    times = past + future
-    sizes = [chain.state_size(t) for t in times]
-    na = int(np.prod(sizes[: len(past)]))
-    nb = int(np.prod(sizes[len(past) :]))
-    _check_event_cap(na, nb)
-    joint = np.zeros((na, nb))
-    for path in itertools.product(*[range(s) for s in sizes]):
-        pr = chain.marginal(times[0])[path[0]]
-        for a, b, xa, xb in zip(times[:-1], times[1:], path[:-1], path[1:]):
-            step = chain.step_matrix(a, b) if b > a + 1 else chain.kernel(a)
-            pr *= step[xa, xb]
-        if pr == 0.0:
-            continue
-        ia = ib = 0
-        for s, x in zip(sizes[: len(past)], path[: len(past)]):
-            ia = ia * s + x
-        for s, x in zip(sizes[len(past) :], path[len(past) :]):
-            ib = ib * s + x
-        joint[ia, ib] += pr
-    return joint
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chain import ChainConfigError, ChainSpec, pair_joint, walk
+from .chain import ChainConfigError, ChainSpec, pair_joint
 from .util import dobrushin
 
 TRUNCATION_DEFAULT = 1e-14
@@ -64,9 +64,8 @@ class _Sweep:
     one step is the affine map
         p' = Q p,  phi' = Q phi + v Q p,  psi' = Q psi + 2 v Q phi + v^2 Q p
     with Q the transposed kernel forward and the kernel backward, and v the
-    node values of the time entered; step() also takes optional forward edge
-    values (s, s', c) across the transition.  All values must already be
-    centered by the caller if a centered sum is wanted.
+    node values of the time entered.  All values must already be centered by
+    the caller if a centered sum is wanted.
     """
 
     def __init__(self, p0: np.ndarray, node0: np.ndarray | None, channels: int):
@@ -78,18 +77,10 @@ class _Sweep:
             self.phi = node0 * self.p[:, None]
             self.psi = node0 * node0 * self.p[:, None]
 
-    def step(self, kernel: np.ndarray, node: np.ndarray | None, edge: np.ndarray | None = None):
+    def step(self, kernel: np.ndarray, node: np.ndarray | None):
         pt = kernel.T @ self.p
         phi_t = kernel.T @ self.phi
         psi_t = kernel.T @ self.psi
-        if edge is not None:
-            kp = kernel * self.p[:, None]  # joint of (x, y)
-            psi_t = (
-                psi_t
-                + 2.0 * np.einsum("xy,xyc,xc->yc", kernel, edge, self.phi)
-                + np.einsum("xy,xyc->yc", kp, edge * edge)
-            )
-            phi_t = phi_t + np.einsum("xy,xyc->yc", kp, edge)
         if node is not None:
             psi_t = psi_t + 2.0 * node * phi_t + node * node * pt[:, None]
             phi_t = phi_t + node * pt[:, None]
@@ -189,39 +180,15 @@ class LpNorm:
 
     value: float
     exact: bool
-    method: str  # "dp-dyadic", "dp-grid", or "monte-carlo"
+    method: str  # "dp-dyadic" or "dp-grid"
     atoms: int
-    stderr: float | None = None
 
     def __float__(self) -> float:
         return self.value
 
 
-@dataclass
-class WindowEigen:
-    n: int
-    m: int
-    l2: float  # sqrt(trace V_{n,m})
-    eig_min: float
-    eig_max: float
-    ratio: float
-
-
-@dataclass
-class EigenRatioReport:
-    c1: float
-    windows: list
-    skipped: list
-    c2: float | None
-    singular_witness: tuple | None
-
-    @property
-    def bounded(self) -> bool:
-        return self.c2 is not None and math.isfinite(self.c2)
-
-
 class SupportOverflow(RuntimeError):
-    """Sum-support grew past the configured atom cap and Monte Carlo is off."""
+    """Sum-support grew past the configured atom cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -577,20 +544,6 @@ class MomentEngine:
         """
         return np.concatenate([v for _, v in self.scan(b, a0, directions)])[::-1]
 
-    # -- pair observables -----------------------------------------------------
-
-    def pair_window_cov(self, tables, n: int, m: int) -> np.ndarray:
-        """Cov of sum_{j=n}^{m} f_j(xi_j, xi_{j+1}) for transition observables."""
-        d = np.asarray(tables(n)).shape[-1]
-        dirs = _polar_directions(d)
-        sweep = _Sweep(self.chain.marginal(n), None, dirs.shape[0])
-        for j in range(n, m + 1):
-            w = np.asarray(tables(j), dtype=float)
-            joint = self.chain.marginal(j)[:, None] * self.chain.kernel(j)
-            w = w - np.einsum("xy,xyc->c", joint, w)
-            sweep.step(self.chain.kernel(j), None, w @ dirs.T)
-        return _polarize(sweep.var(), d)
-
     # -- distribution-level: exact L^p ----------------------------------------
 
     def window_distribution(
@@ -647,75 +600,22 @@ class MomentEngine:
 
     def lp_norm(
         self, n: int, m: int, u: np.ndarray, p: int,
-        atom_cap: int = ATOM_CAP_DEFAULT, mc: tuple[int, int] | None = None,
-        segments=None,
+        atom_cap: int = ATOM_CAP_DEFAULT, segments=None,
     ) -> LpNorm:
-        """Exact ||S_{n,m} . u||_{L^p} for even integer p >= 2.
-
-        Falls back to Monte Carlo (mc = (paths, seed)) only when the exact
-        support overflows `atom_cap`; with mc=None that overflow raises.
-        """
+        """Exact ||S_{n,m} . u||_{L^p} for even integer p >= 2; raises
+        SupportOverflow past `atom_cap` atoms."""
         p = int(p)
         if p < 2 or p % 2:
             raise ChainConfigError(f"p must be an even integer >= 2, got {p}")
-        try:
-            values, w, exact_keys = self.window_distribution(
-                n, m, u, atom_cap=atom_cap, segments=segments
-            )
-            moment = float(np.sum(w * np.abs(values) ** p))
-            return LpNorm(
-                value=moment ** (1.0 / p),
-                exact=True,
-                method="dp-dyadic" if exact_keys else "dp-grid",
-                atoms=int(values.shape[0]),
-            )
-        except SupportOverflow:
-            if mc is None:
-                raise
-        paths, seed = mc
-        sums = _mc_window_sums(self, n, m, np.asarray(u, float), paths, seed, segments)
-        value, se = _mc_lp(sums, p)
-        return LpNorm(value=value, exact=False, method="monte-carlo", atoms=0, stderr=se)
-
-    def standardized_fourth_moment(self, n: int, u: np.ndarray, **kw) -> float:
-        """E[(S_n . u)^4] / Var(S_n . u)^2; 3 for a Gaussian limit."""
-        m4 = self.lp_norm(1, n, u, 4, **kw).value ** 4
-        var = self.var_window(1, n, u)
-        return m4 / var**2
-
-    # -- eigenvalue structure ---------------------------------------------------
-
-    def eigen_ratio_report(self, windows, c1: float = 1.0) -> EigenRatioReport:
-        """Largest/smallest eigenvalue ratios of V_{n,m} over the given windows.
-
-        Windows whose ||S_{n,m}||_{L2} = sqrt(trace V) falls below c1 are
-        reported separately and excluded from the fitted constant.
-        """
-        rows, skipped = [], []
-        c2 = None
-        singular = None
-        for (n, m) in windows:
-            v = self.cov_partial_sum(n, m)
-            l2 = math.sqrt(max(float(np.trace(v)), 0.0))
-            if self.d == 1:
-                emin = emax = float(v[0, 0])
-                ratio = 1.0
-            else:
-                eig = np.linalg.eigvalsh(v)
-                emin, emax = float(eig[0]), float(eig[-1])
-                if emin <= 1e-14 * max(1.0, emax):
-                    ratio = math.inf
-                    singular = singular or (n, m)
-                else:
-                    ratio = emax / emin
-            row = WindowEigen(n=n, m=m, l2=l2, eig_min=emin, eig_max=emax, ratio=ratio)
-            if l2 < c1:
-                skipped.append(row)
-                continue
-            rows.append(row)
-            c2 = ratio if c2 is None else max(c2, ratio)
-        return EigenRatioReport(
-            c1=c1, windows=rows, skipped=skipped, c2=c2, singular_witness=singular
+        values, w, exact_keys = self.window_distribution(
+            n, m, u, atom_cap=atom_cap, segments=segments
+        )
+        moment = float(np.sum(w * np.abs(values) ** p))
+        return LpNorm(
+            value=moment ** (1.0 / p),
+            exact=True,
+            method="dp-dyadic" if exact_keys else "dp-grid",
+            atoms=int(values.shape[0]),
         )
 
 
@@ -749,26 +649,6 @@ def _dyadic_scale(all_vals, length: int) -> float | None:
     return float(max_den)
 
 
-def _mc_window_sums(engine, n, m, u, paths, seed, segments=None):
-    """Sampled S_{n,m} . u over the times inside `segments` (all by default)."""
-    inside = _segment_mask(sorted(segments), n, m) if segments else None
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    total = np.zeros(paths)
-    for t, states in walk(engine.chain, n, m - n, paths, rng):
-        if inside is None or inside[t - n]:
-            total += (engine.centered(t) @ u)[states]
-    return total
-
-
-def _mc_lp(samples: np.ndarray, p: int) -> tuple[float, float]:
-    """Monte Carlo ||X||_{L^p} from samples of X, and its delta-method standard error."""
-    xp = np.abs(samples) ** p
-    mp = float(xp.mean())
-    se_mp = float(xp.std(ddof=1) / math.sqrt(xp.shape[0]))
-    se = se_mp / (p * mp ** ((p - 1.0) / p)) if mp > 0 else se_mp
-    return mp ** (1.0 / p), se
-
-
 def engine_for(chain: ChainSpec) -> MomentEngine:
     """Memoized engine per chain instance, kept on the chain so that it is
     freed with it."""
@@ -778,24 +658,5 @@ def engine_for(chain: ChainSpec) -> MomentEngine:
     return eng
 
 
-# -- free-function API mirroring the engine ----------------------------------
-
-
-def mean_obs(chain: ChainSpec, j: int) -> np.ndarray:
-    return engine_for(chain).mean_obs(j)
-
-
-def cov_pair(chain: ChainSpec, i: int, j: int) -> np.ndarray:
-    return engine_for(chain).cov_pair(i, j)
-
-
 def cov_partial_sum(chain: ChainSpec, n: int, m: int) -> np.ndarray:
     return engine_for(chain).cov_partial_sum(n, m)
-
-
-def s_value(chain: ChainSpec, n: int) -> float:
-    return engine_for(chain).s_value(n)
-
-
-def eigen_ratio_report(chain: ChainSpec, windows, c1: float = 1.0) -> EigenRatioReport:
-    return engine_for(chain).eigen_ratio_report(windows, c1=c1)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from asipkit.battery import DEFAULT_NAMES, EXTRA_NAMES, battery, battery_chain, entry
+from asipkit.battery import DEFAULT_NAMES, EXTRA_NAMES, battery, entry
 from asipkit.chain import ChainConfigError
 from asipkit.mixing import alpha_phi, dobrushin_coefficient, mixing_report
 from asipkit.moments import engine_for
@@ -25,8 +25,8 @@ def test_battery_size_and_tags():
 
 
 def test_battery_spans_sizes_and_dimensions():
-    sizes = {battery_chain(n).state_size(1) for n in DEFAULT_NAMES}
-    ds = {battery_chain(n).d for n in DEFAULT_NAMES}
+    sizes = {entry(n).build().state_size(1) for n in DEFAULT_NAMES}
+    ds = {entry(n).build().d for n in DEFAULT_NAMES}
     assert sizes == {2, 3, 4} and ds == {1, 2}
 
 
@@ -52,26 +52,26 @@ def test_exact_centering():
 
 
 def test_asym2_invariant_start():
-    ch = battery_chain("asym2")
+    ch = entry("asym2").build()
     for t in (2, 5, 17):
         np.testing.assert_allclose(ch.marginal(t), [0.8, 0.2], atol=1e-15)
 
 
 def test_iid_entries_have_zero_coefficients():
     for name in ("sym2_p00", "iid2_scaled", "iid2_d2_zero"):
-        a, p = alpha_phi(battery_chain(name), 3, range(1, 5))
+        a, p = alpha_phi(entry(name).build(), 3, range(1, 5))
         assert a == 0.0 and p == 0.0, name
 
 
 def test_degenerate_direction_entry():
-    eng = engine_for(battery_chain("iid2_d2_zero"))
+    eng = engine_for(entry("iid2_d2_zero").build())
     ev = np.linalg.eigvalsh(eng.v_matrix(50))
     assert abs(ev[0]) < 1e-12 and ev[1] > 0
     assert eng.s_value(50) == 0.0
 
 
 def test_n0_landmarks():
-    rep = mixing_report(battery_chain("leaky3"))
+    rep = mixing_report(entry("leaky3").build())
     assert rep.n0 is not None and rep.n0 <= 4
     slow = mixing_report(entry("slow2").build())
     assert slow.n0 is None  # phi stays above 1/2 over the scanned lags

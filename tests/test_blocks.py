@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asipkit.battery import battery_chain
+from asipkit.battery import entry
 from asipkit.blocks import (
     VarianceStarvedError,
     build_blocks,
@@ -16,7 +16,6 @@ from asipkit.blocks import (
     q_of_amplitude,
     select_amplitude,
     select_separation,
-    tail_statistics,
     verify_partition,
 )
 from asipkit.chain import build_chain
@@ -78,7 +77,7 @@ def test_build_blocks_iid(iid2):
 
 
 def test_covers_end_inside_the_horizon():
-    iid = battery_chain("sym2_p00")
+    iid = entry("sym2_p00").build()
     # block (1, 9) closes inside horizon 10, but its cover ends at 11
     with pytest.raises(VarianceStarvedError) as ei:
         build_blocks(iid, 9.0, 2, 10)
@@ -89,7 +88,7 @@ def test_covers_end_inside_the_horizon():
         assert part.cover_end <= horizon
         assert part.count == horizon // 11
     for name, horizon in (("leaky3_delta", 700), ("period2", 333), ("mixture2_ramp", 450)):
-        part = build_blocks(battery_chain(name), 30.0, 5, horizon)
+        part = build_blocks(entry(name).build(), 30.0, 5, horizon)
         assert part.cover_end <= horizon
 
 
@@ -114,7 +113,7 @@ def test_variance_starved(zero):
     assert plan.horizon == 2048 and part.horizon == 2048
     # ... and raises at that horizon when nothing closes inside it
     with pytest.raises(VarianceStarvedError) as ei:
-        plan_partition(battery_chain("sym2_p05"), horizon=300)
+        plan_partition(entry("sym2_p05").build(), horizon=300)
     assert ei.value.index == 300
 
 
@@ -144,17 +143,6 @@ def test_covariance_inequality_oracles(sym, iid2):
     assert abs(c2.cov_abs - 0.25) < 1e-12 and abs(c2.bound - 2.0) < 1e-12
     c0 = covariance_inequality_check(iid2, [(1, 4)], [(6, 8)], p=4)
     assert c0.cov_abs < 1e-14 and c0.passes
-
-
-def test_tail_statistics(iid2):
-    part = build_blocks(iid2, 9.0, 2, 200)
-    ts = tail_statistics(iid2, part, p=2)
-    # gap of two iid signs followed by one cover point: E(S^2) = 2.5
-    for t in ts.norms:
-        assert t.exact and abs(t.value - math.sqrt(2.5)) < 1e-12
-    assert ts.all_exact and not ts.mc_fallback
-    ts4 = tail_statistics(iid2, part, p=4)
-    assert abs(ts4.norms[0].value - 8.5**0.25) < 1e-12
 
 
 def test_plan_partition_sym(sym):
@@ -228,7 +216,7 @@ def _window_covs(pairs: np.ndarray, a: int, b: int, reverse: bool = False) -> np
 
 @pytest.mark.parametrize("name", ["kron4_d2", "chain3_d2", "corr_d2", "iid2_d2_zero"])
 def test_verification_extrema_are_exact_over_the_sphere(name):
-    ch = battery_chain(name)
+    ch = entry(name).build()
     part = build_blocks(ch, 300.0, 5, 1200)
     ver = verify_partition(ch, part)
     n = part.cover_end

@@ -13,7 +13,6 @@ from asipkit.chain import (
     MixtureKernels,
     ObservableSchedule,
     build_chain,
-    check_uniform_ellipticity,
     pair_joint,
     walk,
 )
@@ -164,20 +163,6 @@ def test_step_matrix_and_pair_joint(sym):
     np.testing.assert_allclose(law.matrix.sum(axis=0), law.marginal_j, atol=1e-15)
     with pytest.raises(ChainConfigError):
         pair_joint(sym, 4, 2)
-
-
-def test_uniform_ellipticity(iid2, sym):
-    # iid kernel: one-step sup 0.5, two-step min 0.5
-    rep = check_uniform_ellipticity(iid2, 0.4, range(1, 4))
-    assert rep.passes and rep.sup_density == 0.5 and rep.min_two_step == 0.5
-    rep2 = check_uniform_ellipticity(iid2, 0.6, range(1, 4))
-    assert rep2.passes_upper and not rep2.passes_lower
-    assert rep2.witness_lower is not None
-    # sym kernel: two-step min is 2 * 0.75 * 0.25 = 0.375
-    rep3 = check_uniform_ellipticity(sym, 0.375, range(1, 3))
-    assert rep3.passes and abs(rep3.min_two_step - 0.375) < 1e-15
-    with pytest.raises(ChainConfigError):
-        check_uniform_ellipticity(sym, -1.0, [1])
 
 
 def test_build_chain_accepts_json_string_and_path(tmp_path):

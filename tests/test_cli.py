@@ -3,10 +3,13 @@
 Commands run in-process through main(argv); byte-level determinism of the
 subprocess entry point is covered by the acceptance suite.
 """
+import ast
 import csv
 import json
 import os
+from pathlib import Path
 
+import asipkit
 from asipkit import __version__
 from asipkit.cli import (
     EXIT_CONSTRUCTION,
@@ -42,6 +45,23 @@ def test_moments_report(chain_files, tmp_path):
     table = read_csv(out / "moments_table.csv")
     assert table[0] == ["n", "v_00", "s_n", "eigen_ratio"]
     assert table[2] == ["2", "3.0", "3.0", "1.0"]
+
+
+def test_moments_eigen_ratio_is_inf_where_v_n_is_singular(tmp_path):
+    # d = 2 with both coordinates equal: every V_n has rank one, so every
+    # eig_min is rounding noise next to eig_max
+    p = tmp_path / "rank1.json"
+    p.write_text(json.dumps({
+        "kernels": {"periodic": [[[0.6, 0.4], [0.4, 0.6]]]}, "initial": [0.5, 0.5],
+        "observable": {"constant": [[1.0, 1.0], [-1.0, -1.0]]}, "L": 1.0, "d": 2,
+    }))
+    out = tmp_path / "rk"
+    rc = main(["moments", "--chain", str(p), "--horizon", "12", "--out", str(out)])
+    assert rc == EXIT_OK
+    rows = read_json(out / "moments_report.json")["table"]
+    assert [r["eigen_ratio"] for r in rows] == [None] * 12  # inf is written as null
+    table = read_csv(out / "moments_table.csv")
+    assert [row[-1] for row in table[1:]] == ["inf"] * 12
 
 
 def test_moments_missing_file(tmp_path, capsys):
@@ -242,10 +262,32 @@ def test_csv_floats_round_trip(chain_files, tmp_path):
     out = tmp_path / "rt"
     main(["moments", "--chain", chain_files["sym"], "--horizon", "20", "--out", str(out)])
     table = read_csv(out / "moments_table.csv")
-    from asipkit.moments import s_value
     from asipkit.chain import build_chain
+    from asipkit.moments import engine_for
 
-    ch = build_chain(chain_files["sym"])
+    eng = engine_for(build_chain(chain_files["sym"]))
     for row in table[1:]:
         n = int(row[0])
-        assert float(row[2]) == s_value(ch, n)  # repr floats: exact round trip
+        assert float(row[2]) == eng.s_value(n)  # repr floats: exact round trip
+
+
+def test_public_functions_are_reached():
+    """Every function in asipkit.__all__ is named by a package module, a
+    script or the benchmark, so none is kept for the tests alone."""
+    root = Path(__file__).resolve().parents[1]
+    files = [f for f in (root / "src" / "asipkit").glob("*.py") if f.name != "__init__.py"]
+    files += [*(root / "scripts").glob("*.py"), *(root / "perfbench").glob("*.py")]
+    named = set()
+    for f in files:
+        for node in ast.walk(ast.parse(f.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    functions = [
+        name for name in asipkit.__all__
+        if callable(getattr(asipkit, name)) and not isinstance(getattr(asipkit, name), type)
+    ]
+    assert [name for name in functions if name not in named] == []

@@ -3,8 +3,9 @@
 The symmetric reference chain has hand-enumerable coefficients: events over
 single coordinates give alpha(k) = 0.25 * 0.5^k and phi(k) = 0.5 * 0.5^k.
 The closed forms for alpha and phi are checked against a brute force over
-every event pair, and the stacked pass over start times against pair_joint
-one start time at a time.
+every event pair and against cylinder events on two coordinates per side,
+and the stacked pass over start times against pair_joint one start time at
+a time.
 """
 import itertools
 import json
@@ -20,8 +21,8 @@ from asipkit.cli import EXIT_INPUT, main
 from asipkit.mixing import (
     Envelope,
     _alpha_phi_pair,
+    _check_event_cap,
     alpha_phi,
-    alpha_phi_windowed,
     condition_h_gap,
     condition_h_profile,
     dobrushin_coefficient,
@@ -124,6 +125,43 @@ def test_event_cap_on_the_smaller_side():
     for shape in ((12, 17), (13, 13)):
         with pytest.raises(ChainConfigError, match="exceeds cap"):
             _alpha_phi_pair(np.full(shape, 1.0 / np.prod(shape)))
+
+
+def alpha_phi_windowed(chain, k: int, j_range) -> tuple[float, float]:
+    """Oracle: events are cylinders on the two consecutive coordinates
+    ending at j (one at j = 1) and the two starting at j+k."""
+    alpha = phi = 0.0
+    for j in j_range:
+        past = list(range(max(1, j - 1), j + 1))
+        future = [j + k, j + k + 1]
+        a, p = _alpha_phi_pair(_cylinder_joint(chain, past, future))
+        alpha = max(alpha, a)
+        phi = max(phi, p)
+    return alpha, phi
+
+
+def _cylinder_joint(chain, past, future) -> np.ndarray:
+    """Joint law of (path on past times, path on future times), flattened."""
+    times = past + future
+    sizes = [chain.state_size(t) for t in times]
+    na = int(np.prod(sizes[: len(past)]))
+    nb = int(np.prod(sizes[len(past) :]))
+    _check_event_cap(na, nb)
+    joint = np.zeros((na, nb))
+    for path in itertools.product(*[range(s) for s in sizes]):
+        pr = chain.marginal(times[0])[path[0]]
+        for a, b, xa, xb in zip(times[:-1], times[1:], path[:-1], path[1:]):
+            step = chain.step_matrix(a, b) if b > a + 1 else chain.kernel(a)
+            pr *= step[xa, xb]
+        if pr == 0.0:
+            continue
+        ia = ib = 0
+        for s, x in zip(sizes[: len(past)], path[: len(past)]):
+            ia = ia * s + x
+        for s, x in zip(sizes[len(past) :], path[len(past) :]):
+            ib = ib * s + x
+        joint[ia, ib] += pr
+    return joint
 
 
 def test_alpha_phi_windowed_agrees_with_pairs(sym):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from asipkit.battery import battery_chain
+from asipkit.battery import entry
 from asipkit.blocks import build_blocks, plan_partition
 from asipkit.chain import ChainConfigError, build_chain
 from asipkit.moments import engine_for
@@ -99,7 +99,7 @@ def test_variance_matching_sym_cross_covariances(sym):
 
 def test_variance_matching_is_a_spectral_norm():
     # the largest gap over every unit direction, not along e1 only
-    ch = battery_chain("chain3_d2")
+    ch = entry("chain3_d2").build()
     part = build_blocks(ch, 300.0, 5, 1200)
     vm = variance_matching_diagnostic(ch, part, delta=0.1)
     vn = engine_for(ch).v_curve(part.cover_end)[part.i_ends - 1]
@@ -170,12 +170,6 @@ def test_sampling_streams_match_an_independent_oracle(sym):
         want = _oracle_sums(sym, 1, 30, hi - lo, rng, eng.centered)
         for i, t in enumerate(batch.checkpoints):
             assert np.array_equal(batch.sums[lo:hi, i], want[t])
-    u = np.array([1.0])
-    r = eng.lp_norm(3, 12, u, 4, atom_cap=2, mc=(3000, 9))
-    assert r.method == "monte-carlo"
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(9)))
-    x = _oracle_sums(sym, 3, 12, 3000, rng, lambda t: eng.centered(t) @ u)[12]
-    assert r.value == float((np.abs(x) ** 4).mean()) ** 0.25
 
 
 def test_sampling_streams_where_the_state_count_changes():

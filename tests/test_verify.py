@@ -1,5 +1,5 @@
 """The hard-invariant checker and its fault injection."""
-from asipkit.battery import battery_chain
+from asipkit.battery import entry
 from asipkit.verify import FAULT_KINDS, inject_fault, run_verification, verify_chain
 
 
@@ -21,7 +21,7 @@ def test_injected_fault_breaks_model_consistency():
 
 
 def test_inject_fault_mutates_kernel():
-    ch = battery_chain("sym2_p05")
+    ch = entry("sym2_p05").build()
     before = ch.kernel(1).copy()
     inject_fault(ch, "kernel-row")
     after = ch.kernel(1)
