@@ -225,16 +225,12 @@ def cmd_moments(args) -> int:
     eng = engine_for(chain)
     vc = eng.v_curve(horizon)
     d = chain.d
-    if d == 1:
-        sc = vc[:, 0, 0]
-        ratios = np.ones(horizon)
-    else:
-        eigs = np.linalg.eigvalsh(vc)
-        sc = eigs[:, 0]
-        # a rank-deficient V_n leaves rounding noise, of either sign, in eig_min
-        singular = eigs[:, 0] <= 1e-14 * np.maximum(1.0, eigs[:, -1])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(singular, np.inf, eigs[:, -1] / eigs[:, 0])
+    eigs = np.linalg.eigvalsh(vc)
+    sc = eigs[:, 0]
+    # a rank-deficient V_n leaves rounding noise, of either sign, in eig_min
+    singular = eigs[:, 0] <= 1e-14 * np.maximum(1.0, eigs[:, -1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(singular, np.inf, eigs[:, -1] / eigs[:, 0])
     cols = [(i, j) for i in range(d) for j in range(i, d)]
     rows = []
     for n in range(1, horizon + 1):

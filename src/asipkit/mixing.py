@@ -385,9 +385,11 @@ def mixing_report(
     chain: ChainSpec, k_max: int = 12, j_probe=None
 ) -> MixingReport:
     """alpha/phi over k = 1..k_max, per-time contraction coefficients, and the
-    fitted envelope.  j_probe defaults to a horizon-aware window of start
-    times (enough to see a full period for periodic schedules); a probed j
-    with j + k_max past the horizon raises ChainConfigError."""
+    fitted envelope.  j_probe defaults to the start times
+    j = 1..max(1, min(horizon - k_max, 8)) (1..8 without a horizon), so a schedule
+    whose period exceeds 8 is not seen whole and the suprema are taken over
+    those starts only (ROADMAP item 1); a probed j with j + k_max past the
+    horizon raises ChainConfigError."""
     if j_probe is None:
         horizon = chain.max_time
         top = min(horizon - k_max, 8) if horizon else 8

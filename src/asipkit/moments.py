@@ -12,15 +12,16 @@ The scan is run-aware.  From the time a chain's kernels and observable
 repeat with a common period (periodic schedules from the start, constant or
 linear mixtures from their flat step), one step is a fixed affine map on
 the moment triple, given node values shifted by the stationary mean of
-each phase; the shift is deterministic, so every variance stays exact.  There
-the scan advances up to B steps with one stacked power of that map and
-reads the B variances in one batched reduction (a blocked linear-recurrence
-scan).  Outside the run (explicit and cosine schedules, times before a
-mixture turns flat, a common period above B) the scan stacks the steps' own
-maps for up to B times, composes them into prefix composites in
-ceil(log2 k) stacked passes (Hillis-Steele) and applies them the same way.
-One step at a time remains only where a kernel changes shape, for off-phase
-steps inside a run and for one-step remnants.
+each phase; the shift is deterministic, so every variance stays exact.
+Every stride of the scan applies a stack of prefix composites of step maps
+and reads its variances in one batched reduction (a blocked
+linear-recurrence scan).  Inside a run a stride from the period's first
+phase takes up to B steps from the run's kept span, composed once per scan
+direction; any other stride stacks the steps' own maps for up to B times and
+composes them in ceil(log2 k) stacked passes (Hillis-Steele).  A stride ends
+where the run begins, at the run's next first phase, at a mask edge and
+before a kernel whose shape differs, so where the state count changes it
+holds one map.
 
 A pairwise-covariance accumulation path is kept alongside as an
 independent cross-check and for callers that want per-pair terms.
@@ -47,10 +48,10 @@ _DYADIC_MAX_DEN = 1 << 24
 # ---------------------------------------------------------------------------
 # moment sweep
 
-# Steps one stacked power advances inside a run, rounded down to a multiple
-# of the run's period (at least one period).
+# Most steps one stride of the scan advances; a run's kept span holds B steps
+# rounded down to a multiple of the run's period (at least one period).
 B = 256
-# Stacked powers kept per engine, one per (scan direction, direction rows).
+# Kept spans per engine, one per (scan direction, direction rows).
 _POWERS_KEPT = 4
 
 
@@ -77,21 +78,12 @@ class _Sweep:
             self.phi = node0 * self.p[:, None]
             self.psi = node0 * node0 * self.p[:, None]
 
-    def step(self, kernel: np.ndarray, node: np.ndarray | None):
-        pt = kernel.T @ self.p
-        phi_t = kernel.T @ self.phi
-        psi_t = kernel.T @ self.psi
-        if node is not None:
-            psi_t = psi_t + 2.0 * node * phi_t + node * node * pt[:, None]
-            phi_t = phi_t + node * pt[:, None]
-        self.p, self.phi, self.psi = pt, phi_t, psi_t
-
-    def jump(self, power, k: int, w: np.ndarray, live: bool) -> np.ndarray:
-        """Apply the first k maps of a stack of composites (a run's power or
-        a chunk; see _compose) and return the variances after each, shape
-        (k, channels), read with the weight rows w (k, states).  live=False
-        drops the node terms."""
-        q, x, y = (z[:k] for z in power)
+    def jump(self, maps, w: np.ndarray, live: bool) -> np.ndarray:
+        """Apply a stack of k prefix composites (Q, X, Y) (see _compose and
+        MomentEngine._stride), map i holding steps 0..i, and return the
+        variances after each, shape (k, channels), read with the weight rows
+        w (k, states).  live=False drops the node terms."""
+        q, x, y = maps
         p, phi, psi = self.p, self.phi, self.psi
         wq = np.einsum("ks,kst->kt", w, q)
         mean, e2 = wq @ phi, wq @ psi
@@ -139,7 +131,7 @@ def _prefix(maps):
 class _Run:
     """From time t0 on, the steps into and out of each time repeat with
     `period`; `centers[phase]` is the stationary mean of the observable at
-    that phase, and `span` the steps of one stacked power."""
+    that phase, and `span` the steps of the run's kept span."""
 
     t0: int
     period: int
@@ -203,7 +195,7 @@ class MomentEngine:
         self.d = chain.d
         self._means: dict[int, np.ndarray] = {}
         self._centered: dict[int, np.ndarray] = {}
-        self._powers: dict = {}  # (backward, direction rows) -> stacked power
+        self._spans: dict = {}  # (backward, direction rows) -> the run's kept span
 
     # -- per-time -----------------------------------------------------------
 
@@ -334,51 +326,57 @@ class MomentEngine:
             return self.centered(t)
         return self.chain.obs(t) - run.centers[(t - run.t0) % run.period]
 
-    def _power(self, dirs: np.ndarray, back: bool):
-        """Stacked (Q, X, Y) of the run's first k step maps, k = 1..span.
-        Forward the maps enter times of phase 0, 1, ...; backward they leave
-        times of phase period - 1, period - 2, ...  Built from one period of
-        maps, then by doubling: map k + h is map k after map h, h a multiple
-        of the period."""
-        key = (back, dirs.shape, dirs.tobytes())
-        power = self._powers.get(key)
-        if power is not None:
-            return power
+    def _nodes(self, a: int, b: int) -> np.ndarray:
+        """_node(t) for t in [a, b], shape (b - a + 1, states, d); [a, b]
+        lies on one side of the run's t0 and keeps one state count."""
+        if a == b:
+            return self._node(a)[None]
         run = self._run
-        phases = range(run.period - 1, -1, -1) if back else range(run.period)
-        maps = []
-        for phase in phases:
-            t = run.t0 + phase
-            q = self.chain.kernel(t) if back else self.chain.kernel(t - 1).T
-            v = (self._node(t) @ dirs.T).T[:, :, None]  # (c, s, 1) scales rows
-            maps.append((q, v * q, v * v * q))
-        stack = [maps[0]]
-        for m in maps[1:]:
-            stack.append(_compose(m, stack[-1]))
-        power = tuple(np.stack(z) for z in zip(*stack))
-        while len(power[0]) < run.span:
-            h = len(power[0])
-            more = _compose(
-                tuple(z[: run.span - h] for z in power), tuple(z[h - 1] for z in power)
-            )
-            power = tuple(np.concatenate(pair) for pair in zip(power, more))
-        if len(self._powers) >= _POWERS_KEPT:
-            self._powers.pop(next(iter(self._powers)))
-        self._powers[key] = power
-        return power
+        if run is None or b < run.t0:
+            return self.centered_stack(a, b)
+        phases = (np.arange(a, b + 1) - run.t0) % run.period
+        return self.chain.observable.stack(a, b) - run.centers[phases][:, None, :]
 
-    def _stride(self, nxt: int, stop: int | None, edges, back: bool) -> tuple[int, bool]:
-        """(k, from_run): the steps the scan may take at once from the step
-        into time nxt.  In the run, up to the stacked power's span when that
-        step is at its first phase (from_run True), else one step.  Outside
-        the run, up to B steps of a composed chunk, ending before the run's
-        t0.  No further than `stop` (or the horizon) or the next mask edge."""
+    def _span(self, dirs: np.ndarray, back: bool):
+        """The run's kept span: stacked (Q, X, Y) of its first 1..span step
+        maps.  Forward the maps enter times of phase 0, 1, ...; backward they
+        leave times of phase period - 1, period - 2, ...  One period is a
+        chunk at the run's start, then doubling: the composite of h + i
+        steps is that of i steps after that of h steps, h a multiple of the
+        period."""
+        key = (back, dirs.shape, dirs.tobytes())
+        maps = self._spans.get(key)
+        if maps is not None:
+            return maps
         run = self._run
-        from_run = run is not None and nxt >= run.t0
-        if from_run:
-            if (nxt - run.t0) % run.period != (run.period - 1 if back else 0):
-                return 1, False
-            k = run.span
+        maps = self._chunk(run.t0 + (run.period - 1 if back else 0), run.period, dirs, back, True)
+        while len(maps[0]) < run.span:
+            h = len(maps[0])
+            more = _compose(
+                tuple(z[: run.span - h] for z in maps), tuple(z[h - 1] for z in maps)
+            )
+            maps = tuple(np.concatenate(pair) for pair in zip(maps, more))
+        if len(self._spans) >= _POWERS_KEPT:
+            self._spans.pop(next(iter(self._spans)))
+        self._spans[key] = maps
+        return maps
+
+    def _stride(self, nxt: int, stop: int | None, edges, dirs: np.ndarray, back: bool, live: bool):
+        """Stacked (Q, X, Y) prefix composites of the steps the scan takes at
+        once from the step into time nxt.  In the run from the period's first
+        phase, the first k maps of the kept span, k up to its length; in the
+        run off that phase, a chunk up to the next first-phase time.  Outside
+        the run, a chunk of up to B steps, ending before the run's t0.  No
+        further than `stop` (or the horizon) or the next mask edge."""
+        run = self._run
+        first = False
+        if run is not None and nxt >= run.t0:
+            phase = (nxt - run.t0) % run.period
+            first = phase == (run.period - 1 if back else 0)
+            if first:
+                k = run.span
+            else:
+                k = phase + 1 if back else run.period - phase
             if back:
                 k = min(k, nxt - run.t0 + 1)
         else:
@@ -395,22 +393,23 @@ class MomentEngine:
                 k = min(k, nxt - int(edges[i - 1]) + 1)
             elif not back and i < len(edges):
                 k = min(k, int(edges[i]) - nxt)
-        return k, from_run
+        if first:
+            return tuple(z[:k] for z in self._span(dirs, back))
+        return self._chunk(nxt, k, dirs, back, live)
 
     def _chunk(self, nxt: int, k: int, dirs: np.ndarray, back: bool, live: bool):
-        """Stacked (Q, X, Y) of the first 1..k of the step maps into times
-        nxt, nxt + 1, ... (nxt - 1, ... backward), as _power gives them, or
-        None when the kernels of those steps differ in shape.  The maps are
+        """Stacked (Q, X, Y) of the first 1..k' of the step maps into times
+        nxt, nxt + 1, ... (nxt - 1, ... backward), k' <= k ending before the
+        first kernel whose shape differs from the first one's.  The maps are
         the steps' own, composed by _prefix; live=False leaves X and Y zero."""
+        # the step into time t uses kernel t backward, t - 1 forward
+        times = range(nxt, nxt - k, -1) if back else range(nxt - 1, nxt + k - 1)
+        kernels = [self.chain.kernel(t) for t in times]
+        shape = kernels[0].shape
+        k = next((i for i, q in enumerate(kernels) if q.shape != shape), k)
+        q = np.stack([m if back else m.T for m in kernels[:k]])
         a, b = (nxt - k + 1, nxt) if back else (nxt, nxt + k - 1)
-        try:
-            if back:  # the step into time t uses kernel t backward, t - 1 forward
-                q = np.stack([self.chain.kernel(t) for t in range(b, a - 1, -1)])
-            else:
-                q = np.stack([self.chain.kernel(t).T for t in range(a - 1, b)])
-            v = self.centered_stack(a, b) @ dirs.T if live else np.zeros((k, q.shape[1], len(dirs)))
-        except ValueError:  # the state count changes along the steps
-            return None
+        v = self._nodes(a, b) @ dirs.T if live else np.zeros((k, q.shape[1], len(dirs)))
         if back:
             v = v[::-1]
         v = v.transpose(0, 2, 1)[..., None]  # (k, c, s, 1) scales rows
@@ -429,13 +428,10 @@ class MomentEngine:
         g2_t = v_t^2 + 2 v_t K_t g1_{t+1} + K_t g2_{t+1}, read as
         Var = m_t . g2_t - (m_t . g1_t)^2 with m_t the marginal at t.
 
-        Inside the chain's run a chunk is up to B steps from one stacked
-        power, and off the power's first phase one step.  Outside it a chunk
-        is up to B steps whose own maps are composed on the spot (_chunk),
-        ending where the run begins; where kernels change shape, and for a
-        chunk of one time, the scan steps once.  `inside`, a boolean mask
-        indexed by t minus the lower end, keeps the times where it is False
-        out of the sum; a mask edge ends a chunk.
+        Every chunk after the first time is one stride (_stride): a stack of
+        up to B composed step maps, applied by _Sweep.jump.  `inside`, a
+        boolean mask indexed by t minus the lower end, keeps the times where
+        it is False out of the sum; a mask edge ends a stride.
         """
         dirs = np.atleast_2d(np.asarray(directions, dtype=float))
         chain = self.chain
@@ -449,35 +445,21 @@ class MomentEngine:
         def live(t):
             return inside is None or inside[t - lo]
 
-        def node(t):
-            return self._node(t) @ dirs.T if live(t) else None
-
-        def weight(t):
-            return chain.marginal(t) if back else None
-
         t = start
         p0 = np.ones(chain.state_size(t)) if back else chain.marginal(t)
-        sweep = _Sweep(p0, node(t), dirs.shape[0])
-        yield t, sweep.var(weight(t))[None]
+        sweep = _Sweep(p0, self._node(t) @ dirs.T if live(t) else None, dirs.shape[0])
+        yield t, sweep.var(chain.marginal(t) if back else None)[None]
         while stop is None or t != stop:
             nxt = t + sign
-            k, from_run = self._stride(nxt, stop, edges, back)
-            if from_run:
-                maps = self._power(dirs, back)
+            on = live(nxt)
+            maps = self._stride(nxt, stop, edges, dirs, back, on)
+            k = len(maps[0])
+            if back:
+                w = chain.marginals(np.arange(nxt - k + 1, nxt + 1))[::-1]
             else:
-                maps = self._chunk(nxt, k, dirs, back, live(nxt)) if k > 1 else None
-            if maps is not None:
-                if back:
-                    w = chain.marginals(np.arange(nxt - k + 1, nxt + 1))[::-1]
-                else:
-                    w = np.ones((k, sweep.p.shape[0]))
-                yield nxt, sweep.jump(maps, k, w, live(nxt))
-                t = nxt + sign * (k - 1)
-            else:
-                kernel = chain.kernel(min(t, nxt))
-                sweep.step(kernel.T if back else kernel, node(nxt))
-                t = nxt
-                yield t, sweep.var(weight(t))[None]
+                w = np.ones(maps[0].shape[:2])
+            yield nxt, sweep.jump(maps, w, on)
+            t = nxt + sign * (k - 1)
 
     def _end_var(self, a: int, b: int, directions, inside=None) -> np.ndarray:
         """Var(S . u) over [a, b] per direction row, recorded once at b."""

@@ -2,9 +2,9 @@
 
 Sampling is chunked: paths are grouped in fixed-size chunks, each chunk
 drawing from its own PCG64 stream spawned as SeedSequence(seed, spawn_key=
-(chunk,)), so the output is bit-identical for a fixed seed.  These paths,
-and the Monte Carlo fallbacks in blocks and moments, are all drawn by
-chain.walk, whose next state is #{cumulative probability <= u}.
+(chunk,)), so the output is bit-identical for a fixed seed.  Every chunk's
+paths are drawn by chain.walk (through _chunk_walks), whose next state is
+#{cumulative probability <= u}.
 """
 
 from __future__ import annotations

@@ -48,20 +48,25 @@ def test_moments_report(chain_files, tmp_path):
 
 
 def test_moments_eigen_ratio_is_inf_where_v_n_is_singular(tmp_path):
-    # d = 2 with both coordinates equal: every V_n has rank one, so every
-    # eig_min is rounding noise next to eig_max
-    p = tmp_path / "rank1.json"
-    p.write_text(json.dumps({
-        "kernels": {"periodic": [[[0.6, 0.4], [0.4, 0.6]]]}, "initial": [0.5, 0.5],
-        "observable": {"constant": [[1.0, 1.0], [-1.0, -1.0]]}, "L": 1.0, "d": 2,
-    }))
-    out = tmp_path / "rk"
-    rc = main(["moments", "--chain", str(p), "--horizon", "12", "--out", str(out)])
-    assert rc == EXIT_OK
-    rows = read_json(out / "moments_report.json")["table"]
-    assert [r["eigen_ratio"] for r in rows] == [None] * 12  # inf is written as null
-    table = read_csv(out / "moments_table.csv")
-    assert [row[-1] for row in table[1:]] == ["inf"] * 12
+    for name, obs, d in (
+        # d = 2 with both coordinates equal: every V_n has rank one, so every
+        # eig_min is rounding noise next to eig_max
+        ("rank1", [[1.0, 1.0], [-1.0, -1.0]], 2),
+        # d = 1 with a zero observable: every V_n is 0
+        ("zero", [[0.0], [0.0]], 1),
+    ):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps({
+            "kernels": {"periodic": [[[0.6, 0.4], [0.4, 0.6]]]}, "initial": [0.5, 0.5],
+            "observable": {"constant": obs}, "L": 1.0, "d": d,
+        }))
+        out = tmp_path / name
+        rc = main(["moments", "--chain", str(p), "--horizon", "12", "--out", str(out)])
+        assert rc == EXIT_OK
+        rows = read_json(out / "moments_report.json")["table"]
+        assert [r["eigen_ratio"] for r in rows] == [None] * 12, name  # inf is written as null
+        table = read_csv(out / "moments_table.csv")
+        assert [row[-1] for row in table[1:]] == ["inf"] * 12, name
 
 
 def test_moments_missing_file(tmp_path, capsys):

@@ -249,12 +249,47 @@ def test_run_scan_on_random_periodic_chains(seed, k_period, o_period, states, a,
     assert_scans_match_pairs(chain, a, a + length - 1, mask_seed=seed)
 
 
-def _per_step_engine(chain):
-    """An engine whose scan never jumps: every time takes _Sweep.step."""
-    eng = MomentEngine(chain)
-    eng.__dict__["_run"] = None
-    eng._stride = lambda *args: (1, False)
-    return eng
+def step_scan(chain, start, stop, dirs, keep=None):
+    """Per-step reference for MomentEngine.scan, one affine step per time:
+    p' = Q p, phi' = Q phi + v Q p, psi' = Q psi + 2 v Q phi + v^2 Q p, with
+    Q the transposed kernel forward and the kernel backward, and v the values
+    of the time entered centred by E f_t (zero where `keep`, indexed by t
+    minus the lower end, is False).  Returns the variances after each time
+    from `start` toward `stop`, shape (|stop - start| + 1, directions)."""
+    eng = MomentEngine(chain)  # per-time data only: centered(t)
+    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+    back = stop < start
+    lo = min(start, stop)
+
+    def node(t):
+        if keep is not None and not keep[t - lo]:
+            return np.zeros((chain.state_size(t), len(dirs)))
+        return eng.centered(t) @ dirs.T
+
+    p = np.ones(chain.state_size(start)) if back else chain.marginal(start)
+    v = node(start)
+    phi, psi = v * p[:, None], v * v * p[:, None]
+    out = []
+    for t in range(start, stop - 1 if back else stop + 1, -1 if back else 1):
+        if t != start:
+            q = chain.kernel(t) if back else chain.kernel(t - 1).T
+            v = node(t)
+            p, phi, psi = q @ p, q @ phi, q @ psi
+            psi += 2.0 * v * phi + v * v * p[:, None]
+            phi += v * p[:, None]
+        w = chain.marginal(t) if back else np.ones_like(p)
+        m = w @ phi
+        out.append(w @ psi - m * m)
+    return np.array(out)
+
+
+def step_segments(chain, u, segs):
+    """Per-step reference for MomentEngine.var_segments."""
+    lo, hi = segs[0][0], max(b for _, b in segs)
+    keep = np.zeros(hi - lo + 1, dtype=bool)
+    for a, b in segs:
+        keep[a - lo : b - lo + 1] = True
+    return step_scan(chain, lo, hi, [u], keep)[-1, 0]
 
 
 def _periodic_chain(kernels, obs_tables, init):
@@ -282,16 +317,15 @@ def test_run_scan_on_kernels_off_stochastic_by_the_tolerance(defect):
     # against the per-step scan on the same kernels (pair oracles centre by
     # E f_t under laws whose mass drifts, which moves them by ~1e-10 here)
     n = 20_000
-    ref = _per_step_engine(chain)
     for got, want in (
-        (eng.prefix_variances(2, n, [[1.0]]), ref.prefix_variances(2, n, [[1.0]])),
-        (eng.suffix_variances(2, n, [[1.0]]), ref.suffix_variances(2, n, [[1.0]])),
-        (eng.v_matrix(n), ref.v_matrix(n)),
-        (eng.cov_partial_sum(3, n), ref.cov_partial_sum(3, n)),
+        (eng.prefix_variances(2, n, [[1.0]]), step_scan(chain, 2, n, [[1.0]])),
+        (eng.suffix_variances(2, n, [[1.0]]), step_scan(chain, n, 2, [[1.0]])[::-1]),
+        (eng.v_matrix(n)[0, 0], step_scan(chain, 1, n, [[1.0]])[-1, 0]),
+        (eng.cov_partial_sum(3, n)[0, 0], step_scan(chain, 3, n, [[1.0]])[-1, 0]),
     ):
         assert np.abs(got / want - 1.0).max() <= 1e-10
     segs = [(3, 700), (1000, 1001), (1500, n)]
-    assert abs(eng.var_segments([1.0], segs) / ref.var_segments([1.0], segs) - 1.0) <= 1e-10
+    assert abs(eng.var_segments([1.0], segs) / step_segments(chain, [1.0], segs) - 1.0) <= 1e-10
 
 
 def test_period_past_b_takes_single_steps():
@@ -430,7 +464,7 @@ def _cosine_chain():
 def assert_chunked_scans_match(chain, a, b, mask_seed=0, rtol=1e-12):
     """Prefix, suffix and masked scans over [a, b] against the per-step scan
     and the pair-covariance sums, entry by entry to `rtol` relative."""
-    eng, ref = MomentEngine(chain), _per_step_engine(chain)
+    eng = MomentEngine(chain)
     dirs = _polar_directions(chain.d)
     covs = [pair_cov_matrix(chain, a, b, u) for u in dirs]
     pre = np.array([np.diag(c.cumsum(0).cumsum(1)) for c in covs]).T
@@ -442,8 +476,8 @@ def assert_chunked_scans_match(chain, a, b, mask_seed=0, rtol=1e-12):
         )
 
     for got, step, pairs in (
-        (eng.prefix_variances(a, b, dirs), ref.prefix_variances(a, b, dirs), pre),
-        (eng.suffix_variances(a, b, dirs), ref.suffix_variances(a, b, dirs), suf),
+        (eng.prefix_variances(a, b, dirs), step_scan(chain, a, b, dirs), pre),
+        (eng.suffix_variances(a, b, dirs), step_scan(chain, b, a, dirs)[::-1], suf),
     ):
         assert close(got, step) and close(got, pairs)
     # the pairwise oracle is quadratic: past one chunk boundary is enough
@@ -460,7 +494,7 @@ def assert_chunked_scans_match(chain, a, b, mask_seed=0, rtol=1e-12):
         keep[lo - a : hi - a + 1] = True
     for u, c in zip(dirs, covs):
         got = eng.var_segments(u, segs)
-        assert close(got, c[keep][:, keep].sum()) and close(got, ref.var_segments(u, segs))
+        assert close(got, c[keep][:, keep].sum()) and close(got, step_segments(chain, u, segs))
         back = np.concatenate([v[:, 0] for _, v in eng.scan(b, a, u, keep)])[::-1]
         kc = np.where(keep[:, None] & keep[None, :], c, 0.0)
         assert close(back, np.diag(kc[::-1, ::-1].cumsum(0).cumsum(1))[::-1])
@@ -491,36 +525,40 @@ def test_chunked_scans_on_random_explicit_chains(seed, states, d, length):
     assert_chunked_scans_match(chain, a, a + length - 1, mask_seed=seed)
 
 
-def _count_steps(monkeypatch):
-    calls = []
-    step = _Sweep.step
+def _count_strides(monkeypatch):
+    """Lengths of the scan's strides, one entry per _Sweep.jump call."""
+    lengths = []
+    jump = _Sweep.jump
 
-    def counted(self, *args):
-        calls.append(1)
-        return step(self, *args)
+    def counted(self, maps, *args):
+        lengths.append(len(maps[0]))
+        return jump(self, maps, *args)
 
-    monkeypatch.setattr(_Sweep, "step", counted)
-    return calls
+    monkeypatch.setattr(_Sweep, "jump", counted)
+    return lengths
 
 
 def test_single_steps_are_rare_outside_runs(monkeypatch):
     n = 3072
     chain = _explicit_chain(n - 1, 3, 1, 5)
-    calls = _count_steps(monkeypatch)
+    lengths = _count_strides(monkeypatch)
     eng = MomentEngine(chain)
     eng.prefix_variances(1, n, [[1.0]])
     eng.suffix_variances(1, n, [[1.0]])
     eng.var_segments([1.0], [(1, 700), (900, 901), (1500, n)])
-    assert len(calls) < 40
+    assert lengths.count(1) < 40
 
 
-def test_changing_state_count_falls_back_to_single_steps(monkeypatch):
+def test_changing_state_count_ends_a_stride(monkeypatch):
+    # kernel 40 is 3 x 2: the strides end before and after its one map
     chain = small_random_chain([3] * 40 + [2] * 30, 1, 8)
-    calls = _count_steps(monkeypatch)
+    lengths = _count_strides(monkeypatch)
     eng = MomentEngine(chain)
     pre = eng.prefix_variances(1, 70, [[1.0]])[:, 0]
+    assert len(lengths) <= 3 and sum(lengths) == 69
+    lengths.clear()
     suf = eng.suffix_variances(1, 70, [[1.0]])[:, 0]
-    assert len(calls) > 0
+    assert len(lengths) <= 3 and sum(lengths) == 69
     c = pair_cov_matrix(chain, 1, 70, np.array([1.0]))
     want_pre = np.diag(c.cumsum(0).cumsum(1))
     want_suf = np.diag(c[::-1, ::-1].cumsum(0).cumsum(1))[::-1]
