@@ -231,18 +231,15 @@ class MomentEngine:
     # -- pairwise covariance path --------------------------------------------
 
     def cov_pair(self, i: int, j: int) -> np.ndarray:
-        """Exact Cov(X_i, X_j), d x d, from the exact pair law."""
+        """Exact Cov(X_i, X_j), d x d, from the exact pair law.  The values
+        are centred first: E[f_i f_j] - E f_i E f_j would lose the digits of
+        a covariance far below |E f|^2."""
         if j < i:
             return self.cov_pair(j, i).T
-        fi = self.chain.obs(i)
-        fj = self.chain.obs(j)
+        ci = self.centered(i)
         if i == j:
-            w = self.chain.marginal(i)
-            second = fi.T @ (w[:, None] * fi)
-        else:
-            joint = pair_joint(self.chain, i, j).matrix
-            second = fi.T @ joint @ fj
-        return second - np.outer(self.mean_obs(i), self.mean_obs(j))
+            return ci.T @ (self.chain.marginal(i)[:, None] * ci)
+        return ci.T @ pair_joint(self.chain, i, j).matrix @ self.centered(j)
 
     def cov_partial_sum_pairwise(
         self, n: int, m: int, truncate: float | None = TRUNCATION_DEFAULT
@@ -272,9 +269,7 @@ class MomentEngine:
                     break
                 prod = self.chain.kernel(i) if prod is None else prod @ self.chain.kernel(j - 1)
                 joint = self.chain.marginal(i)[:, None] * prod
-                c = self.chain.obs(i).T @ joint @ self.chain.obs(j) - np.outer(
-                    self.mean_obs(i), self.mean_obs(j)
-                )
+                c = self.centered(i).T @ joint @ self.centered(j)
                 v += c + c.T
         return v, exact
 
