@@ -9,8 +9,10 @@ transition law from time j to time j+1.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -24,16 +26,19 @@ class ChainConfigError(ValueError):
     """Raised when a chain document fails validation."""
 
 
-def _as_matrix(obj, what: str) -> np.ndarray:
-    m = np.asarray(obj, dtype=float)
+def _as_numbers(obj, what: str) -> np.ndarray:
+    try:
+        return np.asarray(obj, dtype=float)
+    except (TypeError, ValueError):
+        raise ChainConfigError(f"{what}: expected an array of numbers") from None
+
+
+def _check_kernel(m: np.ndarray, what: str) -> None:
+    """Raise the error of the first check one kernel fails, if any."""
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ChainConfigError(f"{what}: expected a 2-d matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ChainConfigError(f"{what}: non-finite entries")
-    return m
-
-
-def _check_stochastic(m: np.ndarray, what: str) -> np.ndarray:
     if np.any(m < -STOCHASTIC_ATOL):
         i = int(np.argwhere(m < -STOCHASTIC_ATOL)[0][0])
         raise ChainConfigError(f"{what}: row {i} has a negative entry")
@@ -44,13 +49,60 @@ def _check_stochastic(m: np.ndarray, what: str) -> np.ndarray:
         raise ChainConfigError(
             f"{what}: row {i} sum {sums[i]!r} != 1 (deficit {sums[i] - 1.0:+.3e})"
         )
-    return np.clip(m, 0.0, None)
+
+
+def _check_kernels(items: Sequence, name: str, first: int) -> list[np.ndarray]:
+    """Check every item as a stochastic matrix and clip it at 0.
+
+    Returns one (k, rows, cols) stack per run of consecutive kernels of equal
+    shape.  Item t is called f"{name} {t + first}" in errors, and the error
+    is that of the first faulty item, as if the items were checked in order.
+    """
+    mats = []
+    for t, k in enumerate(items):
+        try:
+            mats.append(_as_numbers(k, f"{name} {t + first}"))
+        except ChainConfigError:
+            _check_kernels(mats, name, first)  # an earlier fault comes first
+            raise
+    stacks, start = [], 0
+    for _, run in itertools.groupby(mats, operator.attrgetter("shape")):
+        s = np.array(list(run))  # one (k, rows, cols) stack
+        if s.ndim != 3 or 0 in s.shape:
+            _check_kernel(mats[start], f"{name} {start + first}")
+        with np.errstate(invalid="ignore"):  # inf - inf in a row sum
+            bad = ~np.isfinite(s).all(axis=(1, 2))
+            bad |= (s < -STOCHASTIC_ATOL).any(axis=(1, 2))
+            bad |= (np.abs(s.sum(axis=2) - 1.0) > STOCHASTIC_ATOL).any(axis=1)
+        if bad.any():
+            t = start + int(np.argmax(bad))
+            _check_kernel(mats[t], f"{name} {t + first}")
+        stacks.append(np.clip(s, 0.0, None))
+        start += len(s)
+    return stacks
+
+
+def _chain_break(stacks: list[np.ndarray], cyclic: bool) -> int | None:
+    """Index t of the first kernel whose column count differs from the row
+    count of kernel t + 1 (of kernel 0 after the last one when cyclic), or
+    None when the kernels chain."""
+    t = 0
+    for i, s in enumerate(stacks):
+        k, rows, cols = s.shape
+        if k > 1 and cols != rows:
+            return t
+        t += k
+        if (cyclic or i + 1 < len(stacks)) and cols != stacks[(i + 1) % len(stacks)].shape[1]:
+            return t - 1
+    return None
 
 
 def _check_probability_vector(v, what: str) -> np.ndarray:
-    p = np.asarray(v, dtype=float)
+    p = _as_numbers(v, what)
     if p.ndim != 1:
         raise ChainConfigError(f"{what}: expected a vector")
+    if not np.all(np.isfinite(p)):
+        raise ChainConfigError(f"{what}: non-finite entries")
     if np.any(p < -STOCHASTIC_ATOL):
         raise ChainConfigError(f"{what}: negative mass")
     s = p.sum()
@@ -75,18 +127,16 @@ class KernelSchedule:
 
 class ExplicitKernels(KernelSchedule):
     def __init__(self, kernels: Sequence):
-        self.kernels = [
-            _check_stochastic(_as_matrix(k, f"kernel {t + 1}"), f"kernel {t + 1}")
-            for t, k in enumerate(kernels)
-        ]
-        if not self.kernels:
+        stacks = _check_kernels(kernels, "kernel", 1)
+        if not stacks:
             raise ChainConfigError("empty kernel list")
-        for t in range(len(self.kernels) - 1):
-            if self.kernels[t].shape[1] != self.kernels[t + 1].shape[0]:
-                raise ChainConfigError(
-                    f"kernel {t + 1} has {self.kernels[t].shape[1]} columns but "
-                    f"kernel {t + 2} has {self.kernels[t + 1].shape[0]} rows"
-                )
+        self.kernels = [k for s in stacks for k in s]
+        t = _chain_break(stacks, cyclic=False)
+        if t is not None:
+            raise ChainConfigError(
+                f"kernel {t + 1} has {self.kernels[t].shape[1]} columns but "
+                f"kernel {t + 2} has {self.kernels[t + 1].shape[0]} rows"
+            )
         self.n_steps = len(self.kernels)
 
     def kernel(self, j: int) -> np.ndarray:
@@ -97,19 +147,16 @@ class ExplicitKernels(KernelSchedule):
 
 class PeriodicKernels(KernelSchedule):
     def __init__(self, kernels: Sequence):
-        self.kernels = [
-            _check_stochastic(_as_matrix(k, f"kernel {t + 1}"), f"kernel {t + 1}")
-            for t, k in enumerate(kernels)
-        ]
-        if not self.kernels:
+        stacks = _check_kernels(kernels, "kernel", 1)
+        if not stacks:
             raise ChainConfigError("empty periodic kernel list")
+        self.kernels = [k for s in stacks for k in s]
         p = len(self.kernels)
-        for t in range(p):
-            nxt = self.kernels[(t + 1) % p]
-            if self.kernels[t].shape[1] != nxt.shape[0]:
-                raise ChainConfigError(
-                    f"periodic kernels {t + 1} -> {(t + 1) % p + 1} have incompatible shapes"
-                )
+        t = _chain_break(stacks, cyclic=True)
+        if t is not None:
+            raise ChainConfigError(
+                f"periodic kernels {t + 1} -> {(t + 1) % p + 1} have incompatible shapes"
+            )
         self.period = p
 
     def kernel(self, j: int) -> np.ndarray:
@@ -125,14 +172,37 @@ class MixtureKernels(KernelSchedule):
     """P_j = (1 - w(j)) K0 + w(j) K1 with a deterministic weight rule."""
 
     def __init__(self, k0, k1, weight_rule: dict):
-        self.k0 = _check_stochastic(_as_matrix(k0, "mixture base 0"), "mixture base 0")
-        self.k1 = _check_stochastic(_as_matrix(k1, "mixture base 1"), "mixture base 1")
-        if self.k0.shape != self.k1.shape or self.k0.shape[0] != self.k0.shape[1]:
+        stacks = _check_kernels([k0, k1], "mixture base", 0)
+        if len(stacks) != 1 or stacks[0].shape[1] != stacks[0].shape[2]:
             raise ChainConfigError("mixture bases must be square and same shape")
-        self.rule = dict(weight_rule)
-        kind = self.rule.get("kind")
-        if kind not in ("constant", "linear", "cosine"):
+        self.k0, self.k1 = stacks[0]
+        if not isinstance(weight_rule, dict):
+            raise ChainConfigError("mixture weights must be an object")
+        kind = weight_rule.get("kind")
+        # each field of the rule with its default (None: required)
+        fields = {
+            "constant": {"value": None},
+            "linear": {"start": None, "end": None, "length": None},
+            "cosine": {"period": None, "center": 0.5, "amplitude": 0.5},
+        }.get(kind)
+        if fields is None:
             raise ChainConfigError(f"unknown mixture weight kind {kind!r}")
+        self.rule = {"kind": kind}
+        for key, default in fields.items():
+            value = weight_rule.get(key, default)
+            if value is None:
+                raise ChainConfigError(f"{kind} mixture weight needs {key!r}")
+            try:
+                x = float(value)
+            except (TypeError, ValueError):
+                x = math.nan
+            if not math.isfinite(x):
+                raise ChainConfigError(f"mixture weight {key} {value!r} is not a finite number")
+            self.rule[key] = x
+        if kind == "linear" and self.rule["length"] < 1:
+            raise ChainConfigError(f"mixture weight length {self.rule['length']!r} < 1")
+        if kind == "cosine" and self.rule["period"] <= 0:
+            raise ChainConfigError(f"mixture weight period {self.rule['period']!r} <= 0")
         self._cache: dict[int, np.ndarray] = {}
         # the step from which a constant or linear weight stops changing;
         # later steps share that step's kernel array
@@ -145,15 +215,13 @@ class MixtureKernels(KernelSchedule):
     def weight(self, j: int) -> float:
         r = self.rule
         if r["kind"] == "constant":
-            w = float(r["value"])
+            w = r["value"]
         elif r["kind"] == "linear":
             # ramp from start to end over `length` steps, clipped beyond
-            t = min(max(j - 1, 0), int(r["length"])) / float(r["length"])
-            w = float(r["start"]) + (float(r["end"]) - float(r["start"])) * t
+            t = min(max(j - 1, 0), int(r["length"])) / r["length"]
+            w = r["start"] + (r["end"] - r["start"]) * t
         else:  # cosine
-            w = float(r.get("center", 0.5)) + float(r.get("amplitude", 0.5)) * math.cos(
-                2.0 * math.pi * (j - 1) / float(r["period"])
-            )
+            w = r["center"] + r["amplitude"] * math.cos(2.0 * math.pi * (j - 1) / r["period"])
         if not 0.0 <= w <= 1.0:
             raise ChainConfigError(f"mixture weight {w!r} at step {j} outside [0, 1]")
         return w
@@ -182,7 +250,7 @@ class ObservableSchedule:
 
     @staticmethod
     def _normalize_table(tab, d_hint: int | None, what: str) -> np.ndarray:
-        a = np.asarray(tab, dtype=float)
+        a = _as_numbers(tab, what)
         if a.ndim == 1:
             a = a[:, None]
         if a.ndim != 2:
@@ -262,8 +330,11 @@ class ChainSpec:
         self.kernels = kernels
         self.observable = observable
         self.initial = _check_probability_vector(initial, "initial law")
-        self.L = float(L)
-        if self.L <= 0:
+        try:
+            self.L = float(L)
+        except (TypeError, ValueError):
+            raise ChainConfigError(f"bound L {L!r} is not a number") from None
+        if not self.L > 0:
             raise ChainConfigError("bound L must be positive")
         self.name = str(name)
         self.d = observable.d
@@ -404,6 +475,8 @@ def walk(chain: ChainSpec, t0: int, steps: int, n: int, rng: np.random.Generator
 def _parse_kernels(spec) -> KernelSchedule:
     if isinstance(spec, dict):
         if "periodic" in spec:
+            if not isinstance(spec["periodic"], (list, tuple)):
+                raise ChainConfigError("periodic kernels must be a list of matrices")
             return PeriodicKernels(spec["periodic"])
         if "mixture" in spec:
             mx = spec["mixture"]
@@ -415,6 +488,13 @@ def _parse_kernels(spec) -> KernelSchedule:
     if isinstance(spec, (list, tuple)):
         return ExplicitKernels(spec)
     raise ChainConfigError("kernels must be a list of matrices or a schedule object")
+
+
+def _as_int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ChainConfigError(f"{what}: {value!r} is not an integer") from None
 
 
 def _parse_observable(spec, d: int | None) -> ObservableSchedule:
@@ -454,7 +534,7 @@ def build_chain(doc) -> ChainSpec:
     if missing:
         raise ChainConfigError(f"chain document missing fields {missing}")
     kernels = _parse_kernels(doc["kernels"])
-    d = int(doc["d"]) if "d" in doc else None
+    d = _as_int(doc["d"], "declared d") if "d" in doc else None
     observable = _parse_observable(doc["observable"], d)
     chain = ChainSpec(
         kernels=kernels,
@@ -467,10 +547,10 @@ def build_chain(doc) -> ChainSpec:
         declared = doc["states"]
         sizes = declared if isinstance(declared, (list, tuple)) else [declared]
         for j, s in enumerate(sizes, start=1):
-            if chain.state_size(j) != int(s):
+            if chain.state_size(j) != _as_int(s, f"declared states at time {j}"):
                 raise ChainConfigError(
                     f"declared {s} states at time {j}, kernels imply {chain.state_size(j)}"
                 )
-    if "d" in doc and chain.d != int(doc["d"]):
+    if d is not None and chain.d != d:
         raise ChainConfigError(f"declared d={doc['d']}, observable has d={chain.d}")
     return chain

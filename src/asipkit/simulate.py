@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .chain import ChainConfigError, ChainSpec, walk
 from .moments import engine_for
@@ -180,6 +179,8 @@ def gaussian_surrogate(partition, n_samples: int, seed: int) -> SurrogateBatch:
 
 def ks_statistic(standardized: np.ndarray) -> float:
     """Exact Kolmogorov-Smirnov distance of a sample to the standard normal."""
+    from scipy.special import ndtr  # loaded here, so `import asipkit` stays light
+
     x = np.sort(np.asarray(standardized, dtype=float))
     n = x.shape[0]
     cdf = ndtr(x)
@@ -191,6 +192,8 @@ def ks_statistic(standardized: np.ndarray) -> float:
 def w1_to_gaussian(samples: np.ndarray, sigma: float) -> float:
     """Exact W1 distance between the empirical law and N(0, sigma^2),
     by piecewise integration of |empirical CDF - Gaussian CDF|."""
+    from scipy.special import ndtr, ndtri  # loaded here, as in ks_statistic
+
     if sigma <= 0:
         raise ChainConfigError(f"need sigma > 0, got {sigma}")
     x = np.sort(np.asarray(samples, dtype=float))

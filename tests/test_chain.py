@@ -106,6 +106,20 @@ def test_explicit_horizon_limits():
         ks.kernel(4)
 
 
+# explicit kernel lists: every fault names its kernel and row, and a list
+# with several faults reports the first faulty kernel
+_NEG = [[1.2, -0.2], [0.25, 0.75]]
+_SUM = [[0.75, 0.25], [0.3, 0.75]]
+_NAN = [[float("nan"), 0.5], [0.25, 0.75]]
+_K23 = [[0.5, 0.25, 0.25], [0.2, 0.3, 0.5]]
+_K33 = [[0.5, 0.25, 0.25], [0.2, 0.3, 0.5], [0.1, 0.1, 0.8]]
+_K33_SUM = [[0.5, 0.25, 0.25], [0.2, 0.3, 0.5], [0.1, 0.2, 0.8]]
+
+
+def _mixture(rule):
+    return {"kernels": {"mixture": {"base": [SYM_K, SYM_K], "weights": rule}}}
+
+
 @pytest.mark.parametrize(
     "patch,msg",
     [
@@ -115,6 +129,21 @@ def test_explicit_horizon_limits():
         ({"observable": {"constant": [[3.0], [-1.0]]}}, "exceeds declared bound"),
         ({"observable": {"constant": [[1.0, 0.0], [0.0, 1.0]]}}, "dimension"),
         ({"L": 0.0}, "must be positive"),
+        ({"kernels": [SYM_K, _NEG, SYM_K]}, "kernel 2: row 0 has a negative entry"),
+        ({"kernels": [SYM_K, SYM_K, _SUM]}, "kernel 3: row 1 sum "),
+        ({"kernels": [SYM_K, _NAN]}, "kernel 2: non-finite entries"),
+        ({"kernels": [SYM_K, _K23, SYM_K]}, "kernel 2 has 3 columns but kernel 3 has 2 rows"),
+        ({"kernels": [_K23, _K23]}, "kernel 1 has 3 columns but kernel 2 has 2 rows"),
+        ({"kernels": [SYM_K, _SUM, SYM_K, _NEG]}, "kernel 2: row 1 sum "),
+        ({"kernels": [SYM_K, _SUM, _NAN]}, "kernel 2: row 1 sum "),
+        ({"kernels": [SYM_K, _K23, _K33_SUM, _NEG]}, "kernel 3: row 2 sum "),
+        ({"kernels": [_NEG, [[0.9, 0.1], [0.1]]]}, "kernel 1: row 0 has a negative entry"),
+        ({"kernels": [SYM_K, [0.5, 0.5]]}, "kernel 2: expected a 2-d matrix, got shape (2,)"),
+        (_mixture({"kind": "linear", "start": 1.0, "end": 0.0, "length": 0}), "length 0.0 < 1"),
+        (_mixture({"kind": "cosine", "period": 0}), "period 0.0 <= 0"),
+        (_mixture({"kind": "linear", "start": 1.0, "end": 0.0}), "needs 'length'"),
+        (_mixture({"kind": "constant"}), "needs 'value'"),
+        (_mixture({"kind": "constant", "value": "abc"}), "value 'abc' is not a finite number"),
     ],
 )
 def test_document_validation_errors(patch, msg):
@@ -126,8 +155,23 @@ def test_document_validation_errors(patch, msg):
         "d": 1,
     }
     doc.update(patch)
-    with pytest.raises(ChainConfigError, match=msg):
+    with pytest.raises(ChainConfigError, match=re.escape(msg)):
         build_chain(doc)
+
+
+def test_explicit_kernels_across_state_count_changes():
+    # 2x2, 2x2, 2x3, 3x3, 3x3, 3x1: four runs of equal shape; rows carry
+    # negative entries inside the tolerance, which the check clips to 0
+    k23 = [[0.5 + 1e-13, 0.5, -1e-13], [0.2, 0.3, 0.5]]
+    k33 = [[0.5, 0.25, 0.25], [-1e-13, 0.3 + 1e-13, 0.7], [0.1, 0.1, 0.8]]
+    raw = [SYM_K, [[0.9, 0.1], [0.3, 0.7]], k23, k33, _K33, [[1.0], [1.0], [1.0]]]
+    ks = ExplicitKernels(raw)
+    assert ks.n_steps == len(raw)
+    for j, k in enumerate(raw, start=1):
+        want = np.clip(np.asarray(k), 0, None)
+        got = ks.kernel(j)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert ks.kernel(j) is got
 
 
 def test_observable_schedules():

@@ -192,6 +192,42 @@ def test_malformed_json_exit_2(tmp_path, capsys):
     assert "broken.json" in capsys.readouterr().err
 
 
+def test_malformed_documents_exit_2(tmp_path, capsys):
+    base = {
+        "kernels": {"periodic": [[[0.9, 0.1], [0.1, 0.9]]]}, "initial": [0.5, 0.5],
+        "observable": {"constant": [[1.0], [-1.0]]}, "L": 1.0,
+    }
+    cases = [
+        ({"kernels": [[[0.9, 0.1], [0.1]]]}, "kernel 1"),
+        ({"kernels": [[["a", "b"], [0.1, 0.9]]]}, "kernel 1"),
+        ({"kernels": {"periodic": [[[0.9, 0.1], [0.1, 0.9]], [[0.9, 0.1], [0.1]]]}},
+         "kernel 2"),
+        ({"initial": [0.5, "x"]}, "initial law"),
+        ({"observable": {"constant": [[1.0], [1.0, 2.0]]}}, "observable"),
+        ({"observable": {"explicit": [[[1.0], [-1.0]], [["a"], [1.0]]]}}, "observable 2"),
+        ({"L": "big"}, "bound L"),
+        ({"d": "x"}, "declared d"),
+        ({"states": [2, "q"]}, "declared states at time 2"),
+    ]
+    weights = [
+        {"kind": "linear", "start": 1.0, "end": 0.0, "length": 0},
+        {"kind": "cosine", "period": 0},
+        {"kind": "linear", "start": 1.0, "end": 0.0},
+        {"kind": "constant"},
+        {"kind": "constant", "value": "abc"},
+    ]
+    for w in weights:
+        mixture = {"base": [[[0.9, 0.1], [0.1, 0.9]], [[0.5, 0.5], [0.5, 0.5]]], "weights": w}
+        cases.append(({"kernels": {"mixture": mixture}}, "mixture weight"))
+    for i, (patch, named) in enumerate(cases):
+        p = tmp_path / f"bad{i}.json"
+        p.write_text(json.dumps({**base, **patch}))
+        rc = main(["moments", "--chain", str(p), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INPUT, (patch, err)
+        assert "input error" in err and named in err, (patch, err)
+
+
 def test_simulate_small_run(chain_files, tmp_path):
     out = tmp_path / "s"
     rc = main([

@@ -1,11 +1,16 @@
 """Seeded path sampling, Gaussian surrogate, and distributional diagnostics."""
 import math
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import asipkit
 from asipkit.battery import entry
 from asipkit.blocks import build_blocks, plan_partition
 from asipkit.chain import ChainConfigError, build_chain
@@ -77,6 +82,27 @@ def test_w1_exact_lattice_law():
     vals = np.repeat(np.arange(-9, 10, 2.0), [comb(9, k) for k in range(10)])
     assert vals.shape[0] == 512
     assert abs(w1_to_gaussian(vals, 3.0) - W1_S9) < 1e-7
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # scipy.special is loaded by the KS and W1 statistics, not by the import;
+    # in a fresh interpreter they return the values pinned above
+    code = (
+        "import sys, asipkit, asipkit.cli\n"
+        "from math import comb\n"
+        "print('scipy.special' in sys.modules)\n"
+        "vals = [float(2 * k - 9) for k in range(10) for _ in range(comb(9, k))]\n"
+        "print(repr(asipkit.w1_to_gaussian(vals, 3.0)), repr(asipkit.ks_statistic([0.0])))\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(asipkit.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout.split()
+    assert out[0] == "False" and out[3] == "True"
+    vals = np.repeat(np.arange(-9, 10, 2.0), [comb(9, k) for k in range(10)])
+    assert float(out[1]) == w1_to_gaussian(vals, 3.0)
+    assert abs(float(out[1]) - W1_S9) < 1e-7
+    assert float(out[2]) == 0.5  # the KS gap of one atom at 0 is Phi(0)
 
 
 def test_variance_matching_iid_zero_gap(iid2):
