@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import operator
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -97,6 +98,28 @@ def _chain_break(stacks: list[np.ndarray], cyclic: bool) -> int | None:
     return None
 
 
+def _first_mismatch(x: list, x_cycles: bool, y: list, y_cycles: bool) -> int | None:
+    """Smallest i >= 0 with x_i != y_i, or None.  A sequence that cycles has
+    x_i = x[i mod len(x)]; one that does not ends at its last entry, and the
+    comparison with it."""
+    if x_cycles and y_cycles:
+        # i meets the pair (i mod len(x), i mod len(y)); the pairs met are
+        # those congruent mod g, so a class agrees when it holds one value
+        g = math.gcd(len(x), len(y))
+        if all(len(set(x[r::g]) | set(y[r::g])) == 1 for r in range(g)):
+            return None
+        n = math.lcm(len(x), len(y))
+    else:
+        n = min(len(s) for s, cycles in ((x, x_cycles), (y, y_cycles)) if not cycles)
+    x, y = np.asarray(x), np.asarray(y)
+    for lo in range(0, n, 1 << 16):
+        i = np.arange(lo, min(lo + (1 << 16), n))
+        bad = np.flatnonzero(x[i % len(x)] != y[i % len(y)])
+        if bad.size:
+            return lo + int(bad[0])
+    return None
+
+
 def _check_probability_vector(v, what: str) -> np.ndarray:
     p = _as_numbers(v, what)
     if p.ndim != 1:
@@ -115,6 +138,9 @@ class KernelSchedule:
     """Base class; concrete schedules implement kernel(j) for 1-based step j."""
 
     n_steps: int | None = None  # None means unbounded
+    # state counts at times 1, 2, ... and whether they cycle from time 1 on
+    # (else the list ends at the last time)
+    state_counts: tuple[list[int], bool]
 
     def kernel(self, j: int) -> np.ndarray:  # pragma: no cover - interface
         raise NotImplementedError
@@ -138,6 +164,7 @@ class ExplicitKernels(KernelSchedule):
                 f"kernel {t + 2} has {self.kernels[t + 1].shape[0]} rows"
             )
         self.n_steps = len(self.kernels)
+        self.state_counts = [k.shape[0] for k in self.kernels] + [self.kernels[-1].shape[1]], False
 
     def kernel(self, j: int) -> np.ndarray:
         if not 1 <= j <= self.n_steps:
@@ -158,6 +185,7 @@ class PeriodicKernels(KernelSchedule):
                 f"periodic kernels {t + 1} -> {(t + 1) % p + 1} have incompatible shapes"
             )
         self.period = p
+        self.state_counts = [k.shape[0] for k in self.kernels], True
 
     def kernel(self, j: int) -> np.ndarray:
         if j < 1:
@@ -176,6 +204,7 @@ class MixtureKernels(KernelSchedule):
         if len(stacks) != 1 or stacks[0].shape[1] != stacks[0].shape[2]:
             raise ChainConfigError("mixture bases must be square and same shape")
         self.k0, self.k1 = stacks[0]
+        self.state_counts = [self.k0.shape[0]], True
         if not isinstance(weight_rule, dict):
             raise ChainConfigError("mixture weights must be an object")
         kind = weight_rule.get("kind")
@@ -210,7 +239,7 @@ class MixtureKernels(KernelSchedule):
         if kind == "constant":
             self._flat_from = 1
         elif kind == "linear":
-            self._flat_from = int(self.rule["length"]) + 1
+            self._flat_from = math.ceil(self.rule["length"]) + 1
 
     def weight(self, j: int) -> float:
         r = self.rule
@@ -218,7 +247,7 @@ class MixtureKernels(KernelSchedule):
             w = r["value"]
         elif r["kind"] == "linear":
             # ramp from start to end over `length` steps, clipped beyond
-            t = min(max(j - 1, 0), int(r["length"])) / r["length"]
+            t = min(max(j - 1, 0) / r["length"], 1.0)
             w = r["start"] + (r["end"] - r["start"]) * t
         else:  # cosine
             w = r["center"] + r["amplitude"] * math.cos(2.0 * math.pi * (j - 1) / r["period"])
@@ -298,9 +327,10 @@ class ObservableSchedule:
         """Tables at times a..b, shape (b - a + 1, states, d); raises
         ValueError when the state count changes over [a, b]."""
         self.table(a), self.table(b)  # range checks
-        if self.kind == "explicit":
-            return np.stack(self.tables[a - 1 : b])
-        return np.stack(self.tables)[np.arange(a - 1, b) % len(self.tables)]
+        q = len(self.tables)
+        if self.kind == "explicit" or b - a < q:  # a window within one cycle
+            return np.stack([self.tables[t % q] for t in range(a - 1, b)])
+        return np.stack(self.tables)[np.arange(a - 1, b) % q]
 
     def period(self) -> int | None:
         """Period of the tables from time 1 on, or None for explicit tables."""
@@ -338,13 +368,30 @@ class ChainSpec:
             raise ChainConfigError("bound L must be positive")
         self.name = str(name)
         self.d = observable.d
-        self._marginals: list[np.ndarray] = [self.initial]
         if self.initial.shape[0] != self.state_size(1):
             raise ChainConfigError(
                 f"initial law has {self.initial.shape[0]} states, kernel 1 expects "
                 f"{self.state_size(1)}"
             )
-        self._validate_declared_tables()
+        for i, tab in enumerate(observable.tables):
+            if np.max(np.abs(tab)) > self.L + 1e-12:
+                raise ChainConfigError(
+                    f"observable table {i + 1} exceeds declared bound L={self.L!r} "
+                    f"(max |f| = {np.max(np.abs(tab))!r})"
+                )
+        counts, cycles = kernels.state_counts
+        rows = [t.shape[0] for t in observable.tables]
+        t = _first_mismatch(counts, cycles, rows, observable.kind != "explicit")
+        if t is not None:
+            raise ChainConfigError(
+                f"observable at time {t + 1} has {rows[t % len(rows)]} rows, state space has "
+                f"{counts[t % len(counts)]}"
+            )
+        # the marginal table: row t - 1 holds the law at time t, zeros past
+        # its state count _counts[t - 1]; rows below _known are filled
+        self._table = np.zeros((1, max(counts)))
+        self._table[0, : len(self.initial)] = self.initial
+        self._counts, self._known = np.array([len(self.initial)]), 1
 
     # -- structure ---------------------------------------------------------
 
@@ -366,47 +413,55 @@ class ChainSpec:
 
     def state_size(self, j: int) -> int:
         self._check_time(j)
-        m = self.max_time
-        if m is not None and j == m:
-            return self.kernel(j - 1).shape[1]
-        return self.kernel(j).shape[0]
+        counts, cycles = self.kernels.state_counts
+        return counts[(j - 1) % len(counts) if cycles else j - 1]
 
     def obs(self, j: int) -> np.ndarray:
         """Observable table at time j, shape (state_size(j), d)."""
         self._check_time(j)
-        t = self.observable.table(j)
-        if t.shape[0] != self.state_size(j):
-            raise ChainConfigError(
-                f"observable at time {j} has {t.shape[0]} rows, state space has "
-                f"{self.state_size(j)}"
-            )
-        return t
-
-    def _validate_declared_tables(self) -> None:
-        for i, t in enumerate(self.observable.tables):
-            if np.max(np.abs(t)) > self.L + 1e-12:
-                raise ChainConfigError(
-                    f"observable table {i + 1} exceeds declared bound L={self.L!r} "
-                    f"(max |f| = {np.max(np.abs(t))!r})"
-                )
+        return self.observable.table(j)
 
     # -- exact laws --------------------------------------------------------
 
     def marginal(self, j: int) -> np.ndarray:
-        """Exact law of the state at time j (forward propagation, memoized)."""
+        """Exact law of the state at time j, a view of its row of the
+        marginal table.  The table is filled forward on demand and grows by
+        doubling into a new array, so no row handed out is written again."""
         self._check_time(j)
-        while len(self._marginals) < j:
-            t = len(self._marginals)  # have marginals for times 1..t
-            nxt = self._marginals[-1] @ self.kernel(t)
-            self._marginals.append(nxt)
-        return self._marginals[j - 1]
+        n, table, counts = self._known, self._table, self._counts
+        if j > len(table):
+            rows = max(j, 2 * len(table))
+            table, counts = np.zeros((rows, table.shape[1])), np.zeros(rows, dtype=int)
+            table[:n], counts[:n] = self._table[:n], self._counts[:n]
+            self._table, self._counts = table, counts
+        if j > n:
+            kernel, cols = self.kernels.kernel, []
+            prev = table[n - 1, : counts[n - 1]]
+            for t in range(n, j):
+                k = kernel(t)
+                cols.append(k.shape[1])
+                prev = np.matmul(prev, k, table[t, : cols[-1]])  # written in place
+            counts[n:j], self._known = cols, j
+        return table[j - 1, : counts[j - 1]]
 
     def marginals(self, times: np.ndarray) -> np.ndarray:
         """Exact laws at the given times, shape (len(times), states); raises
         ValueError when their state counts differ."""
         self._check_time(int(times.min()))
         self.marginal(int(times.max()))
-        return np.stack([self._marginals[t - 1] for t in times.tolist()])
+        counts = self._counts[times - 1]
+        if np.any(counts != counts[0]):
+            raise ValueError("the state count changes across the given times")
+        return self._table[times - 1, : counts[0]]
+
+    def pieces(self, a: int, b: int) -> list[tuple[int, int]]:
+        """[a, b] cut where the state count changes: (lo, hi) windows in
+        time order, each keeping one state count."""
+        self._check_time(a)
+        self.marginal(b)
+        cuts = np.flatnonzero(np.diff(self._counts[a - 1 : b])) + a + 1
+        edges = [a, *cuts.tolist(), b + 1]
+        return [(lo, hi - 1) for lo, hi in zip(edges, edges[1:])]
 
     def step_matrix(self, i: int, j: int) -> np.ndarray:
         """Product P_i ... P_{j-1}; identity when i == j."""
@@ -520,9 +575,8 @@ def build_chain(doc) -> ChainSpec:
     L, d, name.
     """
     if isinstance(doc, (str, Path)):
-        p = Path(doc)
-        if p.exists():
-            doc = json.loads(p.read_text())
+        if os.path.exists(doc):  # unlike Path.exists, False for too long a name
+            doc = json.loads(Path(doc).read_text())
         else:
             try:
                 doc = json.loads(str(doc))

@@ -332,10 +332,7 @@ def cmd_blocks(args) -> int:
             plan_doc = None
             horizon = args.horizon if args.horizon is not None else 2048
             part = _override_partition(chain, args, p, cp, horizon)
-    except VarianceStarvedError as exc:
-        print(f"block construction failed: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
-    except ChainConfigError as exc:
+    except (VarianceStarvedError, ChainConfigError) as exc:
         print(f"block construction failed: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
 

@@ -187,46 +187,35 @@ class SupportOverflow(RuntimeError):
 # engine
 
 
+def _centered(chain: ChainSpec, j: int) -> np.ndarray:
+    """f_j - E f_j at one time j."""
+    f = chain.obs(j)
+    return f - chain.marginal(j) @ f
+
+
 class MomentEngine:
-    """Exact moment computations for one chain, with memoized per-time data."""
+    """Exact moment computations for one chain."""
 
     def __init__(self, chain: ChainSpec):
         self.chain = chain
         self.d = chain.d
-        self._means: dict[int, np.ndarray] = {}
-        self._centered: dict[int, np.ndarray] = {}
         self._spans: dict = {}  # (backward, direction rows) -> the run's kept span
 
     # -- per-time -----------------------------------------------------------
 
-    def mean_obs(self, j: int) -> np.ndarray:
-        m = self._means.get(j)
-        if m is None:
-            m = self.chain.marginal(j) @ self.chain.obs(j)
-            self._means[j] = m
-        return m
-
-    def centered(self, j: int) -> np.ndarray:
-        c = self._centered.get(j)
-        if c is None:
-            c = self.chain.obs(j) - self.mean_obs(j)
-            self._centered[j] = c
-        return c
-
     def centered_stack(self, a: int, b: int) -> np.ndarray:
-        """centered(t) for t in [a, b], shape (b - a + 1, states, d), from the
-        stacked marginals and tables; raises ValueError when the state count
-        changes inside [a, b]."""
+        """f_t - E f_t for t in [a, b], shape (b - a + 1, states, d), from the
+        stacked marginals and tables; [a, b] keeps one state count."""
         tables = self.chain.observable.stack(a, b)
         marg = self.chain.marginals(np.arange(a, b + 1))
         return tables - marg[:, None, :] @ tables
 
     def centered_max(self, a: int, b: int, u: np.ndarray) -> float:
         """max |(f_t(x) - E f_t) . u| over t in [a, b] and every state x."""
-        try:
-            return float(np.max(np.abs(self.centered_stack(a, b) @ u)))
-        except ValueError:  # the state count changes inside [a, b]
-            return max(float(np.max(np.abs(self.centered(t) @ u))) for t in range(a, b + 1))
+        return max(
+            float(np.max(np.abs(self.centered_stack(lo, hi) @ u)))
+            for lo, hi in self.chain.pieces(a, b)
+        )
 
     # -- pairwise covariance path --------------------------------------------
 
@@ -236,10 +225,10 @@ class MomentEngine:
         a covariance far below |E f|^2."""
         if j < i:
             return self.cov_pair(j, i).T
-        ci = self.centered(i)
+        ci = _centered(self.chain, i)
         if i == j:
             return ci.T @ (self.chain.marginal(i)[:, None] * ci)
-        return ci.T @ pair_joint(self.chain, i, j).matrix @ self.centered(j)
+        return ci.T @ pair_joint(self.chain, i, j).matrix @ _centered(self.chain, j)
 
     def cov_partial_sum_pairwise(
         self, n: int, m: int, truncate: float | None = TRUNCATION_DEFAULT
@@ -255,12 +244,14 @@ class MomentEngine:
         if m < n:
             raise ChainConfigError(f"bad window [{n}, {m}]")
         delta = max((dobrushin(self.chain.kernel(t)) for t in range(n, m)), default=0.0)
-        bounds = [float(np.max(np.abs(self.centered(j)))) for j in range(n, m + 1)]
+        cs = [_centered(self.chain, j) for j in range(n, m + 1)]  # cs[j - n], once per call
+        bounds = [float(np.max(np.abs(c))) for c in cs]
         can_truncate = truncate is not None and delta < 1.0
         v = np.zeros((self.d, self.d))
         exact = True
         for i in range(n, m + 1):
-            v += self.cov_pair(i, i)
+            ci = cs[i - n]
+            v += ci.T @ (self.chain.marginal(i)[:, None] * ci)
             prod = None
             bi = bounds[i - n]
             for j in range(i + 1, m + 1):
@@ -269,7 +260,7 @@ class MomentEngine:
                     break
                 prod = self.chain.kernel(i) if prod is None else prod @ self.chain.kernel(j - 1)
                 joint = self.chain.marginal(i)[:, None] * prod
-                c = self.centered(i).T @ joint @ self.centered(j)
+                c = ci.T @ joint @ cs[j - n]
                 v += c + c.T
         return v, exact
 
@@ -312,20 +303,11 @@ class MomentEngine:
             law = law @ k
         return _Run(t0=t0, period=period, centers=np.array(centers))
 
-    def _node(self, t: int) -> np.ndarray:
-        """f_t shifted by a constant: by the run's stationary mean from t0
-        on, by E f_t before.  Shifts are deterministic, so variances are
-        those of the centered sums."""
-        run = self._run
-        if run is None or t < run.t0:
-            return self.centered(t)
-        return self.chain.obs(t) - run.centers[(t - run.t0) % run.period]
-
     def _nodes(self, a: int, b: int) -> np.ndarray:
-        """_node(t) for t in [a, b], shape (b - a + 1, states, d); [a, b]
-        lies on one side of the run's t0 and keeps one state count."""
-        if a == b:
-            return self._node(a)[None]
+        """f_t for t in [a, b], shape (b - a + 1, states, d), shifted by the
+        run's stationary mean from t0 on and by E f_t before: deterministic
+        shifts, so variances are those of the centered sums.  [a, b] lies on
+        one side of t0 and keeps one state count."""
         run = self._run
         if run is None or b < run.t0:
             return self.centered_stack(a, b)
@@ -442,7 +424,7 @@ class MomentEngine:
 
         t = start
         p0 = np.ones(chain.state_size(t)) if back else chain.marginal(t)
-        sweep = _Sweep(p0, self._node(t) @ dirs.T if live(t) else None, dirs.shape[0])
+        sweep = _Sweep(p0, self._nodes(t, t)[0] @ dirs.T if live(t) else None, dirs.shape[0])
         yield t, sweep.var(chain.marginal(t) if back else None)[None]
         while stop is None or t != stop:
             nxt = t + sign
@@ -540,7 +522,7 @@ class MomentEngine:
         def vals(j):
             if inside is not None and not inside[j - n]:
                 return np.zeros(self.chain.state_size(j))
-            return self.centered(j) @ u
+            return _centered(self.chain, j) @ u
 
         all_vals = [vals(j) for j in range(n, m + 1)]
         scale = _dyadic_scale(all_vals, m - n + 1)

@@ -69,14 +69,10 @@ def _chunk_walks(chain: ChainSpec, n_max: int, n_paths: int, seed: int):
         yield lo, hi, walk(chain, 1, n_max - 1, hi - lo, _stream(seed, c))
 
 
-def _centered_tables(chain: ChainSpec, n_max: int):
-    """centered(t) for t = 1..n_max, indexed by t - 1: one stack, or a list
-    when the state count changes."""
+def _centered_tables(chain: ChainSpec, n_max: int) -> list[np.ndarray]:
+    """f_t - E f_t for t = 1..n_max, indexed by t - 1."""
     eng = engine_for(chain)
-    try:
-        return eng.centered_stack(1, n_max)
-    except ValueError:
-        return [eng.centered(t) for t in range(1, n_max + 1)]
+    return [c for lo, hi in chain.pieces(1, n_max) for c in eng.centered_stack(lo, hi)]
 
 
 def sample_paths(

@@ -1,6 +1,7 @@
 """Chain documents: parsing, validation, and exact marginal laws."""
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from asipkit.chain import (
 )
 
 SYM_K = [[0.75, 0.25], [0.25, 0.75]]
+CHAINS = Path(__file__).resolve().parents[1] / "chains"
 
 
 def test_parse_reference_chain(sym):
@@ -73,6 +75,16 @@ def test_mixture_weights_linear_and_clip():
     assert np.array_equal(mk.kernel(5_000), np.array(k1))
 
 
+def test_mixture_ramp_with_a_fractional_length():
+    k0 = [[1.0, 0.0], [0.0, 1.0]]
+    k1 = [[0.5, 0.5], [0.5, 0.5]]
+    mk = MixtureKernels(k0, k1, {"kind": "linear", "start": 0.0, "end": 1.0, "length": 2.5})
+    assert [mk.weight(j) for j in range(1, 6)] == [0.0, 0.4, 0.8, 1.0, 1.0]
+    assert mk.repeats() == (4, 1)
+    assert mk.kernel(4) is mk.kernel(5) and mk.kernel(1000) is mk.kernel(4)
+    assert np.array_equal(mk.kernel(4), np.array(k1))
+
+
 def test_mixture_weights_constant_and_cosine():
     k0 = [[0.9, 0.1], [0.1, 0.9]]
     k1 = [[0.5, 0.5], [0.5, 0.5]]
@@ -114,6 +126,12 @@ _NAN = [[float("nan"), 0.5], [0.25, 0.75]]
 _K23 = [[0.5, 0.25, 0.25], [0.2, 0.3, 0.5]]
 _K33 = [[0.5, 0.25, 0.25], [0.2, 0.3, 0.5], [0.1, 0.1, 0.8]]
 _K33_SUM = [[0.5, 0.25, 0.25], [0.2, 0.3, 0.5], [0.1, 0.2, 0.8]]
+_K32 = [[0.5, 0.5], [0.2, 0.8], [0.1, 0.9]]
+
+
+def _tables(*rows):
+    """One observable table per entry, of that many rows."""
+    return [[[1.0]] * r for r in rows]
 
 
 def _mixture(rule):
@@ -144,6 +162,17 @@ def _mixture(rule):
         (_mixture({"kind": "linear", "start": 1.0, "end": 0.0}), "needs 'length'"),
         (_mixture({"kind": "constant"}), "needs 'value'"),
         (_mixture({"kind": "constant", "value": "abc"}), "value 'abc' is not a finite number"),
+        # observable rows against state counts, checked at build for the
+        # first bad time, also where the cycles of kernels and tables differ
+        ({"observable": {"periodic": [[[1.0], [-1.0]], [[1.0], [0.0], [-1.0]]]}},
+         "observable at time 2 has 3 rows, state space has 2"),
+        ({"observable": {"constant": _tables(3)[0]}}, "observable at time 1 has 3 rows, state space has 2"),
+        ({"kernels": [SYM_K, _K23, _K33], "observable": _tables(2, 2, 2, 2)},
+         "observable at time 3 has 2 rows, state space has 3"),
+        ({"kernels": {"periodic": [_K23, _K32]}, "observable": {"periodic": _tables(2, 3, 2, 2)}},
+         "observable at time 4 has 2 rows, state space has 3"),
+        ({"kernels": {"periodic": [_K23, _K33, _K32]}, "observable": {"periodic": _tables(2, 3)}},
+         "observable at time 3 has 2 rows, state space has 3"),
     ],
 )
 def test_document_validation_errors(patch, msg):
@@ -172,6 +201,64 @@ def test_explicit_kernels_across_state_count_changes():
         got = ks.kernel(j)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert ks.kernel(j) is got
+
+
+def test_observable_rows_across_state_count_cycles():
+    # kernel cycle 2, table cycle 4: times meet only the phase pairs of equal
+    # parity, where the counts agree
+    ch = build_chain({
+        "kernels": {"periodic": [_K23, _K32]},
+        "initial": [0.5, 0.5],
+        "observable": {"periodic": _tables(2, 3, 2, 3)},
+        "L": 1.0,
+    })
+    assert all(ch.obs(j).shape[0] == ch.state_size(j) for j in range(1, 13))
+
+
+@pytest.mark.parametrize("name", ["mixture2_ramp", "slow2"])
+def test_marginal_table_matches_the_sequential_product(name):
+    n = 100_000
+    ch = build_chain(CHAINS / f"{name}.json")
+    for j in (3, 1000, 70_000):  # fill in parts, growing the table
+        ch.marginal(j)
+    m, want = ch.initial, [ch.initial]
+    for t in range(1, n):
+        m = m @ ch.kernel(t)
+        want.append(m)
+    assert ch.marginals(np.arange(1, n + 1)).tobytes() == np.stack(want).tobytes()
+    assert ch.marginal(n).tobytes() == want[-1].tobytes()
+
+
+def test_marginal_table_across_state_count_changes():
+    ch = build_chain({
+        "kernels": [SYM_K, _K23, _K33, [[1.0], [1.0], [1.0]]],
+        "initial": [0.3, 0.7],
+        "observable": _tables(2, 2, 3, 3, 1),
+        "L": 1.0,
+    })
+    assert ch.pieces(1, 5) == [(1, 2), (3, 4), (5, 5)]
+    assert ch.pieces(2, 3) == [(2, 2), (3, 3)]
+    assert ch.pieces(3, 4) == [(3, 4)] and ch.pieces(5, 5) == [(5, 5)]
+    m = ch.initial
+    for j in range(1, 6):
+        assert ch.marginal(j).tobytes() == m.tobytes()
+        if j < 5:
+            m = m @ ch.kernel(j)
+    with pytest.raises(ValueError, match="state count"):
+        ch.marginals(np.array([2, 3]))
+    got = ch.marginals(np.array([4, 3]))
+    assert got.tobytes() == np.stack([ch.marginal(4), ch.marginal(3)]).tobytes()
+
+
+def test_marginal_table_memory():
+    ch = build_chain(CHAINS / "mixture2_ramp.json")
+    tracemalloc.start()
+    try:
+        ch.marginal(224_013)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_observable_schedules():
@@ -224,6 +311,21 @@ def test_build_chain_accepts_json_string_and_path(tmp_path):
     p.write_text(json.dumps(doc))
     ch2 = build_chain(str(p))
     np.testing.assert_allclose(ch2.kernel(1), SYM_K)
+
+
+def test_build_chain_accepts_json_text_too_long_for_a_file_name(tmp_path):
+    doc = {
+        "kernels": {"periodic": [SYM_K] * 60},
+        "initial": [0.5, 0.5],
+        "observable": {"constant": [[1.0], [-1.0]]},
+        "L": 1.0,
+    }
+    text = json.dumps(doc)
+    assert len(text) > 255
+    assert build_chain(text).kernels.period == 60
+    for missing in (str(tmp_path / "missing.json"), "x" * 300):
+        with pytest.raises(ChainConfigError, match="chain file not found"):
+            build_chain(missing)
 
 
 def test_readme_json_examples_parse():

@@ -228,6 +228,21 @@ def test_malformed_documents_exit_2(tmp_path, capsys):
         assert "input error" in err and named in err, (patch, err)
 
 
+def test_observable_rows_are_checked_at_load(tmp_path, capsys):
+    # every command rejects the document before any work, blocks included
+    doc = {
+        "kernels": {"periodic": [[[0.75, 0.25], [0.25, 0.75]]]}, "initial": [0.5, 0.5],
+        "observable": {"periodic": [[[1.0], [-1.0]], [[1.0], [0.0], [-1.0]]]}, "L": 1.0,
+    }
+    p = tmp_path / "rows.json"
+    p.write_text(json.dumps(doc))
+    for cmd in ("blocks", "moments", "mixing", "simulate"):
+        rc = main([cmd, "--chain", str(p), "--out", str(tmp_path / cmd)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INPUT, (cmd, err)
+        assert "observable at time 2 has 3 rows, state space has 2" in err, (cmd, err)
+
+
 def test_simulate_small_run(chain_files, tmp_path):
     out = tmp_path / "s"
     rc = main([

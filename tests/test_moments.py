@@ -13,6 +13,11 @@ from asipkit.chain import ChainSpec, ExplicitKernels, ObservableSchedule, build_
 from asipkit.moments import B, MomentEngine, SupportOverflow, _polar_directions, _Sweep, engine_for
 
 
+def centered(chain, t):
+    """f_t - E f_t from the marginal at t alone."""
+    return chain.obs(t) - chain.marginal(t) @ chain.obs(t)
+
+
 def small_random_chain(sizes, d, seed):
     r = np.random.default_rng(seed)
     kernels = []
@@ -33,8 +38,7 @@ def small_random_chain(sizes, d, seed):
 
 def brute_cov(chain, n, m):
     """Covariance of the centered window sum by full path enumeration."""
-    eng = MomentEngine(chain)
-    cs = {j: eng.centered(j) for j in range(n, m + 1)}
+    cs = {j: centered(chain, j) for j in range(n, m + 1)}
     d = chain.d
     mean = np.zeros(d)
     second = np.zeros((d, d))
@@ -71,7 +75,7 @@ def test_masked_segments_match_enumeration():
     u = np.array([1.0])
     segs = [(1, 2), (4, 5)]
     cs = {
-        j: (eng.centered(j) @ u if any(a <= j <= b for a, b in segs) else np.zeros(3))
+        j: (centered(ch, j) @ u if any(a <= j <= b for a, b in segs) else np.zeros(3))
         for j in range(1, 6)
     }
     mean = sq = 0.0
@@ -84,8 +88,8 @@ def test_masked_segments_match_enumeration():
         sq += pr * tot * tot
     assert abs(eng.var_segments(u, segs) - (sq - mean * mean)) < 1e-12
     # cross covariance of the two masked sums via polarization
-    cs1 = {j: (eng.centered(j) @ u if 1 <= j <= 2 else np.zeros(3)) for j in range(1, 6)}
-    cs2 = {j: (eng.centered(j) @ u if 4 <= j <= 5 else np.zeros(3)) for j in range(1, 6)}
+    cs1 = {j: (centered(ch, j) @ u if 1 <= j <= 2 else np.zeros(3)) for j in range(1, 6)}
+    cs2 = {j: (centered(ch, j) @ u if 4 <= j <= 5 else np.zeros(3)) for j in range(1, 6)}
     m1 = m2 = m12 = 0.0
     for path in itertools.product(range(3), repeat=5):
         pr = ch.marginal(1)[path[0]]
@@ -256,7 +260,6 @@ def step_scan(chain, start, stop, dirs, keep=None):
     of the time entered centred by E f_t (zero where `keep`, indexed by t
     minus the lower end, is False).  Returns the variances after each time
     from `start` toward `stop`, shape (|stop - start| + 1, directions)."""
-    eng = MomentEngine(chain)  # per-time data only: centered(t)
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     back = stop < start
     lo = min(start, stop)
@@ -264,7 +267,7 @@ def step_scan(chain, start, stop, dirs, keep=None):
     def node(t):
         if keep is not None and not keep[t - lo]:
             return np.zeros((chain.state_size(t), len(dirs)))
-        return eng.centered(t) @ dirs.T
+        return centered(chain, t) @ dirs.T
 
     p = np.ones(chain.state_size(start)) if back else chain.marginal(start)
     v = node(start)
@@ -401,23 +404,39 @@ def test_lp_norm_grid_and_mc_fallbacks():
         eng.lp_norm(1, 5, np.array([1.0]), 2, atom_cap=3)
 
 
-@pytest.mark.parametrize("sizes", [[3] * 8, [2, 3, 2, 2, 3, 3, 2, 3]])
+@pytest.mark.parametrize("sizes", [[3] * 8, [2, 3, 2, 2, 3, 3, 2, 3], [2, 2, 3, 3, 1]])
 def test_centered_max_matches_per_time_values(sizes):
-    # one reduction over stacked marginals; a changing state count stacks per time
+    # one reduction over the stacked marginals of each piece of one state count
     ch = small_random_chain(sizes, 2, 17)
     eng = MomentEngine(ch)
     u = np.array([0.6, -0.8])
-    for a, b in ((1, 8), (2, 5), (4, 4)):
-        want = max(float(np.max(np.abs(eng.centered(t) @ u))) for t in range(a, b + 1))
-        assert abs(eng.centered_max(a, b, u) - want) <= 1e-15
+    for a, b in ((1, len(sizes)), (2, 3), (2, 5), (4, 4), (4, 5)):
+        want = max(float(np.max(np.abs(centered(ch, t) @ u))) for t in range(a, b + 1))
+        assert eng.centered_max(a, b, u) == want
+
+
+def test_periodic_tables_of_changing_shape():
+    # kernels 2x3 and 3x2 in a cycle, with tables of 2 and 3 rows: each
+    # window of one state count is a single time
+    ch = build_chain({
+        "kernels": {"periodic": [[[0.5, 0.25, 0.25], [0.2, 0.3, 0.5]],
+                                 [[0.5, 0.5], [0.2, 0.8], [0.1, 0.9]]]},
+        "initial": [0.4, 0.6],
+        "observable": {"periodic": [[[1.0], [-0.5]], [[0.25], [0.0], [-1.0]]]},
+        "L": 1.0,
+    })
+    eng = MomentEngine(ch)
+    assert np.abs(eng.cov_partial_sum(1, 5) - brute_cov(ch, 1, 5)).max() < 1e-12
+    u = np.array([1.0])
+    want = max(float(np.max(np.abs(centered(ch, t) @ u))) for t in range(1, 6))
+    assert eng.centered_max(1, 5, u) == want
 
 
 def test_mean_obs_centering(sym, iid2):
     for ch in (sym, iid2):
-        eng = engine_for(ch)
         for t in (1, 3, 17):
-            assert np.abs(eng.mean_obs(t)).max() < 1e-15
-            assert np.abs(eng.centered(t) - ch.obs(t)).max() < 1e-15
+            assert np.abs(ch.marginal(t) @ ch.obs(t)).max() < 1e-15
+            assert np.abs(centered(ch, t) - ch.obs(t)).max() < 1e-15
 
 
 def test_engine_for_memo_frees_its_chain():

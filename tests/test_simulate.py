@@ -172,6 +172,11 @@ def test_batch_projection_shapes(sym):
     assert np.array_equal(proj, batch.sums[:, :, 0])
 
 
+def _centered(chain):
+    """t -> f_t - E f_t, from the marginal at t alone."""
+    return lambda t: chain.obs(t) - chain.marginal(t) @ chain.obs(t)
+
+
 def _oracle_sums(chain, t0, t1, n, rng, value):
     """Running sums of value(t)[state] along n paths, drawn without chain.walk:
     one rng.random(n) per time, next state #{cumulative probability <= u}."""
@@ -186,14 +191,13 @@ def _oracle_sums(chain, t0, t1, n, rng, value):
 
 
 def test_sampling_streams_match_an_independent_oracle(sym):
-    eng = engine_for(sym)
     batch = sample_paths(sym, 30, 2500, 5, [1, 13, 30])
     for c, lo in enumerate(range(0, 2500, 1024)):
         hi = min(lo + 1024, 2500)
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(entropy=5, spawn_key=(c,)))
         )
-        want = _oracle_sums(sym, 1, 30, hi - lo, rng, eng.centered)
+        want = _oracle_sums(sym, 1, 30, hi - lo, rng, _centered(sym))
         for i, t in enumerate(batch.checkpoints):
             assert np.array_equal(batch.sums[lo:hi, i], want[t])
 
@@ -209,9 +213,25 @@ def test_sampling_streams_where_the_state_count_changes():
         "kernels": kernels, "initial": [0.5, 0.3, 0.2],
         "observable": [(r.random((s, 1)) * 2 - 1).tolist() for s in sizes], "L": 1.0,
     })
-    eng = engine_for(chain)
     batch = sample_paths(chain, 11, 700, 3, [2, 6, 11])
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=3, spawn_key=(0,))))
-    want = _oracle_sums(chain, 1, 11, 700, rng, eng.centered)
+    want = _oracle_sums(chain, 1, 11, 700, rng, _centered(chain))
+    for i, t in enumerate(batch.checkpoints):
+        assert np.array_equal(batch.sums[:, i], want[t])
+
+
+def test_sampling_sums_across_state_count_changes():
+    # kernels 2x2, 2x3, 3x3, 3x1: the centred tables come in pieces of one count
+    r = np.random.default_rng(8)
+    shapes = [(2, 2), (2, 3), (3, 3), (3, 1)]
+    kernels = [r.random(sh) + 0.1 for sh in shapes]
+    kernels = [(k / k.sum(axis=1, keepdims=True)).tolist() for k in kernels]
+    chain = build_chain({
+        "kernels": kernels, "initial": [0.4, 0.6],
+        "observable": [(r.random((s, 1)) * 2 - 1).tolist() for s in (2, 2, 3, 3, 1)], "L": 1.0,
+    })
+    batch = sample_paths(chain, 5, 300, 2, [1, 2, 3, 4, 5])
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=2, spawn_key=(0,))))
+    want = _oracle_sums(chain, 1, 5, 300, rng, _centered(chain))
     for i, t in enumerate(batch.checkpoints):
         assert np.array_equal(batch.sums[:, i], want[t])
