@@ -392,20 +392,33 @@ class ChainSpec:
         self._table = np.zeros((1, max(counts)))
         self._table[0, : len(self.initial)] = self.initial
         self._counts, self._known = np.array([len(self.initial)]), 1
+        # (c, P) once the law at time c + P equals the one at time c bit for
+        # bit; the fill then stops, and each later time reads its phase's row.
+        # Until then the fill stops to compare rows when _check_at rows are
+        # filled; _checked is the latest c known not to start the cycle.
+        self._cycle = self._check_at = self._checked = None
+        repeats = kernels.repeats()
+        if repeats is not None:
+            self._checked, self._check_at = repeats[0] - 1, sum(repeats)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def max_time(self) -> int | None:
-        """Largest addressable time index, or None when unbounded."""
+        """Largest addressable time index, or None when unbounded: one past
+        the last kernel, and no later than the last explicit observable."""
         n = self.kernels.n_steps
-        return None if n is None else n + 1
+        bounds = [] if n is None else [n + 1]
+        if self.observable.kind == "explicit":
+            bounds.append(len(self.observable.tables))
+        return min(bounds, default=None)
 
     def _check_time(self, j: int) -> None:
         if j < 1:
             raise ChainConfigError(f"time index {j} < 1")
         m = self.max_time
         if m is not None and j > m:
+            self.observable.table(j)  # names an explicit observable list that ends first
             raise ChainConfigError(f"time index {j} outside horizon {m}")
 
     def kernel(self, j: int) -> np.ndarray:
@@ -428,38 +441,75 @@ class ChainSpec:
         marginal table.  The table is filled forward on demand and grows by
         doubling into a new array, so no row handed out is written again."""
         self._check_time(j)
-        n, table, counts = self._known, self._table, self._counts
-        if j > len(table):
-            rows = max(j, 2 * len(table))
-            table, counts = np.zeros((rows, table.shape[1])), np.zeros(rows, dtype=int)
-            table[:n], counts[:n] = self._table[:n], self._counts[:n]
-            self._table, self._counts = table, counts
-        if j > n:
-            kernel, cols = self.kernels.kernel, []
-            prev = table[n - 1, : counts[n - 1]]
-            for t in range(n, j):
+        if self._row(j) > self._known:
+            self._fill(j)
+        i = self._row(j)
+        return self._table[i - 1, : self._counts[i - 1]]
+
+    def _row(self, j):
+        """The time whose table row holds the law at time j (int or array)."""
+        if self._cycle is None:
+            return j
+        c, p = self._cycle
+        return np.minimum(j, c + (j - c) % p)  # j itself up to c
+
+    def _fill(self, j: int) -> None:
+        """Fill the table to time j, or until the float cycle is found."""
+        kernel = self.kernels.kernel
+        while self._cycle is None and self._known < j:
+            n, stop = self._known, j if self._check_at is None else min(j, self._check_at)
+            if stop > len(self._table):
+                rows = max(stop, 2 * len(self._table))
+                table, counts = np.zeros((rows, self._table.shape[1])), np.zeros(rows, dtype=int)
+                table[:n], counts[:n] = self._table[:n], self._counts[:n]
+                self._table, self._counts = table, counts
+            table, cols = self._table, []
+            prev = table[n - 1, : self._counts[n - 1]]
+            for t in range(n, stop):
                 k = kernel(t)
                 cols.append(k.shape[1])
                 prev = np.matmul(prev, k, table[t, : cols[-1]])  # written in place
-            counts[n:j], self._known = cols, j
-        return table[j - 1, : counts[j - 1]]
+            self._counts[n:stop], self._known = cols, stop
+            if stop == self._check_at:
+                self._find_cycle()
+
+    def _find_cycle(self) -> None:
+        """Compare the rows at times c and c + P for c = _known - P.  Once they
+        agree they agree at every later c, since the same floats then meet
+        the same kernels; so a match is bisected down to its first c, and a
+        miss doubles the filled rows before the next comparison."""
+        p = self.kernels.repeats()[1]
+        table, c, lo = self._table, self._known - p, self._checked
+
+        def same(c):
+            return np.array_equal(table[c - 1], table[c + p - 1])
+
+        if not same(c):
+            self._checked, self._check_at = c, 2 * self._known
+            return
+        while c - lo > 1:
+            mid = (lo + c) // 2
+            lo, c = (lo, mid) if same(mid) else (mid, c)
+        self._cycle, self._known = (c, p), c + p - 1
 
     def marginals(self, times: np.ndarray) -> np.ndarray:
         """Exact laws at the given times, shape (len(times), states); raises
         ValueError when their state counts differ."""
         self._check_time(int(times.min()))
         self.marginal(int(times.max()))
-        counts = self._counts[times - 1]
+        rows = self._row(times) - 1
+        counts = self._counts[rows]
         if np.any(counts != counts[0]):
             raise ValueError("the state count changes across the given times")
-        return self._table[times - 1, : counts[0]]
+        return self._table[rows, : counts[0]]
 
     def pieces(self, a: int, b: int) -> list[tuple[int, int]]:
         """[a, b] cut where the state count changes: (lo, hi) windows in
         time order, each keeping one state count."""
         self._check_time(a)
         self.marginal(b)
-        cuts = np.flatnonzero(np.diff(self._counts[a - 1 : b])) + a + 1
+        counts = self._counts[self._row(np.arange(a, b + 1)) - 1]
+        cuts = np.flatnonzero(np.diff(counts)) + a + 1
         edges = [a, *cuts.tolist(), b + 1]
         return [(lo, hi - 1) for lo, hi in zip(edges, edges[1:])]
 
@@ -498,30 +548,46 @@ def pair_joint(chain: ChainSpec, i: int, j: int) -> JointLaw:
 # -- path sampling -----------------------------------------------------------
 
 
+# times per block of walk; a block holds (block, paths) states and draws
+_WALK_BLOCK = 32
+
+
 def walk(chain: ChainSpec, t0: int, steps: int, n: int, rng: np.random.Generator):
-    """Yield (t, states) for t = t0, ..., t0 + steps along n paths started
-    from the exact marginal at t0.  Each time, the start included, draws one
-    u = rng.random(n); the next state is #{cumulative probability <= u},
-    clipped to the last state with positive mass in the row, so a u equal to
-    a cumulative value moves on and no path enters a zero-mass state."""
-    # id(kernel) -> (kernel, threshold columns, last positive state per row);
-    # the kernel pins its id.  Column i holds the cumulative probability of
-    # states 0..i for every row; the last column is left out, since a u at or
-    # past it counts every state and the clip to `last` gives the same state.
+    """Yield (t, states) blocks over the times t0, ..., t0 + steps along n
+    paths started from the exact marginal at t0; states has shape (b, n),
+    row i holding the states at time t + i.  Each time, the start included,
+    draws one row of u; a block draws its rows as one rng.random((b, n)),
+    the same floats as b calls of rng.random(n).  The next state is
+    #{cumulative probability <= u}, clipped to the last state with positive
+    mass in the row, so a u equal to a cumulative value moves on and no path
+    enters a zero-mass state."""
+    # id(kernel) -> (kernel, threshold columns, last positive state per row,
+    # or None when every row's last state has mass); the kernel pins its id.
+    # Column i holds the cumulative probability of states 0..i for every
+    # row; the last column is left out, since a u at or past it counts every
+    # state and the clip to `last` gives the same state.  Without a clip the
+    # count is at most the number of columns, the last state.
     cums: dict = {}
     states = np.zeros(n, dtype=np.int64)  # the start law is a one-row kernel
-    for t in range(t0, t0 + steps + 1):
-        k = chain.marginal(t0)[None, :] if t == t0 else chain.kernel(t - 1)
-        if id(k) not in cums:
-            last = k.shape[1] - 1 - np.argmax(k[:, ::-1] > 0, axis=1)
-            cums[id(k)] = (k, np.cumsum(k, axis=1)[:, :-1].T.copy(), last)
-        _, cols, last = cums[id(k)]
-        u = rng.random(n)
-        count = np.zeros(n, dtype=np.int64)
-        for col in cols:
-            count += col[states] <= u
-        states = np.minimum(count, last[states])
-        yield t, states
+    end = t0 + steps + 1
+    for lo in range(t0, end, _WALK_BLOCK):
+        u = rng.random((min(_WALK_BLOCK, end - lo), n))
+        block = np.zeros(u.shape, dtype=np.int64)
+        for t, row, u_t in zip(range(lo, end), block, u):
+            k = chain.marginal(t0)[None, :] if t == t0 else chain.kernel(t - 1)
+            if id(k) not in cums:
+                last = k.shape[1] - 1 - np.argmax(k[:, ::-1] > 0, axis=1)
+                clip = None if np.all(last == k.shape[1] - 1) else last
+                cums[id(k)] = (k, np.cumsum(k, axis=1)[:, :-1].T.copy(), clip)
+            _, cols, last = cums[id(k)]
+            if len(cols):
+                np.less_equal(cols[0][states], u_t, out=row)
+            for col in cols[1:]:
+                row += col[states] <= u_t
+            if last is not None:
+                np.minimum(row, last[states], out=row)
+            states = row
+        yield lo, block
 
 
 # -- document parsing --------------------------------------------------------

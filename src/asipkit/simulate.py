@@ -5,6 +5,13 @@ drawing from its own PCG64 stream spawned as SeedSequence(seed, spawn_key=
 (chunk,)), so the output is bit-identical for a fixed seed.  Every chunk's
 paths are drawn by chain.walk (through _chunk_walks), whose next state is
 #{cumulative probability <= u}.
+
+The walk comes in blocks of times.  Each block gathers its centred values
+at once from one padded (time, state, d) table (_centered_table), then adds
+them into the running sum one time at a time, so every sum takes its terms
+in time order, as a per-time loop would: the running sums of the block's
+times, checkpoints and the LIL ratio are read from those rows, and a cover
+sum adds its times' values in order from 0.
 """
 
 from __future__ import annotations
@@ -69,10 +76,30 @@ def _chunk_walks(chain: ChainSpec, n_max: int, n_paths: int, seed: int):
         yield lo, hi, walk(chain, 1, n_max - 1, hi - lo, _stream(seed, c))
 
 
-def _centered_tables(chain: ChainSpec, n_max: int) -> list[np.ndarray]:
-    """f_t - E f_t for t = 1..n_max, indexed by t - 1."""
+def _centered_table(chain: ChainSpec, n_max: int) -> np.ndarray:
+    """f_t - E f_t for t = 1..n_max, shape (n_max, states, d): row t - 1 for
+    time t, zeros past that time's state count, as in the marginal table."""
     eng = engine_for(chain)
-    return [c for lo, hi in chain.pieces(1, n_max) for c in eng.centered_stack(lo, hi)]
+    pieces = chain.pieces(1, n_max)
+    table = np.zeros((n_max, max(chain.state_size(lo) for lo, _ in pieces), chain.d))
+    for lo, hi in pieces:
+        c = eng.centered_stack(lo, hi)
+        table[lo - 1 : hi, : c.shape[1]] = c
+    return table
+
+
+def _running_sums(table: np.ndarray, paths, total: np.ndarray):
+    """Yield (t, values, sums) per walk block of `paths`: the rows of the
+    padded table at the block's states, shape (b, n, ...), and the running
+    sums after each of its times, added to `total` in time order."""
+    flat = table.reshape(-1, *table.shape[2:])
+    offsets = np.arange(len(table))[:, None] * table.shape[1]  # row of (t, state 0)
+    for t, states in paths:
+        vals = np.take(flat, states + offsets[t - 1 : t - 1 + len(states)], axis=0)
+        sums = np.empty_like(vals)
+        for v, s in zip(vals, sums):
+            total = np.add(total, v, out=s)
+        yield t, vals, sums
 
 
 def sample_paths(
@@ -98,22 +125,23 @@ def sample_paths(
             raise ChainConfigError(
                 f"partition cover end {partition.cover_end} exceeds horizon {n_max}"
             )
-    tables = _centered_tables(chain, n_max)
-    d = chain.d
+    table = _centered_table(chain, n_max)
+    d, k = chain.d, len(covers or [])
     sums = np.zeros((n_paths, len(cps), d))
-    blocks = np.zeros((n_paths, len(covers), d)) if covers is not None else None
-    lut = _cover_lut(covers, n_max) if covers is not None else None
+    blocks = np.zeros((n_paths, k, d)) if covers is not None else None
+    lut = _cover_lut(covers or [], n_max).tolist()
     ck = {t: i for i, t in enumerate(cps)}
 
     for lo, hi, paths in _chunk_walks(chain, n_max, n_paths, seed):
-        total = np.zeros((hi - lo, d))
-        for t, states in paths:
-            vals = tables[t - 1][states]
-            total += vals
-            if lut is not None and lut[t] >= 0:
-                blocks[lo:hi, lut[t]] += vals
-            if t in ck:
-                sums[lo:hi, ck[t]] = total
+        cover = np.zeros((k, hi - lo, d))  # this chunk's cover sums
+        for t0, vals, run in _running_sums(table, paths, np.zeros((hi - lo, d))):
+            for t, v, total in zip(range(t0, t0 + len(vals)), vals, run):
+                if lut[t] >= 0:
+                    cover[lut[t]] += v
+                if t in ck:
+                    sums[lo:hi, ck[t]] = total
+        if blocks is not None:
+            blocks[lo:hi] = cover.swapaxes(0, 1)
     return PathBatch(
         seed=int(seed), n_paths=int(n_paths), n_max=int(n_max), checkpoints=cps,
         sums=sums, block_sums=blocks, block_covers=covers,
@@ -475,14 +503,15 @@ def lil_diagnostic(
     norm[gate] = np.sqrt(2.0 * v[gate] * lv[gate])
     first_n = int(np.argmax(gate)) + 1
 
-    vals = [c @ u for c in _centered_tables(chain, n_max)]
+    table = _centered_table(chain, n_max) @ u
     best = np.zeros(n_paths)
     for lo, hi, paths in _chunk_walks(chain, n_max, n_paths, seed):
-        total, acc = np.zeros(hi - lo), best[lo:hi]
-        for t, states in paths:
-            total += vals[t - 1][states]
-            if gate[t - 1]:
-                np.maximum(acc, np.abs(total) / norm[t - 1], out=acc)
+        acc = best[lo:hi]
+        for t, _, run in _running_sums(table, paths, np.zeros(hi - lo)):
+            gated = np.flatnonzero(gate[t - 1 : t - 1 + len(run)])
+            if gated.size:  # a maximum reads its terms in any order
+                ratio = np.abs(run[gated]) / norm[t - 1 + gated, None]
+                np.maximum(acc, ratio.max(axis=0), out=acc)
     qs = (0.1, 0.25, 0.5, 0.75, 0.9)
     quantiles = {q: float(np.quantile(best, q)) for q in qs}
     return LilReport(

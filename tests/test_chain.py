@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from asipkit.battery import entry
 from asipkit.chain import (
     ChainConfigError,
     ChainSpec,
@@ -250,6 +251,60 @@ def test_marginal_table_across_state_count_changes():
     assert got.tobytes() == np.stack([ch.marginal(4), ch.marginal(3)]).tobytes()
 
 
+@pytest.mark.parametrize("chain, cycle", [
+    (CHAINS / "slow2.json", (847, 1)),
+    (entry("leaky3_delta").doc, (225, 1)),
+    (CHAINS / "mixture2_ramp.json", (201, 1)),
+    (entry("period2").doc, (1, 2)),
+])
+def test_marginal_table_stops_at_its_float_cycle(chain, cycle):
+    ch = build_chain(chain)
+    m, want = ch.initial, [ch.initial]
+    for t in range(1, 3000):
+        m = m @ ch.kernel(t)
+        want.append(m)
+    assert ch.marginal(3000).tobytes() == want[-1].tobytes()
+    c, p = cycle
+    # the first time, from where the kernels repeat on, whose law comes back
+    # P steps later bit for bit
+    assert want[c - 1 + p].tobytes() == want[c - 1].tobytes()
+    assert c == ch.kernels.repeats()[0] or want[c - 2 + p].tobytes() != want[c - 2].tobytes()
+    assert ch._cycle == cycle and ch._known == c + p - 1
+    assert ch.marginals(np.arange(1, 3001)).tobytes() == np.stack(want).tobytes()
+    assert ch.pieces(1, 10**6) == [(1, 10**6)]
+
+
+def test_explicit_schedules_keep_every_row():
+    # each marginal equals the one before it, but explicit kernels report no
+    # repeat, so no cycle is sought
+    ch = build_chain({
+        "kernels": [[[0.5, 0.5], [0.5, 0.5]]] * 300,
+        "initial": [0.5, 0.5],
+        "observable": {"constant": [[1.0], [-1.0]]},
+        "L": 1.0,
+    })
+    assert ch.kernels.repeats() is None
+    ch.marginal(301)
+    assert ch._cycle is None and ch._known == 301
+    assert np.all(ch.marginals(np.arange(1, 302)) == 0.5)
+
+
+def test_explicit_observable_list_bounds_the_horizon():
+    doc = {
+        "kernels": [SYM_K] * 40,
+        "initial": [0.5, 0.5],
+        "observable": {"explicit": _tables(2, 2, 2)},
+        "L": 1.0,
+    }
+    assert build_chain(doc).max_time == 3
+    assert build_chain({**doc, "kernels": [SYM_K] * 2}).max_time == 3
+    assert build_chain({**doc, "kernels": {"periodic": [SYM_K]}}).max_time == 3
+    assert build_chain({**doc, "observable": {"explicit": _tables(*[2] * 50)}}).max_time == 41
+    ch = build_chain(doc)
+    with pytest.raises(ChainConfigError, match="observable index 4 outside explicit horizon 3"):
+        ch.marginal(4)
+
+
 def test_marginal_table_memory():
     ch = build_chain(CHAINS / "mixture2_ramp.json")
     tracemalloc.start()
@@ -345,11 +400,16 @@ WALK_DOC = {
 }
 
 
+def _per_time(blocks):
+    """(t, states) for each time of walk's (t, (b, n) states) blocks."""
+    return [(t + i, states) for t, block in blocks for i, states in enumerate(block)]
+
+
 def test_walk_frequencies_match_the_exact_laws():
     ch = build_chain(WALK_DOC)
     n = 40_000
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(3)))
-    path = list(walk(ch, 2, 4, n, rng))
+    path = _per_time(walk(ch, 2, 4, n, rng))
     assert [t for t, _ in path] == [2, 3, 4, 5, 6]
     start = path[0][1]
     p0 = ch.marginal(2)
@@ -367,15 +427,17 @@ def test_walk_frequencies_match_the_exact_laws():
 
 
 class _Draws:
-    """Stands in for a Generator: random(n) returns the given rows in turn."""
+    """Stands in for a Generator: random((b, n)) returns the next b of the
+    given rows, one row of n draws per time."""
 
     def __init__(self, rows):
         self.rows = iter(rows)
 
-    def random(self, n):
-        row = np.array(next(self.rows))
-        assert row.shape == (n,)
-        return row
+    def random(self, shape):
+        b, n = shape
+        block = np.array([next(self.rows) for _ in range(b)])
+        assert block.shape == (b, n)
+        return block
 
 
 def test_walk_tie_rule_and_clip():
@@ -389,7 +451,7 @@ def test_walk_tie_rule_and_clip():
     })
     assert np.cumsum(ch.kernel(1)[1])[-1] == top
     draws = _Draws([[0.0, 0.5, top], [0.5, top, 0.0], [0.0, 0.0, top]])
-    got = [states.tolist() for _, states in walk(ch, 1, 2, 3, draws)]
+    got = [states.tolist() for _, states in _per_time(walk(ch, 1, 2, 3, draws))]
     # a draw equal to a cumulative value goes to the next state; past the
     # last cumulative value it stays on the last state
     assert got == [[0, 1, 1], [1, 2, 0], [0, 1, 2]]
@@ -402,5 +464,5 @@ def test_walk_tie_rule_and_clip():
         "observable": {"constant": [[0.0], [0.0], [0.0], [0.0]]},
         "L": 1.0,
     })
-    got = [states.tolist() for _, states in walk(ch4, 1, 1, 1, _Draws([[0.5], [top]]))]
+    got = [states.tolist() for _, states in _per_time(walk(ch4, 1, 1, 1, _Draws([[0.5], [top]])))]
     assert got == [[3], [2]]

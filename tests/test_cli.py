@@ -243,6 +243,25 @@ def test_observable_rows_are_checked_at_load(tmp_path, capsys):
         assert "observable at time 2 has 3 rows, state space has 2" in err, (cmd, err)
 
 
+def test_explicit_observable_list_bounds_every_command(tmp_path, capsys):
+    # 40 kernels and 3 tables fail like 2 kernels and 3 tables: horizon 3
+    codes, errors = {}, {}
+    for n in (40, 2):
+        doc = {
+            "kernels": [[[0.75, 0.25], [0.25, 0.75]]] * n, "initial": [0.5, 0.5],
+            "observable": {"explicit": [[[1.0], [-1.0]]] * 3}, "L": 1.0,
+        }
+        p = tmp_path / f"k{n}.json"
+        p.write_text(json.dumps(doc))
+        codes[n], errors[n] = [], []
+        for cmd in ("blocks", "moments", "mixing", "simulate"):
+            codes[n].append(main([cmd, "--chain", str(p), "--out", str(tmp_path / f"{cmd}{n}")]))
+            errors[n].append(capsys.readouterr().err)
+    assert codes[40] == codes[2] == [EXIT_CONSTRUCTION, EXIT_INPUT, EXIT_INPUT, EXIT_INPUT]
+    for i in (0, 2):  # blocks and mixing meet the horizon check
+        assert "passes the horizon 3" in errors[40][i] and errors[40][i] == errors[2][i]
+
+
 def test_simulate_small_run(chain_files, tmp_path):
     out = tmp_path / "s"
     rc = main([

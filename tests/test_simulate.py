@@ -5,6 +5,7 @@ import subprocess
 import sys
 from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from scipy.special import ndtr
 import asipkit
 from asipkit.battery import entry
 from asipkit.blocks import build_blocks, plan_partition
-from asipkit.chain import ChainConfigError, build_chain
+from asipkit.chain import _WALK_BLOCK, ChainConfigError, build_chain
 from asipkit.moments import engine_for
 from asipkit.simulate import (
+    CHUNK,
+    _stream,
     clt_diagnostic,
     gaussian_surrogate,
     lil_diagnostic,
@@ -177,16 +180,25 @@ def _centered(chain):
     return lambda t: chain.obs(t) - chain.marginal(t) @ chain.obs(t)
 
 
-def _oracle_sums(chain, t0, t1, n, rng, value):
-    """Running sums of value(t)[state] along n paths, drawn without chain.walk:
-    one rng.random(n) per time, next state #{cumulative probability <= u}."""
+def _oracle_states(chain, t0, t1, n, rng):
+    """States at times t0..t1 along n paths, drawn without chain.walk: one
+    rng.random(n) per time, next state #{cumulative probability <= u}."""
     cum = np.cumsum(chain.marginal(t0))
     s = np.minimum((cum <= rng.random(n)[:, None]).sum(axis=1), cum.size - 1)
-    total = {t0: value(t0)[s]}
+    states = {t0: s}
     for t in range(t0 + 1, t1 + 1):
         cum = np.cumsum(chain.kernel(t - 1), axis=1)
         s = np.minimum((cum[s] <= rng.random(n)[:, None]).sum(axis=1), cum.shape[1] - 1)
-        total[t] = total[t - 1] + value(t)[s]
+        states[t] = s
+    return states
+
+
+def _oracle_sums(chain, t0, t1, n, rng, value):
+    """Running sums of value(t)[state] along the _oracle_states paths."""
+    states = _oracle_states(chain, t0, t1, n, rng)
+    total = {t0: value(t0)[states[t0]]}
+    for t in range(t0 + 1, t1 + 1):
+        total[t] = total[t - 1] + value(t)[states[t]]
     return total
 
 
@@ -235,3 +247,67 @@ def test_sampling_sums_across_state_count_changes():
     want = _oracle_sums(chain, 1, 5, 300, rng, _centered(chain))
     for i, t in enumerate(batch.checkpoints):
         assert np.array_equal(batch.sums[:, i], want[t])
+
+
+def _block_edge_chain():
+    """Three states up to time B + 7, two up to 2B + 9, then three again, for
+    walk blocks of B times; horizon 3B + 5."""
+    b = _WALK_BLOCK
+    r = np.random.default_rng(6)
+    sizes = [3] * (b + 7) + [2] * (b + 2) + [3] * (b - 4)
+    kernels = [r.random((x, y)) + 0.1 for x, y in zip(sizes, sizes[1:])]
+    kernels = [(k / k.sum(axis=1, keepdims=True)).tolist() for k in kernels]
+    return build_chain({
+        "kernels": kernels, "initial": [0.2, 0.5, 0.3],
+        "observable": [(r.random((x, 1)) * 4 - 2).tolist() for x in sizes], "L": 2.0,
+    })
+
+
+def test_sampling_sums_and_cover_sums_across_walk_blocks():
+    b = _WALK_BLOCK
+    chain = _block_edge_chain()
+    n_max, n_paths = chain.max_time, CHUNK + 76  # two chunks of paths
+    assert n_max == 3 * b + 5
+    # covers inside a block, across each block edge and state count change,
+    # and one ending at the horizon
+    covers = [(3, 9), (b - 4, b + 3), (b + 5, 2 * b + 1), (2 * b + 2, 2 * b + 11), (3 * b, n_max)]
+    part = SimpleNamespace(i_blocks=covers, cover_end=n_max)
+    cps = [1, b, b + 1, b + 8, 2 * b, 2 * b + 1, n_max]
+    batch = sample_paths(chain, n_max, n_paths, 9, cps, part)
+    value = _centered(chain)
+    for c, lo in enumerate(range(0, n_paths, CHUNK)):
+        hi = min(lo + CHUNK, n_paths)
+        states = _oracle_states(chain, 1, n_max, hi - lo, _stream(9, c))
+        total = 0.0
+        for t in range(1, n_max + 1):
+            total = total + value(t)[states[t]]
+            if t in cps:
+                assert np.array_equal(batch.sums[lo:hi, cps.index(t)], total)
+        for j, (a, e) in enumerate(covers):
+            want = np.zeros((hi - lo, 1))
+            for t in range(a, e + 1):
+                want = want + value(t)[states[t]]
+            assert np.array_equal(batch.block_sums[lo:hi, j], want)
+
+
+def test_lil_matches_the_per_time_oracle():
+    chain = _block_edge_chain()
+    n_max, n_paths = chain.max_time, CHUNK + 76
+    lil = lil_diagnostic(chain, n_max, n_paths, 4)
+    v = engine_for(chain).prefix_variances(1, n_max, np.eye(1))[:, 0]
+    gate = v >= math.exp(math.e)
+    norm = np.sqrt(2.0 * v * np.log(np.log(v, where=gate, out=np.ones_like(v))))
+    first = int(np.argmax(gate)) + 1
+    assert lil.first_n == first and first % _WALK_BLOCK not in (0, 1) and first < n_max - _WALK_BLOCK
+    value = _centered(chain)
+    best = []
+    for c, lo in enumerate(range(0, n_paths, CHUNK)):
+        hi = min(lo + CHUNK, n_paths)
+        sums = _oracle_sums(chain, 1, n_max, hi - lo, _stream(4, c), lambda t: value(t)[:, 0])
+        acc = np.zeros(hi - lo)
+        for t in range(first, n_max + 1):
+            if gate[t - 1]:
+                acc = np.maximum(acc, np.abs(sums[t]) / norm[t - 1])
+        best.append(acc)
+    best = np.concatenate(best)
+    assert lil.quantiles == {q: float(np.quantile(best, q)) for q in (0.1, 0.25, 0.5, 0.75, 0.9)}
