@@ -29,29 +29,35 @@ COMMANDS = (
 )
 
 
-def _run(args: list, env: dict) -> str:
-    t0 = time.perf_counter()
-    rc = subprocess.run(
-        [sys.executable, "-m", "asipkit.cli", *args], cwd=ROOT, env=env,
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    ).returncode
-    return f"exit {rc} in {time.perf_counter() - t0:.1f} s: asipkit {' '.join(args)}"
+def run_jobs(root: Path, out: str) -> list[tuple[list, int, float]]:
+    """Run the job list with the tree at `root`, its reports written under
+    `out`, two commands at a time: (argv, exit code, seconds) per job."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    chains = sorted((root / "chains").glob("*.json"))
+    jobs = [["verify", "--out", os.path.join(out, "verify")]] + [
+        [*cmd, "--chain", f"chains/{c.name}", "--out", os.path.join(out, c.stem)]
+        for c in chains for cmd in COMMANDS
+    ]
+
+    def run(args: list) -> tuple[list, int, float]:
+        t0 = time.perf_counter()
+        rc = subprocess.run(
+            [sys.executable, "-m", "asipkit.cli", *args], cwd=root, env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        ).returncode
+        return args, rc, time.perf_counter() - t0
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return list(pool.map(run, jobs))
 
 
 def main() -> int:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    chains = sorted((ROOT / "chains").glob("*.json"))
     with tempfile.TemporaryDirectory() as tmp:
-        jobs = [["verify", "--out", os.path.join(tmp, "verify")]] + [
-            [*cmd, "--chain", f"chains/{c.name}", "--out", os.path.join(tmp, c.stem)]
-            for c in chains for cmd in COMMANDS
-        ]
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            for line in pool.map(lambda a: _run(a, env), jobs):
-                print(line, file=sys.stderr)
+        for args, rc, seconds in run_jobs(ROOT, tmp):
+            print(f"exit {rc} in {seconds:.1f} s: asipkit {' '.join(args)}", file=sys.stderr)
         for f in sorted(Path(tmp).rglob("*")):
             if f.is_file():
                 digest = hashlib.sha256(f.read_bytes()).hexdigest()

@@ -53,7 +53,8 @@ def _check_kernel(m: np.ndarray, what: str) -> None:
 
 
 def _check_kernels(items: Sequence, name: str, first: int) -> list[np.ndarray]:
-    """Check every item as a stochastic matrix and clip it at 0.
+    """Check every item as a stochastic matrix, clip it at 0 and divide each
+    row by its sum, so that the laws a kernel carries keep their mass.
 
     Returns one (k, rows, cols) stack per run of consecutive kernels of equal
     shape.  Item t is called f"{name} {t + first}" in errors, and the error
@@ -78,7 +79,8 @@ def _check_kernels(items: Sequence, name: str, first: int) -> list[np.ndarray]:
         if bad.any():
             t = start + int(np.argmax(bad))
             _check_kernel(mats[t], f"{name} {t + first}")
-        stacks.append(np.clip(s, 0.0, None))
+        s = np.clip(s, 0.0, None)
+        stacks.append(s / s.sum(axis=2, keepdims=True))
         start += len(s)
     return stacks
 
@@ -135,7 +137,8 @@ def _check_probability_vector(v, what: str) -> np.ndarray:
 
 
 class KernelSchedule:
-    """Base class; concrete schedules implement kernel(j) for 1-based step j."""
+    """Base class; concrete schedules implement kernel(j) for 1-based step j,
+    and stack(j, k) for the kernels of steps j, j + 1, ... at once."""
 
     n_steps: int | None = None  # None means unbounded
     # state counts at times 1, 2, ... and whether they cycle from time 1 on
@@ -145,18 +148,48 @@ class KernelSchedule:
     def kernel(self, j: int) -> np.ndarray:  # pragma: no cover - interface
         raise NotImplementedError
 
+    def stack(self, j: int, k: int) -> np.ndarray:  # pragma: no cover - interface
+        """kernel(j), kernel(j + 1), ... as one (k', rows, cols) array, the
+        same floats; k' <= k ends before the first kernel whose shape differs
+        from kernel(j)'s."""
+        raise NotImplementedError
+
     def repeats(self) -> tuple[int, int] | None:
         """(j0, period) with kernel(j + period) equal to kernel(j) for every
         j >= j0, or None when the schedule never repeats."""
         return None
 
 
-class ExplicitKernels(KernelSchedule):
+class _KernelList(KernelSchedule):
+    """A schedule read from a list of checked kernels, kept as one stack per
+    distinct shape; self.kernels[i] is a view of kernel i's row there."""
+
+    def __init__(self, stacks: list[np.ndarray]):
+        shapes = list(dict.fromkeys(s.shape[1:] for s in stacks))
+        ids = [shapes.index(s.shape[1:]) for s in stacks]
+        self._stacks = [np.concatenate([s for s, i in zip(stacks, ids) if i == g])
+                        for g in range(len(shapes))]
+        self._shape = np.repeat(ids, [len(s) for s in stacks])  # stack of kernel i
+        self._row = np.zeros(len(self._shape), dtype=np.int64)  # its row there
+        for g, s in enumerate(self._stacks):
+            self._row[self._shape == g] = np.arange(len(s))
+        where = zip(self._shape.tolist(), self._row.tolist())
+        self.kernels = [self._stacks[g][r] for g, r in where]
+
+    def _take(self, pos: np.ndarray) -> np.ndarray:
+        """The kernels at list positions pos, up to the first shape change."""
+        g = self._shape[pos]
+        other = np.flatnonzero(g != g[0])
+        cut = other[0] if other.size else len(pos)
+        return self._stacks[g[0]][self._row[pos[:cut]]]
+
+
+class ExplicitKernels(_KernelList):
     def __init__(self, kernels: Sequence):
         stacks = _check_kernels(kernels, "kernel", 1)
         if not stacks:
             raise ChainConfigError("empty kernel list")
-        self.kernels = [k for s in stacks for k in s]
+        super().__init__(stacks)
         t = _chain_break(stacks, cyclic=False)
         if t is not None:
             raise ChainConfigError(
@@ -171,13 +204,17 @@ class ExplicitKernels(KernelSchedule):
             raise ChainConfigError(f"kernel index {j} outside explicit horizon {self.n_steps}")
         return self.kernels[j - 1]
 
+    def stack(self, j: int, k: int) -> np.ndarray:
+        self.kernel(j), self.kernel(j + k - 1)  # range checks
+        return self._take(np.arange(j - 1, j + k - 1))
 
-class PeriodicKernels(KernelSchedule):
+
+class PeriodicKernels(_KernelList):
     def __init__(self, kernels: Sequence):
         stacks = _check_kernels(kernels, "kernel", 1)
         if not stacks:
             raise ChainConfigError("empty periodic kernel list")
-        self.kernels = [k for s in stacks for k in s]
+        super().__init__(stacks)
         p = len(self.kernels)
         t = _chain_break(stacks, cyclic=True)
         if t is not None:
@@ -191,6 +228,10 @@ class PeriodicKernels(KernelSchedule):
         if j < 1:
             raise ChainConfigError(f"kernel index {j} < 1")
         return self.kernels[(j - 1) % self.period]
+
+    def stack(self, j: int, k: int) -> np.ndarray:
+        self.kernel(j)  # range check
+        return self._take(np.arange(j - 1, j + k - 1) % self.period)
 
     def repeats(self) -> tuple[int, int]:
         return 1, self.period
@@ -255,6 +296,24 @@ class MixtureKernels(KernelSchedule):
             raise ChainConfigError(f"mixture weight {w!r} at step {j} outside [0, 1]")
         return w
 
+    def _weights(self, j: np.ndarray) -> np.ndarray:
+        """weight(j) at each of the steps j, by the same float operations
+        (math.cos for the cosine); the first step outside [0, 1] raises
+        weight's error."""
+        r = self.rule
+        if r["kind"] == "constant":
+            w = np.full(len(j), r["value"])
+        elif r["kind"] == "linear":
+            t = np.minimum(np.maximum(j - 1, 0) / r["length"], 1.0)
+            w = r["start"] + (r["end"] - r["start"]) * t
+        else:
+            x = 2.0 * math.pi * (j - 1) / r["period"]
+            w = r["center"] + r["amplitude"] * np.array([math.cos(a) for a in x.tolist()])
+        bad = np.flatnonzero((w < 0.0) | (w > 1.0))
+        if bad.size:
+            self.weight(int(j[bad[0]]))
+        return w
+
     def repeats(self) -> tuple[int, int] | None:
         return None if self._flat_from is None else (self._flat_from, 1)
 
@@ -268,6 +327,15 @@ class MixtureKernels(KernelSchedule):
             k = (1.0 - w) * self.k0 + w * self.k1
             self._cache[key] = k
         return k
+
+    def stack(self, j: int, k: int) -> np.ndarray:
+        if j < 1:
+            raise ChainConfigError(f"kernel index {j} < 1")
+        steps = np.arange(j, j + k)
+        if self._flat_from is not None:
+            steps = np.minimum(steps, self._flat_from)
+        w = self._weights(steps)[:, None, None]
+        return (1.0 - w) * self.k0 + w * self.k1
 
 
 class ObservableSchedule:

@@ -1,27 +1,28 @@
 """Exact first and second moments of observable partial sums.
 
 Everything here is computed from the chain's exact laws, not by simulation.
-The workhorse is one moment scan (MomentEngine.scan) over (state,
-accumulated sum) moments, linear in the window length.  Forward it gives
-prefix variances; backward it runs the conditional-moment recursion
-g1_t = v_t + K_t g1_{t+1}, g2_t = v_t^2 + 2 v_t K_t g1_{t+1} + K_t g2_{t+1}
-and reads suffix variances as m_t . g2_t - (m_t . g1_t)^2, on forward
-kernels only.
+The workhorse is one moment scan (MomentEngine.scan), linear in the window
+length, over (p, phi): forward the state law and E[T 1{x}] of the running
+sum T; backward 1 and the conditional mean g1_t = v_t + K_t g1_{t+1}, on
+forward kernels only.  E[T^2] is one number per direction, and each step
+adds w . (v (2 phi - v p)) at the new (p, phi), with v the centered values
+and w the weights of the time entered: ones forward, the marginal m_t
+backward, where it reads suffix variances m_t . g2_t - (m_t . g1_t)^2.
 
 The scan is run-aware.  From the time a chain's kernels and observable
 repeat with a common period (periodic schedules from the start, constant or
 linear mixtures from their flat step), one step is a fixed affine map on
-the moment triple, given node values shifted by the stationary mean of
-each phase; the shift is deterministic, so every variance stays exact.
-Every stride of the scan applies a stack of prefix composites of step maps
-and reads its variances in one batched reduction (a blocked
-linear-recurrence scan).  Inside a run a stride from the period's first
-phase takes up to B steps from the run's kept span, composed once per scan
-direction; any other stride stacks the steps' own maps for up to B times and
-composes them in ceil(log2 k) stacked passes (Hillis-Steele).  A stride ends
-where the run begins, at the run's next first phase, at a mask edge and
-before a kernel whose shape differs, so where the state count changes it
-holds one map.
+(p, phi), given node values shifted by the stationary mean of each phase;
+the shift is deterministic, so every variance stays exact.  Every stride of
+the scan applies a stack of prefix composites of step maps and reads its
+variances in one batched reduction (a blocked linear-recurrence scan).
+Inside a run a stride from the period's first phase takes up to B steps
+from the run's kept span, composed once per scan direction; any other
+stride reads the kernels of up to B times as one stack
+(KernelSchedule.stack) and composes their maps in ceil(log2 k) stacked
+passes (Hillis-Steele).  A stride ends where the run begins, at the run's
+next first phase, at a mask edge and before a kernel whose shape differs,
+so where the state count changes it holds one map.
 
 A pairwise-covariance accumulation path is kept alongside as an
 independent cross-check and for callers that want per-pair terms.
@@ -56,63 +57,54 @@ _POWERS_KEPT = 4
 
 
 class _Sweep:
-    """Exact moments of running sums T, one column per direction.
+    """Exact moments of running sums T, one channel per direction.
 
-    Forward, the state is the triple (P(x), E[T 1{x}], E[T^2 1{x}]) over the
-    current state x, and var() pairs it with 1.  Backward, it is the triple
-    (1, E[T | x], E[T^2 | x]) of conditional moments of the sum over the
-    current time onward, and var(w) pairs it with the marginal w.  Either way
-    one step is the affine map
-        p' = Q p,  phi' = Q phi + v Q p,  psi' = Q psi + 2 v Q phi + v^2 Q p
-    with Q the transposed kernel forward and the kernel backward, and v the
-    node values of the time entered.  All values must already be centered by
-    the caller if a centered sum is wanted.
+    The state is (p, phi): forward (P(x), E[T 1{x}]) over the current state
+    x, backward (1, E[T | x]) for the sum from the current time onward.  A
+    step is p' = Q p, phi' = Q phi + v Q p, with Q the transposed kernel
+    forward and the kernel backward and v the node values of the time
+    entered.  e2 is E[T^2] per channel, not per state: as w' Q = w for the
+    weights w of the module docstring, a step adds w' . (v (2 phi' - v p')).
+    Values must be centered by the caller if a centered sum is wanted.
     """
 
-    def __init__(self, p0: np.ndarray, node0: np.ndarray | None, channels: int):
+    def __init__(self, p0: np.ndarray, v0: np.ndarray, w0: np.ndarray):
+        # v0 (states, channels): node values at the first time; w0 its weights
         self.p = p0.astype(float)
-        if node0 is None:
-            self.phi = np.zeros((p0.shape[0], channels))
-            self.psi = np.zeros((p0.shape[0], channels))
-        else:
-            self.phi = node0 * self.p[:, None]
-            self.psi = node0 * node0 * self.p[:, None]
+        self.phi = v0 * self.p[:, None]
+        self.e2 = w0 @ (v0 * self.phi)
+        self.var0 = self.e2 - (w0 @ self.phi) ** 2
 
     def jump(self, maps, w: np.ndarray, live: bool) -> np.ndarray:
-        """Apply a stack of k prefix composites (Q, X, Y) (see _compose and
-        MomentEngine._stride), map i holding steps 0..i, and return the
-        variances after each, shape (k, channels), read with the weight rows
-        w (k, states).  live=False drops the node terms."""
-        q, x, y = maps
-        p, phi, psi = self.p, self.phi, self.psi
-        wq = np.einsum("ks,kst->kt", w, q)
-        mean, e2 = wq @ phi, wq @ psi
-        self.p, self.phi, self.psi = q[-1] @ p, q[-1] @ phi, q[-1] @ psi
+        """Apply k prefix composites (Q, X) with each step's node values V
+        (see MomentEngine._chunk) and return the variances after each, shape
+        (k, channels), read with the weight rows w.  live=False drops V."""
+        q, x, v = maps
+        k, rows, cols = q.shape
+        # one matrix product per stack: the maps' rows against (p, phi)
+        pq = (q.reshape(-1, cols) @ np.column_stack([self.p, self.phi])).reshape(k, rows, -1)
+        p, phi = pq[..., 0], pq[..., 1:]
+        e2 = np.broadcast_to(self.e2, (k, len(self.e2)))
         if live:
-            wx = np.einsum("ks,kcst->kct", w, x)
-            mean += wx @ p
-            e2 += np.einsum("ks,kcst->kct", w, y) @ p + 2.0 * np.einsum("kct,tc->kc", wx, phi)
-            self.phi += (x[-1] @ p).T
-            self.psi += (y[-1] @ p).T + 2.0 * np.einsum("cst,tc->sc", x[-1], phi)
+            phi += (x.reshape(-1, cols) @ self.p).reshape(x.shape[:3]).transpose(0, 2, 1)
+            inc = np.einsum("ks,ksc->kc", w, v * (2.0 * phi - v * p[..., None]))
+            # running sums by doubling: a chain of k adds would round k deep
+            for h in (1 << i for i in range((k - 1).bit_length())):
+                inc[h:] = inc[h:] + inc[:-h]
+            e2 = self.e2 + inc
+        mean = np.einsum("ks,ksc->kc", w, phi)
+        self.p, self.phi, self.e2 = p[-1], phi[-1], e2[-1]
         return e2 - mean * mean
-
-    def var(self, w: np.ndarray | None = None) -> np.ndarray:
-        if w is None:
-            m, e2 = self.phi.sum(axis=0), self.psi.sum(axis=0)
-        else:
-            m, e2 = w @ self.phi, w @ self.psi
-        return e2 - m * m
 
 
 def _compose(later, earlier):
-    """Composite of two step maps, each (Q, X, Y) for the block matrix
-    [[Q, 0, 0], [X, Q, 0], [Y, 2X, Q]] on (p, phi, psi), with X and Y per
-    direction (axis c before the matrix axes).  Either side may carry a
-    leading stack axis; two stacks compose entry by entry."""
-    q2, x2, y2 = later
-    q1, x1, y1 = earlier
-    q1c, q2c = q1[..., None, :, :], q2[..., None, :, :]
-    return q2 @ q1, x2 @ q1c + q2c @ x1, y2 @ q1c + 2.0 * (x2 @ x1) + q2c @ y1
+    """Composite of two step maps, each (Q, X) for the block matrix
+    [[Q, 0], [X, Q]] on (p, phi), with X per direction (axis c before the
+    matrix axes).  Either side may carry a leading stack axis; two stacks
+    compose entry by entry."""
+    q2, x2 = later
+    q1, x1 = earlier
+    return q2 @ q1, x2 @ q1[..., None, :, :] + q2[..., None, :, :] @ x1
 
 
 def _prefix(maps):
@@ -286,8 +278,8 @@ class MomentEngine:
             return None
         # stationary law at t0: Cesaro mean of the period product's powers
         # 0 .. 2^52 - 1, started from the marginal at t0.  Rows are
-        # renormalized after each squaring: kernels are accepted with row sums
-        # off 1 by up to STOCHASTIC_ATOL, which 2^52 steps would blow up.
+        # renormalized after each squaring: a row sum off 1 by a rounding
+        # error doubles with each squaring.
         power = np.linalg.multi_dot([np.eye(size), *kern])
         mean = np.eye(size)
         for _ in range(52):
@@ -303,24 +295,26 @@ class MomentEngine:
             law = law @ k
         return _Run(t0=t0, period=period, centers=np.array(centers))
 
-    def _nodes(self, a: int, b: int) -> np.ndarray:
-        """f_t for t in [a, b], shape (b - a + 1, states, d), shifted by the
-        run's stationary mean from t0 on and by E f_t before: deterministic
-        shifts, so variances are those of the centered sums.  [a, b] lies on
-        one side of t0 and keeps one state count."""
+    def _nodes(self, a: int, b: int, dirs: np.ndarray) -> np.ndarray:
+        """f_t . u for t in [a, b] and every direction row u, shape
+        (b - a + 1, states, directions), f_t shifted by the run's stationary
+        mean from t0 on and by E f_t before: deterministic shifts, so
+        variances are those of the centered sums.  [a, b] lies on one side
+        of t0 and keeps one state count."""
         run = self._run
         if run is None or b < run.t0:
-            return self.centered_stack(a, b)
-        phases = (np.arange(a, b + 1) - run.t0) % run.period
-        return self.chain.observable.stack(a, b) - run.centers[phases][:, None, :]
+            f = self.centered_stack(a, b)
+        else:
+            phases = (np.arange(a, b + 1) - run.t0) % run.period
+            f = self.chain.observable.stack(a, b) - run.centers[phases][:, None, :]
+        return f @ dirs.T
 
     def _span(self, dirs: np.ndarray, back: bool):
-        """The run's kept span: stacked (Q, X, Y) of its first 1..span step
-        maps.  Forward the maps enter times of phase 0, 1, ...; backward they
+        """The run's kept span: (Q, X, V) of its first 1..span steps (see
+        _chunk).  Forward they enter times of phase 0, 1, ...; backward they
         leave times of phase period - 1, period - 2, ...  One period is a
-        chunk at the run's start, then doubling: the composite of h + i
-        steps is that of i steps after that of h steps, h a multiple of the
-        period."""
+        chunk at the run's start, then doubling: h + i steps compose i steps
+        after h, h a multiple of the period, and step h + i has V of step i."""
         key = (back, dirs.shape, dirs.tobytes())
         maps = self._spans.get(key)
         if maps is not None:
@@ -329,9 +323,8 @@ class MomentEngine:
         maps = self._chunk(run.t0 + (run.period - 1 if back else 0), run.period, dirs, back, True)
         while len(maps[0]) < run.span:
             h = len(maps[0])
-            more = _compose(
-                tuple(z[: run.span - h] for z in maps), tuple(z[h - 1] for z in maps)
-            )
+            q, x, v = (z[: run.span - h] for z in maps)
+            more = (*_compose((q, x), (maps[0][h - 1], maps[1][h - 1])), v)
             maps = tuple(np.concatenate(pair) for pair in zip(maps, more))
         if len(self._spans) >= _POWERS_KEPT:
             self._spans.pop(next(iter(self._spans)))
@@ -339,11 +332,11 @@ class MomentEngine:
         return maps
 
     def _stride(self, nxt: int, stop: int | None, edges, dirs: np.ndarray, back: bool, live: bool):
-        """Stacked (Q, X, Y) prefix composites of the steps the scan takes at
-        once from the step into time nxt.  In the run from the period's first
-        phase, the first k maps of the kept span, k up to its length; in the
-        run off that phase, a chunk up to the next first-phase time.  Outside
-        the run, a chunk of up to B steps, ending before the run's t0.  No
+        """Stacked (Q, X, V) of the steps the scan takes at once from the
+        step into time nxt.  In the run from the period's first phase, the
+        first k steps of the kept span, k up to its length; in the run off
+        that phase, a chunk up to the next first-phase time.  Outside the
+        run, a chunk of up to B steps, ending before the run's t0.  No
         further than `stop` (or the horizon) or the next mask edge."""
         run = self._run
         first = False
@@ -375,23 +368,23 @@ class MomentEngine:
         return self._chunk(nxt, k, dirs, back, live)
 
     def _chunk(self, nxt: int, k: int, dirs: np.ndarray, back: bool, live: bool):
-        """Stacked (Q, X, Y) of the first 1..k' of the step maps into times
-        nxt, nxt + 1, ... (nxt - 1, ... backward), k' <= k ending before the
-        first kernel whose shape differs from the first one's.  The maps are
-        the steps' own, composed by _prefix; live=False leaves X and Y zero."""
+        """Stacked (Q, X, V) of the k' <= k steps into times nxt, nxt + 1,
+        ... (nxt - 1, ... backward), up to the first kernel whose shape
+        differs: (Q, X) the prefix composites of the steps' own maps by
+        _prefix, and V (k', states, channels) the node values of each time
+        entered.  live=False gives X and V no channels: jump drops them."""
+        chain = self.chain
         # the step into time t uses kernel t backward, t - 1 forward
-        times = range(nxt, nxt - k, -1) if back else range(nxt - 1, nxt + k - 1)
-        kernels = [self.chain.kernel(t) for t in times]
-        shape = kernels[0].shape
-        k = next((i for i, q in enumerate(kernels) if q.shape != shape), k)
-        q = np.stack([m if back else m.T for m in kernels[:k]])
-        a, b = (nxt - k + 1, nxt) if back else (nxt, nxt + k - 1)
-        v = self._nodes(a, b) @ dirs.T if live else np.zeros((k, q.shape[1], len(dirs)))
         if back:
-            v = v[::-1]
-        v = v.transpose(0, 2, 1)[..., None]  # (k, c, s, 1) scales rows
-        q4 = q[:, None]
-        return _prefix((q, v * q4, v * v * q4))
+            # kernels nxt, nxt - 1, ... keep one shape while the state count does
+            lo = max(nxt - k + 1, min(chain.pieces(nxt - k + 1, nxt + 1)[-1][0], nxt))
+            q = chain.kernels.stack(lo, nxt - lo + 1)[::-1]
+        else:
+            q = chain.kernels.stack(nxt - 1, k).transpose(0, 2, 1)
+        a, b = (nxt - len(q) + 1, nxt) if back else (nxt, nxt + len(q) - 1)
+        v = self._nodes(a, b, dirs) if live else np.zeros((len(q), q.shape[1], 0))
+        v = v[::-1] if back else v
+        return (*_prefix((q, v.transpose(0, 2, 1)[..., None] * q[:, None])), v)
 
     def scan(self, start: int, stop: int | None, directions: np.ndarray, inside=None):
         """Exact moment scan of S . u for every direction row u.
@@ -408,10 +401,14 @@ class MomentEngine:
         Every chunk after the first time is one stride (_stride): a stack of
         up to B composed step maps, applied by _Sweep.jump.  `inside`, a
         boolean mask indexed by t minus the lower end, keeps the times where
-        it is False out of the sum; a mask edge ends a stride.
+        it is False out of the sum; a mask edge ends a stride.  An end past
+        the chain's horizon raises ChainConfigError before any step.
         """
         dirs = np.atleast_2d(np.asarray(directions, dtype=float))
         chain = self.chain
+        top, end = chain.max_time, start if stop is None else max(start, stop)
+        if top is not None and end > top:
+            raise ChainConfigError(f"scan to time {end} passes the horizon {top}")
         back = stop is not None and stop < start
         sign = -1 if back else 1
         lo = stop if back else start
@@ -424,8 +421,10 @@ class MomentEngine:
 
         t = start
         p0 = np.ones(chain.state_size(t)) if back else chain.marginal(t)
-        sweep = _Sweep(p0, self._nodes(t, t)[0] @ dirs.T if live(t) else None, dirs.shape[0])
-        yield t, sweep.var(chain.marginal(t) if back else None)[None]
+        w0 = chain.marginal(t) if back else np.ones_like(p0)
+        v0 = self._nodes(t, t, dirs)[0] if live(t) else np.zeros((len(p0), len(dirs)))
+        sweep = _Sweep(p0, v0, w0)
+        yield t, sweep.var0[None]
         while stop is None or t != stop:
             nxt = t + sign
             on = live(nxt)

@@ -14,6 +14,7 @@ from asipkit.chain import (
     ExplicitKernels,
     MixtureKernels,
     ObservableSchedule,
+    PeriodicKernels,
     build_chain,
     pair_joint,
     walk,
@@ -127,6 +128,7 @@ _NAN = [[float("nan"), 0.5], [0.25, 0.75]]
 _K23 = [[0.5, 0.25, 0.25], [0.2, 0.3, 0.5]]
 _K33 = [[0.5, 0.25, 0.25], [0.2, 0.3, 0.5], [0.1, 0.1, 0.8]]
 _K33_SUM = [[0.5, 0.25, 0.25], [0.2, 0.3, 0.5], [0.1, 0.2, 0.8]]
+_K33_OK = [[0.6, 0.2, 0.2], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]]
 _K32 = [[0.5, 0.5], [0.2, 0.8], [0.1, 0.9]]
 
 
@@ -192,6 +194,7 @@ def test_document_validation_errors(patch, msg):
 def test_explicit_kernels_across_state_count_changes():
     # 2x2, 2x2, 2x3, 3x3, 3x3, 3x1: four runs of equal shape; rows carry
     # negative entries inside the tolerance, which the check clips to 0
+    # before it divides each row by its sum
     k23 = [[0.5 + 1e-13, 0.5, -1e-13], [0.2, 0.3, 0.5]]
     k33 = [[0.5, 0.25, 0.25], [-1e-13, 0.3 + 1e-13, 0.7], [0.1, 0.1, 0.8]]
     raw = [SYM_K, [[0.9, 0.1], [0.3, 0.7]], k23, k33, _K33, [[1.0], [1.0], [1.0]]]
@@ -199,9 +202,58 @@ def test_explicit_kernels_across_state_count_changes():
     assert ks.n_steps == len(raw)
     for j, k in enumerate(raw, start=1):
         want = np.clip(np.asarray(k), 0, None)
+        want = want / want.sum(axis=1, keepdims=True)
         got = ks.kernel(j)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert ks.kernel(j) is got
+
+
+def _assert_stack_reads_kernels(ks, j, k, length):
+    """ks.stack(j, k) holds `length` kernels, the bytes of kernel(j), ..."""
+    got = ks.stack(j, k)
+    assert len(got) == length
+    for i, m in enumerate(got):
+        want = ks.kernel(j + i)
+        assert m.shape == want.shape and m.tobytes() == want.tobytes()
+
+
+def test_kernel_stacks_read_the_kernels():
+    k23 = [[0.5 + 1e-13, 0.5, -1e-13], [0.2, 0.3, 0.5]]
+    k21 = [[1.0], [1.0]]
+    # shapes 2x2, 2x2, 2x3, 3x3, 3x3, 3x2, 2x2, 2x1: the 2x2 kernels sit in
+    # two runs of one stack
+    ks = ExplicitKernels([SYM_K, [[0.9, 0.1], [0.3, 0.7]], k23, _K33, _K33_OK, _K32,
+                          [[0.8, 0.2], [0.4, 0.6]], k21])
+    for j, k, length in [(1, 8, 2), (2, 5, 1), (3, 4, 1), (4, 3, 2), (4, 1, 1), (5, 4, 1),
+                         (7, 2, 1), (7, 1, 1), (8, 1, 1)]:
+        _assert_stack_reads_kernels(ks, j, k, length)
+    with pytest.raises(ChainConfigError, match="kernel index 9 outside explicit horizon 8"):
+        ks.stack(7, 3)
+    with pytest.raises(ChainConfigError, match="kernel index 0 outside explicit horizon 8"):
+        ks.stack(0, 2)
+    # periodic: one shape wraps its period 3 over 8 kernels; shapes 2x2,
+    # 2x3, 3x2, 2x2 run from the last phase into the first
+    r = np.random.default_rng(5)
+    three = r.random((3, 2, 2)) + 0.1
+    three /= three.sum(axis=2, keepdims=True)
+    _assert_stack_reads_kernels(PeriodicKernels(three.tolist()), 2, 8, 8)
+    mixed = PeriodicKernels([SYM_K, _K23, _K32, [[0.9, 0.1], [0.3, 0.7]]])
+    for j, k, length in [(1, 5, 1), (4, 3, 2), (8, 9, 2), (6, 1, 1), (3, 2, 1)]:
+        _assert_stack_reads_kernels(mixed, j, k, length)
+    with pytest.raises(ChainConfigError, match="kernel index 0 < 1"):
+        mixed.stack(0, 2)
+    # mixtures: a linear ramp across its flat step 5, and a cosine
+    base = [[[0.9, 0.1], [0.1, 0.9]], [[0.3, 0.7], [0.6, 0.4]]]
+    ramp = MixtureKernels(*base, {"kind": "linear", "start": 0.1, "end": 0.8, "length": 4})
+    _assert_stack_reads_kernels(ramp, 2, 8, 8)
+    cos = MixtureKernels(*base, {"kind": "cosine", "period": 3.7, "center": 0.5, "amplitude": 0.4})
+    _assert_stack_reads_kernels(cos, 1, 100, 100)
+    with pytest.raises(ChainConfigError, match="kernel index 0 < 1"):
+        cos.stack(0, 1)
+    over = MixtureKernels(*base, {"kind": "linear", "start": 0.0, "end": 1.5, "length": 4})
+    for read in (lambda: over.stack(1, 10), lambda: over.kernel(4)):
+        with pytest.raises(ChainConfigError, match=re.escape("weight 1.125 at step 4 outside")):
+            read()
 
 
 def test_observable_rows_across_state_count_cycles():
@@ -443,8 +495,9 @@ class _Draws:
 def test_walk_tie_rule_and_clip():
     top = np.nextafter(1.0, 0.0)
     ch = build_chain({
-        # row 1 sums to 1 - 2^-53, so its cumulative values stop below 1
-        "kernels": {"periodic": [[[0.5, 0.25, 0.25], [0.6, 0.3, 0.1], [0.0, 0.5, 0.5]]]},
+        # row 1, divided by its sum 1 + 2^-52, still sums to 1 - 2^-53, so
+        # its cumulative values stop below 1
+        "kernels": {"periodic": [[[0.5, 0.25, 0.25], [0.34, 0.56, 0.1], [0.0, 0.5, 0.5]]]},
         "initial": [0.5, 0.5, 0.0],
         "observable": {"constant": [[0.0], [0.0], [0.0]]},
         "L": 1.0,
@@ -459,10 +512,11 @@ def test_walk_tie_rule_and_clip():
     # past the last cumulative value of a row whose last state has no mass,
     # the clip stops on the last state that has some
     ch4 = build_chain({
-        "kernels": {"periodic": [[[0.6, 0.3, 0.1, 0.0]] * 4]},
+        "kernels": {"periodic": [[[0.34, 0.56, 0.1, 0.0]] * 4]},
         "initial": [0.0, 0.0, 0.0, 1.0],
         "observable": {"constant": [[0.0], [0.0], [0.0], [0.0]]},
         "L": 1.0,
     })
+    assert np.cumsum(ch4.kernel(1)[0])[-1] == top  # so a draw of top meets the clip
     got = [states.tolist() for _, states in _per_time(walk(ch4, 1, 1, 1, _Draws([[0.5], [top]])))]
     assert got == [[3], [2]]

@@ -258,7 +258,7 @@ def test_explicit_observable_list_bounds_every_command(tmp_path, capsys):
             codes[n].append(main([cmd, "--chain", str(p), "--out", str(tmp_path / f"{cmd}{n}")]))
             errors[n].append(capsys.readouterr().err)
     assert codes[40] == codes[2] == [EXIT_CONSTRUCTION, EXIT_INPUT, EXIT_INPUT, EXIT_INPUT]
-    for i in (0, 2):  # blocks and mixing meet the horizon check
+    for i in range(4):  # each command meets a horizon check, not a kernel read
         assert "passes the horizon 3" in errors[40][i] and errors[40][i] == errors[2][i]
 
 

@@ -331,6 +331,20 @@ def test_run_scan_on_kernels_off_stochastic_by_the_tolerance(defect):
     assert abs(eng.var_segments([1.0], segs) / step_segments(chain, [1.0], segs) - 1.0) <= 1e-10
 
 
+@pytest.mark.parametrize("defect, cycle", [(5e-13, (31, 3)), (-5e-13, (23, 3))])
+def test_marginals_of_off_stochastic_kernels_keep_their_mass(defect, cycle):
+    # the chain of test_run_scan_on_kernels_off_stochastic_by_the_tolerance:
+    # its rows are divided by their sums at build, so the marginals stay
+    # probability laws and reach a float cycle
+    r = np.random.default_rng(7)
+    kernels = r.random((3, 3, 3)) + 0.1
+    kernels /= kernels.sum(axis=2, keepdims=True)
+    kernels *= 1.0 + defect
+    chain = _periodic_chain(kernels, r.random((2, 3, 1)) + 0.5, [0.5, 0.3, 0.2])
+    assert abs(chain.marginal(1 << 16).sum() - 1.0) <= 1e-14
+    assert chain._cycle == cycle
+
+
 def test_period_past_b_takes_single_steps():
     # kernel period 2, observable period B + 1: the lcm exceeds B, so no run
     r = np.random.default_rng(3)
