@@ -7,11 +7,12 @@ paths are drawn by chain.walk (through _chunk_walks), whose next state is
 #{cumulative probability <= u}.
 
 The walk comes in blocks of times.  Each block gathers its centred values
-at once from one padded (time, state, d) table (_centered_table), then adds
-them into the running sum one time at a time, so every sum takes its terms
-in time order, as a per-time loop would: the running sums of the block's
-times, checkpoints and the LIL ratio are read from those rows, and a cover
-sum adds its times' values in order from 0.
+at once from one padded (time, state, d) table (_centered_table).  Every sum
+takes its terms in time order, as a per-time loop would.  sample_paths cuts
+a block after each checkpoint and at cover edges and adds each segment's
+rows with one reduce over the time axis, the carried sum added to the first
+row first (_fold); the LIL diagnostic, which needs the running sum at every
+time, adds the rows one time at a time.
 """
 
 from __future__ import annotations
@@ -56,12 +57,18 @@ class PathBatch:
         return self.sums @ np.asarray(u, dtype=float)
 
 
-def _cover_lut(covers, n_max: int) -> np.ndarray:
-    """Time -> cover index lookup (1-based times; -1 between covers)."""
-    lut = np.full(n_max + 1, -1, dtype=np.int64)
-    for j, (a, b) in enumerate(covers):
-        lut[a : b + 1] = j
-    return lut
+def _fold(acc: np.ndarray, rows: np.ndarray) -> None:
+    """acc + rows[0] + rows[1] + ..., added in that order, written to acc;
+    rows[0] is overwritten.  A reduce over the first axis of a C-contiguous
+    array adds whole rows in turn, but numpy sums a run of single numbers
+    pairwise, so rows of one number are added in a loop."""
+    np.add(acc, rows[0], out=rows[0])
+    if acc.size > 1:
+        np.add.reduce(rows, axis=0, out=acc)
+        return
+    acc[...] = rows[0]
+    for r in rows[1:]:
+        acc += r
 
 
 def _stream(seed: int, chunk: int) -> np.random.Generator:
@@ -88,18 +95,13 @@ def _centered_table(chain: ChainSpec, n_max: int) -> np.ndarray:
     return table
 
 
-def _running_sums(table: np.ndarray, paths, total: np.ndarray):
-    """Yield (t, values, sums) per walk block of `paths`: the rows of the
-    padded table at the block's states, shape (b, n, ...), and the running
-    sums after each of its times, added to `total` in time order."""
+def _block_values(table: np.ndarray, paths):
+    """Yield (t, values) per walk block of `paths`: the rows of the padded
+    table at the block's states, shape (b, n, ...), row i for time t + i."""
     flat = table.reshape(-1, *table.shape[2:])
     offsets = np.arange(len(table))[:, None] * table.shape[1]  # row of (t, state 0)
     for t, states in paths:
-        vals = np.take(flat, states + offsets[t - 1 : t - 1 + len(states)], axis=0)
-        sums = np.empty_like(vals)
-        for v, s in zip(vals, sums):
-            total = np.add(total, v, out=s)
-        yield t, vals, sums
+        yield t, np.take(flat, states + offsets[t - 1 : t - 1 + len(states)], axis=0)
 
 
 def sample_paths(
@@ -112,7 +114,15 @@ def sample_paths(
 ) -> PathBatch:
     """N independent chain trajectories, streamed to centered partial sums at
     the requested checkpoints (and per-cover block sums when a partition is
-    given).  Bit-reproducible for fixed (seed, n_paths, n_max)."""
+    given).  Bit-reproducible for fixed (seed, n_paths, n_max).
+
+    Per walk block, the running total is added up to each checkpoint and
+    each cover sum over the block's times in that cover (the covers are in
+    time order and disjoint), one segment of rows at a time.  A segment is
+    one reduce over its rows after the carried sum has gone into the first
+    row: whole rows are added in turn, the floats of a per-time loop.  Rows
+    of one number (one path at d = 1) are added in a loop, since numpy sums
+    those pairwise (_fold)."""
     if n_paths < 1:
         raise ChainConfigError(f"need at least one path, got {n_paths}")
     cps = sorted(set(int(t) for t in checkpoints))
@@ -129,17 +139,29 @@ def sample_paths(
     d, k = chain.d, len(covers or [])
     sums = np.zeros((n_paths, len(cps), d))
     blocks = np.zeros((n_paths, k, d)) if covers is not None else None
-    lut = _cover_lut(covers or [], n_max).tolist()
-    ck = {t: i for i, t in enumerate(cps)}
 
     for lo, hi, paths in _chunk_walks(chain, n_max, n_paths, seed):
         cover = np.zeros((k, hi - lo, d))  # this chunk's cover sums
-        for t0, vals, run in _running_sums(table, paths, np.zeros((hi - lo, d))):
-            for t, v, total in zip(range(t0, t0 + len(vals)), vals, run):
-                if lut[t] >= 0:
-                    cover[lut[t]] += v
-                if t in ck:
-                    sums[lo:hi, ck[t]] = total
+        total = np.zeros((hi - lo, d))
+        i = j = 0  # the next checkpoint and the next cover
+        for t0, vals in _block_values(table, paths):
+            t, last = t0, t0 + len(vals) - 1
+            while t <= last and i < len(cps):  # the total, up to each checkpoint
+                end = min(cps[i], last)
+                rows = vals[t - t0 : end - t0 + 1]
+                head = rows[0].copy()
+                _fold(total, rows)
+                rows[0] = head  # the cover pass reads the block's values too
+                if end == cps[i]:
+                    sums[lo:hi, i] = total
+                    i += 1
+                t = end + 1
+            while j < k and covers[j][0] <= last:  # the covers this block meets
+                a, b = covers[j]
+                _fold(cover[j], vals[max(a, t0) - t0 : min(b, last) - t0 + 1])
+                if b > last:
+                    break
+                j += 1
         if blocks is not None:
             blocks[lo:hi] = cover.swapaxes(0, 1)
     return PathBatch(
@@ -296,16 +318,23 @@ def clt_diagnostic(
 ) -> KsCurve:
     """KS distance of exact-variance-standardized checkpoint sums to the
     standard normal, per checkpoint and direction.  Zero-variance checkpoints
-    are reported as skipped."""
+    are reported as skipped.
+
+    Each direction's variances come from one prefix scan to the last
+    checkpoint, read at every checkpoint: the same floats as one var_window
+    per checkpoint.  Directions are scanned one at a time, since a scan over
+    several directions at once can round differently."""
     eng = engine_for(chain)
     if directions is None:
         directions = np.eye(chain.d)[:1]
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     se = _KOLMOGOROV_STD / math.sqrt(batch.n_paths)
+    cps = batch.checkpoints
+    curves = [eng.prefix_variances(1, cps[-1], u[None])[:, 0] for u in dirs] if cps else []
     points = []
-    for i, n in enumerate(batch.checkpoints):
-        for k, u in enumerate(dirs):
-            var = eng.var_window(1, n, u)
+    for i, n in enumerate(cps):
+        for k, (u, curve) in enumerate(zip(dirs, curves)):
+            var = float(curve[n - 1])
             if var <= 0.0:
                 points.append(KsPoint(
                     n=n, direction=k, ks=math.nan, stderr=se, variance=var,
@@ -506,8 +535,11 @@ def lil_diagnostic(
     table = _centered_table(chain, n_max) @ u
     best = np.zeros(n_paths)
     for lo, hi, paths in _chunk_walks(chain, n_max, n_paths, seed):
-        acc = best[lo:hi]
-        for t, _, run in _running_sums(table, paths, np.zeros(hi - lo)):
+        acc, total = best[lo:hi], np.zeros(hi - lo)
+        for t, vals in _block_values(table, paths):
+            run = np.empty_like(vals)  # running sums, added in time order
+            for v, s in zip(vals, run):
+                total = np.add(total, v, out=s)
             gated = np.flatnonzero(gate[t - 1 : t - 1 + len(run)])
             if gated.size:  # a maximum reads its terms in any order
                 ratio = np.abs(run[gated]) / norm[t - 1 + gated, None]

@@ -18,7 +18,6 @@ from asipkit.chain import _WALK_BLOCK, ChainConfigError, build_chain
 from asipkit.moments import engine_for
 from asipkit.simulate import (
     CHUNK,
-    _stream,
     clt_diagnostic,
     gaussian_surrogate,
     lil_diagnostic,
@@ -28,6 +27,7 @@ from asipkit.simulate import (
     w1_to_gaussian,
     w1_two_sample,
 )
+from asipkit.util import direction_grid
 
 # exact W1 between the 9-step sign-walk law and N(0, 9); frozen from an
 # independent trapezoid integration of |F - Phi| (agreement 5e-8)
@@ -70,6 +70,22 @@ def test_ks_skips_zero_variance(zero):
     ks = clt_diagnostic(batch, zero)
     assert ks.points[0].skipped and ks.points[0].reason
     assert ks.max_ks is None
+
+
+def test_ks_variances_are_the_window_variances():
+    # one prefix scan per direction, read at every checkpoint, gives the
+    # floats of one var_window per checkpoint and direction
+    ch = entry("chain3_d2").build()
+    cps = [1, 2, 7, 31, 100, 255, 256, 257, 300, 600]
+    batch = sample_paths(ch, 600, 40, 3, cps)
+    dirs = direction_grid(2, 4)
+    curve = clt_diagnostic(batch, ch, directions=dirs)
+    eng = engine_for(ch)
+    assert [(p.n, p.direction) for p in curve.points] == [(n, k) for n in cps for k in range(4)]
+    for p in curve.points:
+        assert p.variance == eng.var_window(1, p.n, dirs[p.direction])
+    empty = sample_paths(ch, 600, 40, 3, [])
+    assert clt_diagnostic(empty, ch, directions=dirs).points == []
 
 
 def test_w1_plumbing():
@@ -202,16 +218,63 @@ def _oracle_sums(chain, t0, t1, n, rng, value):
     return total
 
 
+def _block_edge_chain():
+    """Three states up to time B + 7, two up to 2B + 9, then three again, for
+    walk blocks of B times; horizon 3B + 5."""
+    b = _WALK_BLOCK
+    r = np.random.default_rng(6)
+    sizes = [3] * (b + 7) + [2] * (b + 2) + [3] * (b - 4)
+    kernels = [r.random((x, y)) + 0.1 for x, y in zip(sizes, sizes[1:])]
+    kernels = [(k / k.sum(axis=1, keepdims=True)).tolist() for k in kernels]
+    return build_chain({
+        "kernels": kernels, "initial": [0.2, 0.5, 0.3],
+        "observable": [(r.random((x, 1)) * 4 - 2).tolist() for x in sizes], "L": 2.0,
+    })
+
+
+def _oracle_stream(seed, c):
+    """The stream of path chunk c, built here and not by the sampler: a
+    change of entropy or spawn key breaks reproducibility and must fail."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(c,))))
+
+
+def assert_sampling_matches_the_oracle(chain, n_max, n_paths, seed, cps, covers):
+    """Checkpoint and cover sums of sample_paths equal those of per-time
+    oracle paths drawn from the chunk streams (1024 paths each), added in
+    time order."""
+    assert CHUNK == 1024
+    part = SimpleNamespace(i_blocks=covers, cover_end=max(e for _, e in covers))
+    batch = sample_paths(chain, n_max, n_paths, seed, cps, part)
+    assert batch.checkpoints == sorted(cps)
+    value = _centered(chain)
+    for c, lo in enumerate(range(0, n_paths, 1024)):
+        hi = min(lo + 1024, n_paths)
+        states = _oracle_states(chain, 1, n_max, hi - lo, _oracle_stream(seed, c))
+        total = 0.0
+        for t in range(1, n_max + 1):
+            total = total + value(t)[states[t]]
+            if t in cps:
+                assert np.array_equal(batch.sums[lo:hi, batch.checkpoints.index(t)], total)
+        for j, (a, e) in enumerate(covers):
+            want = np.zeros((hi - lo, chain.d))
+            for t in range(a, e + 1):
+                want = want + value(t)[states[t]]
+            assert np.array_equal(batch.block_sums[lo:hi, j], want)
+
+
 def test_sampling_streams_match_an_independent_oracle(sym):
-    batch = sample_paths(sym, 30, 2500, 5, [1, 13, 30])
-    for c, lo in enumerate(range(0, 2500, 1024)):
-        hi = min(lo + 1024, 2500)
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=5, spawn_key=(c,)))
-        )
-        want = _oracle_sums(sym, 1, 30, hi - lo, rng, _centered(sym))
-        for i, t in enumerate(batch.checkpoints):
-            assert np.array_equal(batch.sums[lo:hi, i], want[t])
+    b = _WALK_BLOCK
+    # checkpoints on and beside walk-block edges; covers inside a block,
+    # across block edges and checkpoints, and ending at the horizon
+    cps = [1, 13, b - 1, b, b + 1, 2 * b, 2 * b + 6]
+    covers = [(2, 9), (12, b + 4), (b + 6, 2 * b), (2 * b + 1, 2 * b + 6)]
+    assert_sampling_matches_the_oracle(sym, 2 * b + 6, 2500, 5, cps, covers)
+    # d = 1 with a last chunk of one path: each of its rows is one number,
+    # which a reduce over the rows would sum pairwise, out of time order
+    chain = _block_edge_chain()
+    cps = [b - 1, b, b + 1, 2 * b, chain.max_time]
+    covers = [(1, b - 2), (b + 2, 3 * b), (3 * b + 1, chain.max_time)]
+    assert_sampling_matches_the_oracle(chain, chain.max_time, 1024 + 1, 11, cps, covers)
 
 
 def test_sampling_streams_where_the_state_count_changes():
@@ -249,20 +312,6 @@ def test_sampling_sums_across_state_count_changes():
         assert np.array_equal(batch.sums[:, i], want[t])
 
 
-def _block_edge_chain():
-    """Three states up to time B + 7, two up to 2B + 9, then three again, for
-    walk blocks of B times; horizon 3B + 5."""
-    b = _WALK_BLOCK
-    r = np.random.default_rng(6)
-    sizes = [3] * (b + 7) + [2] * (b + 2) + [3] * (b - 4)
-    kernels = [r.random((x, y)) + 0.1 for x, y in zip(sizes, sizes[1:])]
-    kernels = [(k / k.sum(axis=1, keepdims=True)).tolist() for k in kernels]
-    return build_chain({
-        "kernels": kernels, "initial": [0.2, 0.5, 0.3],
-        "observable": [(r.random((x, 1)) * 4 - 2).tolist() for x in sizes], "L": 2.0,
-    })
-
-
 def test_sampling_sums_and_cover_sums_across_walk_blocks():
     b = _WALK_BLOCK
     chain = _block_edge_chain()
@@ -271,23 +320,8 @@ def test_sampling_sums_and_cover_sums_across_walk_blocks():
     # covers inside a block, across each block edge and state count change,
     # and one ending at the horizon
     covers = [(3, 9), (b - 4, b + 3), (b + 5, 2 * b + 1), (2 * b + 2, 2 * b + 11), (3 * b, n_max)]
-    part = SimpleNamespace(i_blocks=covers, cover_end=n_max)
     cps = [1, b, b + 1, b + 8, 2 * b, 2 * b + 1, n_max]
-    batch = sample_paths(chain, n_max, n_paths, 9, cps, part)
-    value = _centered(chain)
-    for c, lo in enumerate(range(0, n_paths, CHUNK)):
-        hi = min(lo + CHUNK, n_paths)
-        states = _oracle_states(chain, 1, n_max, hi - lo, _stream(9, c))
-        total = 0.0
-        for t in range(1, n_max + 1):
-            total = total + value(t)[states[t]]
-            if t in cps:
-                assert np.array_equal(batch.sums[lo:hi, cps.index(t)], total)
-        for j, (a, e) in enumerate(covers):
-            want = np.zeros((hi - lo, 1))
-            for t in range(a, e + 1):
-                want = want + value(t)[states[t]]
-            assert np.array_equal(batch.block_sums[lo:hi, j], want)
+    assert_sampling_matches_the_oracle(chain, n_max, n_paths, 9, cps, covers)
 
 
 def test_lil_matches_the_per_time_oracle():
@@ -303,7 +337,7 @@ def test_lil_matches_the_per_time_oracle():
     best = []
     for c, lo in enumerate(range(0, n_paths, CHUNK)):
         hi = min(lo + CHUNK, n_paths)
-        sums = _oracle_sums(chain, 1, n_max, hi - lo, _stream(4, c), lambda t: value(t)[:, 0])
+        sums = _oracle_sums(chain, 1, n_max, hi - lo, _oracle_stream(4, c), lambda t: value(t)[:, 0])
         acc = np.zeros(hi - lo)
         for t in range(first, n_max + 1):
             if gate[t - 1]:
