@@ -21,6 +21,8 @@ from typing import Sequence
 import numpy as np
 
 STOCHASTIC_ATOL = 1e-12
+# longest float cycle of the marginal table that is sought, in steps
+_CYCLE_MAX = 256
 
 
 class ChainConfigError(ValueError):
@@ -460,10 +462,11 @@ class ChainSpec:
         self._table = np.zeros((1, max(counts)))
         self._table[0, : len(self.initial)] = self.initial
         self._counts, self._known = np.array([len(self.initial)]), 1
-        # (c, P) once the law at time c + P equals the one at time c bit for
-        # bit; the fill then stops, and each later time reads its phase's row.
-        # Until then the fill stops to compare rows when _check_at rows are
-        # filled; _checked is the latest c known not to start the cycle.
+        # (c, p) once the law at time c + p equals the one at time c bit for
+        # bit, p a multiple of the kernel period; the fill then stops, and
+        # each later time reads its phase's row.  Until then the fill stops to
+        # compare rows when _check_at rows are filled; _checked is the newest
+        # row of the last check, whose comparisons all missed.
         self._cycle = self._check_at = self._checked = None
         repeats = kernels.repeats()
         if repeats is not None:
@@ -542,22 +545,24 @@ class ChainSpec:
                 self._find_cycle()
 
     def _find_cycle(self) -> None:
-        """Compare the rows at times c and c + P for c = _known - P.  Once they
-        agree they agree at every later c, since the same floats then meet
-        the same kernels; so a match is bisected down to its first c, and a
-        miss doubles the filled rows before the next comparison."""
-        p = self.kernels.repeats()[1]
-        table, c, lo = self._table, self._known - p, self._checked
-
-        def same(c):
-            return np.array_equal(table[c - 1], table[c + p - 1])
-
-        if not same(c):
-            self._checked, self._check_at = c, 2 * self._known
+        """Compare the newest row, at time n = _known, with the rows m P
+        earlier, for m P <= _CYCLE_MAX and not before the kernels' j0.  Rows c
+        and c + m P that agree agree at every later c, since the same floats
+        then meet the same kernels; so the smallest m that matches is bisected
+        down to its first c, above the last check's misses, and a miss for
+        every m doubles the filled rows before the next check."""
+        j0, p = self.kernels.repeats()
+        table, n = self._table, self._known
+        periods = np.arange(p, min(_CYCLE_MAX, n - j0) + 1, p)
+        hits = np.flatnonzero(np.all(table[n - 1 - periods] == table[n - 1], axis=1))
+        if not hits.size:
+            self._checked, self._check_at = n, 2 * n
             return
+        p = int(periods[hits[0]])
+        lo, c = max(self._checked - p, j0 - 1), n - p
         while c - lo > 1:
             mid = (lo + c) // 2
-            lo, c = (lo, mid) if same(mid) else (mid, c)
+            lo, c = (lo, mid) if np.array_equal(table[mid - 1], table[mid + p - 1]) else (mid, c)
         self._cycle, self._known = (c, p), c + p - 1
 
     def marginals(self, times: np.ndarray) -> np.ndarray:

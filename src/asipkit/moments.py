@@ -12,10 +12,11 @@ backward, where it reads suffix variances m_t . g2_t - (m_t . g1_t)^2.
 The scan is run-aware.  From the time a chain's kernels and observable
 repeat with a common period (periodic schedules from the start, constant or
 linear mixtures from their flat step), one step is a fixed affine map on
-(p, phi), given node values shifted by the stationary mean of each phase;
-the shift is deterministic, so every variance stays exact.  Every stride of
-the scan applies a stack of prefix composites of step maps and reads its
-variances in one batched reduction (a blocked linear-recurrence scan).
+(p, phi), given node values shifted by one mean per phase, read from the
+marginal table at a late time of that phase; the shift is deterministic, so
+every variance stays exact.  Every stride of the scan applies a stack of
+prefix composites of step maps and reads its variances in one batched
+reduction (a blocked linear-recurrence scan).
 Inside a run a stride from the period's first phase takes up to B steps
 from the run's kept span, composed once per scan direction; any other
 stride reads the kernels of up to B times as one stack
@@ -54,6 +55,10 @@ _DYADIC_MAX_DEN = 1 << 24
 B = 256
 # Kept spans per engine, one per (scan direction, direction rows).
 _POWERS_KEPT = 4
+# A run's centres are the marginal table's phase means this many steps past
+# its start (rounded down to whole periods), by when the tables of the chains
+# measured have reached their float cycle.
+_CENTRE_AT = 1 << 16
 
 
 class _Sweep:
@@ -122,8 +127,9 @@ def _prefix(maps):
 @dataclass
 class _Run:
     """From time t0 on, the steps into and out of each time repeat with
-    `period`; `centers[phase]` is the stationary mean of the observable at
-    that phase, and `span` the steps of the run's kept span."""
+    `period`; `centers[phase]` is the marginal table's mean of the observable
+    at a late time of that phase, and `span` the steps of the run's kept
+    span."""
 
     t0: int
     period: int
@@ -272,33 +278,20 @@ class MomentEngine:
         if period > B:
             return None
         t0 = ks[0] + 1
-        kern = [chain.kernel(t) for t in range(t0, t0 + period)]
-        size = kern[0].shape[0]
-        if any(k.shape != (size, size) for k in kern):
+        q = chain.kernels.stack(t0, period)
+        if len(q) < period or q.shape[1] != q.shape[2]:
             return None
-        # stationary law at t0: Cesaro mean of the period product's powers
-        # 0 .. 2^52 - 1, started from the marginal at t0.  Rows are
-        # renormalized after each squaring: a row sum off 1 by a rounding
-        # error doubles with each squaring.
-        power = np.linalg.multi_dot([np.eye(size), *kern])
-        mean = np.eye(size)
-        for _ in range(52):
-            mean = 0.5 * (mean + mean @ power)
-            power = power @ power
-            mean /= mean.sum(axis=1, keepdims=True)
-            power /= power.sum(axis=1, keepdims=True)
-        law = chain.marginal(t0) @ mean
-        law /= law.sum()
-        centers = []
-        for phase, k in enumerate(kern):
-            centers.append(law @ chain.obs(t0 + phase))
-            law = law @ k
-        return _Run(t0=t0, period=period, centers=np.array(centers))
+        # the laws at a late time in phase with t0: once the marginal table
+        # has cycled, these are its cycle's rows
+        t = t0 + _CENTRE_AT // period * period
+        laws = chain.marginals(np.arange(t, t + period))
+        centers = np.einsum("ts,tsd->td", laws, chain.observable.stack(t, t + period - 1))
+        return _Run(t0=t0, period=period, centers=centers)
 
     def _nodes(self, a: int, b: int, dirs: np.ndarray) -> np.ndarray:
         """f_t . u for t in [a, b] and every direction row u, shape
-        (b - a + 1, states, directions), f_t shifted by the run's stationary
-        mean from t0 on and by E f_t before: deterministic shifts, so
+        (b - a + 1, states, directions), f_t shifted by the run's centre of
+        its phase from t0 on and by E f_t before: deterministic shifts, so
         variances are those of the centered sums.  [a, b] lies on one side
         of t0 and keeps one state count."""
         run = self._run

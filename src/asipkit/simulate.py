@@ -195,27 +195,22 @@ def gaussian_surrogate(partition, n_samples: int, seed: int) -> SurrogateBatch:
     Eigenvalues in [-1e-10, 0) are clipped to zero (counted); anything below
     that tolerance is treated as a moment-engine bug and raises.
     """
-    covs = partition.theta_cov
-    d = covs[0].shape[0]
-    roots = []
-    clipped = 0
-    for j, c in enumerate(covs, start=1):
-        vals, vecs = np.linalg.eigh(c)
-        if vals.min() < PSD_TOL:
-            raise ChainConfigError(
-                f"cover covariance {j} is not PSD: min eigenvalue {vals.min()}"
-            )
-        neg = vals < 0
-        clipped += int(neg.sum())
-        vals = np.where(neg, 0.0, vals)
-        roots.append(vecs * np.sqrt(vals)[None, :])
+    covs = np.stack(partition.theta_cov)
+    vals, vecs = np.linalg.eigh(covs)
+    low = vals.min(axis=1)
+    bad = np.flatnonzero(low < PSD_TOL)
+    if bad.size:
+        j = int(bad[0])
+        raise ChainConfigError(f"cover covariance {j + 1} is not PSD: min eigenvalue {low[j]}")
+    neg = vals < 0
+    roots = vecs * np.sqrt(np.where(neg, 0.0, vals))[:, None, :]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
-    z = rng.standard_normal((n_samples, len(covs), d))
-    samples = np.einsum("jdk,njk->njd", np.stack(roots), z)
+    z = rng.standard_normal((n_samples, *vals.shape))
+    samples = np.einsum("jdk,njk->njd", roots, z)
     return SurrogateBatch(
         seed=int(seed), n_samples=int(n_samples),
-        cum_sums=np.cumsum(samples, axis=1), clipped=clipped,
-        block_var=np.stack(covs),
+        cum_sums=np.cumsum(samples, axis=1), clipped=int(neg.sum()),
+        block_var=covs,
     )
 
 
@@ -473,6 +468,7 @@ def rate_scaling_diagnostic(
             raise ChainConfigError(f"k_values outside 1..{proj.shape[1]}")
     if k_iter:  # s_n for every n up to the last cover end asked for
         s_curve = engine_for(chain).s_curve(int(partition.i_ends[k_iter[-1]]))
+    ys = None if surrogate is None else surrogate.projected(u)
     for k in k_iter:
         n = int(partition.i_ends[k])
         sigma = math.sqrt(max(cum_var[k], 0.0))
@@ -482,7 +478,7 @@ def rate_scaling_diagnostic(
         if surrogate is None:
             stat = partial(w1_to_gaussian, sigma=sigma)
         else:
-            stat = partial(w1_two_sample, ys=surrogate.projected(u)[:, k])
+            stat = partial(w1_two_sample, ys=ys[:, k])
         w1 = stat(xs)
         se = _bootstrap_se(xs, stat, BOOTSTRAP_REPS, batch.seed + k)
         s_n = float(s_curve[n - 1])

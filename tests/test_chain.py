@@ -303,11 +303,31 @@ def test_marginal_table_across_state_count_changes():
     assert got.tobytes() == np.stack([ch.marginal(4), ch.marginal(3)]).tobytes()
 
 
+def limit_cycle_doc(seed):
+    """A random periodic chain; seed 386 gives 3 states, kernel period 1 and
+    marginals that end in a float cycle of period 2 (71, 143 and 323 give
+    cycles (28, 2), (30, 4) and (33, 2)).  Its constant observable has a
+    nonzero mean."""
+    r = np.random.default_rng(seed)
+    s, p = r.integers(2, 6), r.integers(1, 4)
+    k = r.random((p, s, s))
+    k /= k.sum(axis=2, keepdims=True)
+    init = r.random(s)
+    return {
+        "kernels": {"periodic": k.tolist()},
+        "initial": (init / init.sum()).tolist(),
+        "observable": {"constant": (r.random((s, 1)) + 0.5).tolist()},
+        "L": 2.0,
+    }
+
+
 @pytest.mark.parametrize("chain, cycle", [
     (CHAINS / "slow2.json", (847, 1)),
     (entry("leaky3_delta").doc, (225, 1)),
     (CHAINS / "mixture2_ramp.json", (201, 1)),
     (entry("period2").doc, (1, 2)),
+    # a float limit cycle of twice the kernel period
+    (limit_cycle_doc(386), (23, 2)),
 ])
 def test_marginal_table_stops_at_its_float_cycle(chain, cycle):
     ch = build_chain(chain)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from asipkit.battery import battery, entry
 from asipkit.chain import ChainSpec, ExplicitKernels, ObservableSchedule, build_chain
 from asipkit.moments import B, MomentEngine, SupportOverflow, _polar_directions, _Sweep, engine_for
+from test_chain import limit_cycle_doc
 
 
 def centered(chain, t):
@@ -306,8 +307,9 @@ def _periodic_chain(kernels, obs_tables, init):
 
 @pytest.mark.parametrize("defect", [5e-13, -5e-13])
 def test_run_scan_on_kernels_off_stochastic_by_the_tolerance(defect):
-    # rows summing to 1 + defect pass validation; the stationary law that
-    # centres the run must stay a probability law, not grow with them
+    # rows summing to 1 + defect pass validation; the run's centres, the
+    # marginal table's phase means, must be means under probability laws,
+    # not grow with the defect
     r = np.random.default_rng(7)
     kernels = r.random((3, 3, 3)) + 0.1
     kernels /= kernels.sum(axis=2, keepdims=True)
@@ -539,6 +541,8 @@ CHUNK_CASES = {
     "cosine": (_cosine_chain, [(1, 2 * B + 77), (B - 5, 2 * B + 9)]),
     # the ramp turns flat at step 201: chunks end where the run begins
     "mixture2_ramp": (lambda: entry("mixture2_ramp").build(), [(1, 2 * B + 77), (150, 460)]),
+    # kernel period 1, marginals in a float cycle of period 2 from time 23
+    "limit2": (lambda: build_chain(limit_cycle_doc(386)), [(1, 2 * B + 77), (30, B + 41)]),
 }
 
 
