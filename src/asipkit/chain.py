@@ -161,20 +161,38 @@ class KernelSchedule:
         j >= j0, or None when the schedule never repeats."""
         return None
 
+    def by_shape(self, steps: np.ndarray):
+        """The kernels of sorted distinct steps as one stack per shape, read
+        by stack() over each run of consecutive steps; see _by_shape."""
+        cuts = (np.flatnonzero(np.diff(steps) != 1) + 1).tolist()
+        pieces = []
+        for lo, hi in zip([0, *cuts], [*cuts, len(steps)]):
+            while lo < hi:
+                pieces.append(self.stack(int(steps[lo]), hi - lo))
+                lo += len(pieces[-1])
+        return _by_shape(pieces)
+
+
+def _by_shape(stacks: list[np.ndarray]):
+    """Kernel stacks joined into one stack per distinct shape, in order of
+    first use: (stacks, the stack of each kernel, its row there)."""
+    shapes = list(dict.fromkeys(s.shape[1:] for s in stacks))
+    ids = [shapes.index(s.shape[1:]) for s in stacks]
+    joined = [np.concatenate([s for s, i in zip(stacks, ids) if i == g])
+              for g in range(len(shapes))]
+    shape = np.repeat(ids, [len(s) for s in stacks])
+    row = np.zeros(len(shape), dtype=np.int64)
+    for g, s in enumerate(joined):
+        row[shape == g] = np.arange(len(s))
+    return joined, shape, row
+
 
 class _KernelList(KernelSchedule):
     """A schedule read from a list of checked kernels, kept as one stack per
     distinct shape; self.kernels[i] is a view of kernel i's row there."""
 
     def __init__(self, stacks: list[np.ndarray]):
-        shapes = list(dict.fromkeys(s.shape[1:] for s in stacks))
-        ids = [shapes.index(s.shape[1:]) for s in stacks]
-        self._stacks = [np.concatenate([s for s, i in zip(stacks, ids) if i == g])
-                        for g in range(len(shapes))]
-        self._shape = np.repeat(ids, [len(s) for s in stacks])  # stack of kernel i
-        self._row = np.zeros(len(self._shape), dtype=np.int64)  # its row there
-        for g, s in enumerate(self._stacks):
-            self._row[self._shape == g] = np.arange(len(s))
+        self._stacks, self._shape, self._row = _by_shape(stacks)
         where = zip(self._shape.tolist(), self._row.tolist())
         self.kernels = [self._stacks[g][r] for g, r in where]
 
@@ -276,13 +294,17 @@ class MixtureKernels(KernelSchedule):
         if kind == "cosine" and self.rule["period"] <= 0:
             raise ChainConfigError(f"mixture weight period {self.rule['period']!r} <= 0")
         self._cache: dict[int, np.ndarray] = {}
-        # the step from which a constant or linear weight stops changing;
-        # later steps share that step's kernel array
-        self._flat_from = None
+        # (j0, period) of repeats(): a constant or linear weight stops
+        # changing at its flat step, and a cosine of integer period weighs
+        # step j by the phase (j - 1) mod period; steps j0 + i and
+        # j0 + i + period share one kernel array
+        self._repeats = None
         if kind == "constant":
-            self._flat_from = 1
+            self._repeats = 1, 1
         elif kind == "linear":
-            self._flat_from = math.ceil(self.rule["length"]) + 1
+            self._repeats = math.ceil(self.rule["length"]) + 1, 1
+        elif self.rule["period"].is_integer():
+            self._repeats = 1, int(self.rule["period"])
 
     def weight(self, j: int) -> float:
         r = self.rule
@@ -293,7 +315,7 @@ class MixtureKernels(KernelSchedule):
             t = min(max(j - 1, 0) / r["length"], 1.0)
             w = r["start"] + (r["end"] - r["start"]) * t
         else:  # cosine
-            w = r["center"] + r["amplitude"] * math.cos(2.0 * math.pi * (j - 1) / r["period"])
+            w = r["center"] + r["amplitude"] * math.cos(2.0 * math.pi * self._phase(j) / r["period"])
         if not 0.0 <= w <= 1.0:
             raise ChainConfigError(f"mixture weight {w!r} at step {j} outside [0, 1]")
         return w
@@ -309,20 +331,28 @@ class MixtureKernels(KernelSchedule):
             t = np.minimum(np.maximum(j - 1, 0) / r["length"], 1.0)
             w = r["start"] + (r["end"] - r["start"]) * t
         else:
-            x = 2.0 * math.pi * (j - 1) / r["period"]
+            x = 2.0 * math.pi * self._phase(j) / r["period"]
             w = r["center"] + r["amplitude"] * np.array([math.cos(a) for a in x.tolist()])
         bad = np.flatnonzero((w < 0.0) | (w > 1.0))
         if bad.size:
             self.weight(int(j[bad[0]]))
         return w
 
+    def _phase(self, j):
+        """The cosine's phase j - 1 of step j (int or array), reduced mod
+        an integer period."""
+        return j - 1 if self._repeats is None else (j - 1) % self._repeats[1]
+
     def repeats(self) -> tuple[int, int] | None:
-        return None if self._flat_from is None else (self._flat_from, 1)
+        return self._repeats
 
     def kernel(self, j: int) -> np.ndarray:
         if j < 1:
             raise ChainConfigError(f"kernel index {j} < 1")
-        key = j if self._flat_from is None else min(j, self._flat_from)
+        key = j
+        if self._repeats is not None and j > self._repeats[0]:
+            j0, p = self._repeats
+            key = j0 + (j - j0) % p
         k = self._cache.get(key)
         if k is None:
             w = self.weight(key)
@@ -333,10 +363,7 @@ class MixtureKernels(KernelSchedule):
     def stack(self, j: int, k: int) -> np.ndarray:
         if j < 1:
             raise ChainConfigError(f"kernel index {j} < 1")
-        steps = np.arange(j, j + k)
-        if self._flat_from is not None:
-            steps = np.minimum(steps, self._flat_from)
-        w = self._weights(steps)[:, None, None]
+        w = self._weights(np.arange(j, j + k))[:, None, None]
         return (1.0 - w) * self.k0 + w * self.k1
 
 

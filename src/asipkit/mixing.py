@@ -120,16 +120,8 @@ def _pair_groups(chain: ChainSpec, starts: np.ndarray, k_max: int):
         chunk = starts[c : c + PASS_CHUNK]
         times, pos = np.unique(chunk[:, None] + lags, return_inverse=True)
         pos = pos.reshape(chunk.size, k_max)
-        kernels = [chain.kernel(t) for t in times.tolist()]
-        shape_ids: dict = {}
-        ids = [shape_ids.setdefault(k.shape, len(shape_ids)) for k in kernels]
         # one stack per kernel shape; row[i] is kernel i's place in its stack
-        stacks = [np.stack([k for k, s in zip(kernels, ids) if s == i])
-                  for i in range(len(shape_ids))]
-        sid = np.array(ids)
-        row = np.zeros(sid.size, dtype=np.int64)
-        for i in range(len(shape_ids)):
-            row[sid == i] = np.arange(np.count_nonzero(sid == i))
+        stacks, sid, row = chain.kernels.by_shape(times)
         sig = sid[pos]
         for mine in _row_groups(sig):
             marg = chain.marginals(chunk[mine])

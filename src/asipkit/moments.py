@@ -10,20 +10,21 @@ and w the weights of the time entered: ones forward, the marginal m_t
 backward, where it reads suffix variances m_t . g2_t - (m_t . g1_t)^2.
 
 The scan is run-aware.  From the time a chain's kernels and observable
-repeat with a common period (periodic schedules from the start, constant or
-linear mixtures from their flat step), one step is a fixed affine map on
-(p, phi), given node values shifted by one mean per phase, read from the
-marginal table at a late time of that phase; the shift is deterministic, so
-every variance stays exact.  Every stride of the scan applies a stack of
+repeat with a common period (periodic schedules and cosine mixtures of
+integer period from the start, constant or linear mixtures from their flat
+step), one step is a fixed affine map on (p, phi), given node values
+shifted by one mean per phase, read from the marginal table at a late time
+of that phase; the shift is deterministic, so every variance stays exact.  Every stride of the scan applies a stack of
 prefix composites of step maps and reads its variances in one batched
 reduction (a blocked linear-recurrence scan).
 Inside a run a stride from the period's first phase takes up to B steps
 from the run's kept span, composed once per scan direction; any other
-stride reads the kernels of up to B times as one stack
-(KernelSchedule.stack) and composes their maps in ceil(log2 k) stacked
-passes (Hillis-Steele).  A stride ends where the run begins, at the run's
-next first phase, at a mask edge and before a kernel whose shape differs,
-so where the state count changes it holds one map.
+stride reads the kernels of up to 2B times as one stack
+(KernelSchedule.stack) and composes their maps by recursive pairing, about
+2k compositions in 2 ceil(log2 k) stacked passes.  A stride ends where the
+run begins, at the run's next first phase, at a mask edge and before a
+kernel whose shape differs, so where the state count changes it holds one
+map.
 
 A pairwise-covariance accumulation path is kept alongside as an
 independent cross-check and for callers that want per-pair terms.
@@ -50,9 +51,14 @@ _DYADIC_MAX_DEN = 1 << 24
 # ---------------------------------------------------------------------------
 # moment sweep
 
-# Most steps one stride of the scan advances; a run's kept span holds B steps
-# rounded down to a multiple of the run's period (at least one period).
+# A run's kept span holds B steps rounded down to a multiple of the run's
+# period (at least one period); a longer span would hold more memory per kept
+# span and move the floats of every run.
 B = 256
+# Most steps one stride outside a run advances: _prefix's work is linear in
+# the chunk length, so a longer chunk pays the per-stride numpy overhead less
+# often.
+_CHUNK = 2 * B
 # Kept spans per engine, one per (scan direction, direction rows).
 _POWERS_KEPT = 4
 # A run's centres are the marginal table's phase means this many steps past
@@ -114,14 +120,19 @@ def _compose(later, earlier):
 
 def _prefix(maps):
     """Inclusive prefix composites of a stack of step maps (entry i is map i
-    after ... after map 0), by Hillis-Steele doubling: ceil(log2 k) passes
-    of one stacked _compose."""
-    h = 1
-    while h < len(maps[0]):
-        tail = _compose(tuple(z[h:] for z in maps), tuple(z[:-h] for z in maps))
-        maps = tuple(np.concatenate([z[:h], w]) for z, w in zip(maps, tail))
-        h *= 2
-    return maps
+    after ... after map 0), by recursive pairing: maps 2i + 1 after 2i in
+    one stacked _compose, the pairs' prefix composites by recursion (the odd
+    entries), then each even entry 2i > 0 as map 2i after entry 2i - 1 in
+    one more.  About 2k compositions in 2 ceil(log2 k) stacked passes."""
+    k = len(maps[0])
+    if k < 2:
+        return maps
+    odd = _prefix(_compose(tuple(z[1::2] for z in maps), tuple(z[: k - 1 : 2] for z in maps)))
+    even = _compose(tuple(z[2::2] for z in maps), tuple(z[: (k - 1) // 2] for z in odd))
+    out = tuple(np.empty_like(z) for z in maps)
+    for o, z, a, b in zip(out, maps, odd, even):
+        o[0], o[1::2], o[2::2] = z[0], a, b
+    return out
 
 
 @dataclass
@@ -329,7 +340,7 @@ class MomentEngine:
         step into time nxt.  In the run from the period's first phase, the
         first k steps of the kept span, k up to its length; in the run off
         that phase, a chunk up to the next first-phase time.  Outside the
-        run, a chunk of up to B steps, ending before the run's t0.  No
+        run, a chunk of up to _CHUNK steps, ending before the run's t0.  No
         further than `stop` (or the horizon) or the next mask edge."""
         run = self._run
         first = False
@@ -343,7 +354,7 @@ class MomentEngine:
             if back:
                 k = min(k, nxt - run.t0 + 1)
         else:
-            k = B if back or run is None else min(B, run.t0 - nxt)
+            k = _CHUNK if back or run is None else min(_CHUNK, run.t0 - nxt)
         if back:
             k = min(k, nxt - stop + 1)
         else:
@@ -392,7 +403,7 @@ class MomentEngine:
         Var = m_t . g2_t - (m_t . g1_t)^2 with m_t the marginal at t.
 
         Every chunk after the first time is one stride (_stride): a stack of
-        up to B composed step maps, applied by _Sweep.jump.  `inside`, a
+        up to _CHUNK composed step maps, applied by _Sweep.jump.  `inside`, a
         boolean mask indexed by t minus the lower end, keeps the times where
         it is False out of the sum; a mask edge ends a stride.  An end past
         the chain's horizon raises ChainConfigError before any step.

@@ -97,6 +97,13 @@ def test_mixture_weights_constant_and_cosine():
     assert abs(mw.weight(1) - 1.0) < 1e-15  # cos(0) = 1
     assert abs(mw.weight(2) - 0.5) < 1e-15
     assert abs(mw.weight(3) - 0.0) < 1e-15
+    # an integer period repeats in floats: the weight of step j is that of
+    # its phase (j - 1) mod 4, and the memo holds one kernel per phase
+    assert mw.repeats() == (1, 4)
+    assert all(mw.weight(j) == mw.weight((j - 1) % 4 + 1) for j in range(1, 60))
+    assert mw.kernel(4003) is mw.kernel(3) and len(mw._cache) == 1
+    assert mw.stack(1, 9).tobytes() == np.stack([mw.kernel(j) for j in range(1, 10)]).tobytes()
+    assert MixtureKernels(k0, k1, {"kind": "cosine", "period": 3.7}).repeats() is None
     with pytest.raises(ChainConfigError):
         MixtureKernels(k0, k1, {"kind": "constant", "value": 1.5}).kernel(1)
     with pytest.raises(ChainConfigError):
@@ -328,6 +335,10 @@ def limit_cycle_doc(seed):
     (entry("period2").doc, (1, 2)),
     # a float limit cycle of twice the kernel period
     (limit_cycle_doc(386), (23, 2)),
+    # cosine weights of integer period repeat from step 1
+    ({"kernels": {"mixture": {"base": [[[0.9, 0.1], [0.2, 0.8]], [[0.3, 0.7], [0.6, 0.4]]],
+                              "weights": {"kind": "cosine", "period": 7}}},
+      "initial": [0.5, 0.5], "observable": {"constant": [[1.0], [-1.0]]}, "L": 1.0}, (62, 7)),
 ])
 def test_marginal_table_stops_at_its_float_cycle(chain, cycle):
     ch = build_chain(chain)

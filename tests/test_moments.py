@@ -10,7 +10,17 @@ from hypothesis import strategies as st
 
 from asipkit.battery import battery, entry
 from asipkit.chain import ChainSpec, ExplicitKernels, ObservableSchedule, build_chain
-from asipkit.moments import B, MomentEngine, SupportOverflow, _polar_directions, _Sweep, engine_for
+from asipkit.moments import (
+    _CHUNK,
+    B,
+    MomentEngine,
+    SupportOverflow,
+    _compose,
+    _polar_directions,
+    _prefix,
+    _Sweep,
+    engine_for,
+)
 from test_chain import limit_cycle_doc
 
 
@@ -191,8 +201,9 @@ def assert_scans_match_pairs(chain, a, b, mask_seed=0):
         kc = np.where(keep[:, None] & keep[None, :], c, 0.0)
         want = np.diag(kc[::-1, ::-1].cumsum(0).cumsum(1))[::-1]
         assert np.abs(back - want).max() <= tol
-    if a == 1:
-        for t in sorted({1, B - 1, B, B + 1, 2 * B + 1, b} & set(range(1, b + 1))):
+    if a == 1:  # times around the ends of kept spans and of chunks
+        ends = {1, B - 1, B, B + 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, b}
+        for t in sorted(ends & set(range(1, b + 1))):
             assert np.abs(_quads(eng.v_matrix(t), dirs) - pre[t - 1]).max() <= tol
     assert np.abs(_quads(eng.cov_partial_sum(a, b), dirs) - pre[-1]).max() <= tol
     return eng, covs
@@ -349,13 +360,14 @@ def test_marginals_of_off_stochastic_kernels_keep_their_mass(defect, cycle):
 
 def test_period_past_b_takes_single_steps():
     # kernel period 2, observable period B + 1: the lcm exceeds B, so no run
+    # and the window takes chunks, past two of them
     r = np.random.default_rng(3)
     kernels = r.random((2, 2, 2)) + 0.1
     kernels /= kernels.sum(axis=2, keepdims=True)
     chain = _periodic_chain(kernels, r.random((B + 1, 2, 1)), [0.4, 0.6])
     eng = MomentEngine(chain)
     assert eng._run is None
-    assert_scans_match_pairs(chain, 1, LONG)
+    assert_scans_match_pairs(chain, 1, 2 * _CHUNK + 77)
 
 
 @pytest.mark.parametrize("pi", [0.5, 0.9])
@@ -488,7 +500,7 @@ def _cosine_chain():
         "kernels": {"mixture": {
             "base": [[[0.7, 0.2, 0.1], [0.2, 0.6, 0.2], [0.1, 0.2, 0.7]],
                      [[0.2, 0.4, 0.4], [0.5, 0.1, 0.4], [0.3, 0.3, 0.4]]],
-            "weights": {"kind": "cosine", "period": 37, "center": 0.5, "amplitude": 0.4},
+            "weights": {"kind": "cosine", "period": 37.5, "center": 0.5, "amplitude": 0.4},
         }},
         "initial": [0.6, 0.3, 0.1],
         "observable": {"periodic": [[[1.0], [0.2], [-0.9]], [[0.4], [-1.0], [0.7]]]},
@@ -515,7 +527,9 @@ def assert_chunked_scans_match(chain, a, b, mask_seed=0, rtol=1e-12):
         (eng.suffix_variances(a, b, dirs), step_scan(chain, b, a, dirs)[::-1], suf),
     ):
         assert close(got, step) and close(got, pairs)
-    # the pairwise oracle is quadratic: past one chunk boundary is enough
+    # the pairwise oracle is quadratic, and the scans above cross the chunk
+    # edges; over windows of about 2B times, one ulp of the variances can
+    # move a small polarized off-diagonal by more than rtol of itself
     top = min(b, a + B + 20)
     oracle, _ = eng.cov_partial_sum_pairwise(a, top, truncate=None)
     assert close(eng.cov_partial_sum(a, top), oracle)
@@ -537,8 +551,11 @@ def assert_chunked_scans_match(chain, a, b, mask_seed=0, rtol=1e-12):
 
 CHUNK_CASES = {
     # name: (chain, windows); windows start and stop off chunk boundaries
-    "explicit": (lambda: _explicit_chain(2 * B + 80, 3, 2, 11), [(1, 2 * B + 81), (7, B + 3)]),
-    "cosine": (_cosine_chain, [(1, 2 * B + 77), (B - 5, 2 * B + 9)]),
+    "explicit": (
+        lambda: _explicit_chain(2 * _CHUNK + 80, 3, 2, 11), [(1, 2 * _CHUNK + 81), (7, _CHUNK + 3)],
+    ),
+    # a non-integer period: the weights never repeat, so no run
+    "cosine": (_cosine_chain, [(1, 2 * _CHUNK + 77), (_CHUNK - 5, 2 * _CHUNK + 9)]),
     # the ramp turns flat at step 201: chunks end where the run begins
     "mixture2_ramp": (lambda: entry("mixture2_ramp").build(), [(1, 2 * B + 77), (150, 460)]),
     # kernel period 1, marginals in a float cycle of period 2 from time 23
@@ -554,12 +571,46 @@ def test_chunked_scans_match_pairs_and_single_steps(name):
         assert_chunked_scans_match(chain, a, b, mask_seed=i)
 
 
-@given(st.integers(0, 10_000), st.integers(2, 3), st.integers(1, 2), st.integers(1, 2 * B + 40))
+@given(st.integers(0, 10_000), st.integers(2, 3), st.integers(1, 2), st.integers(1, 2 * _CHUNK + 40))
 @settings(max_examples=20, deadline=None)
 def test_chunked_scans_on_random_explicit_chains(seed, states, d, length):
     chain = _explicit_chain(length + 5, states, d, seed)
     a = 1 + seed % 5
     assert_chunked_scans_match(chain, a, a + length - 1, mask_seed=seed)
+
+
+def _random_maps(k, states, channels, seed):
+    r = np.random.default_rng(seed)
+    q = r.random((k, states, states))
+    return q / q.sum(axis=1, keepdims=True), r.random((k, channels, states, states)) * 2 - 1
+
+
+@pytest.mark.parametrize("channels", [0, 1, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 9, 255, 256, 257, _CHUNK])
+def test_prefix_matches_a_left_fold(k, channels):
+    # 0 channels is a masked stride's stack
+    maps = _random_maps(k, 3, channels, 1000 * k + channels)
+    got = _prefix(maps)
+    want = [tuple(z[0] for z in maps)]
+    for i in range(1, k):
+        want.append(_compose(tuple(z[i] for z in maps), want[-1]))
+    for g, w in zip(got, zip(*want)):
+        w = np.array(w)
+        assert g.shape == w.shape
+        assert np.abs(g - w).max(initial=0.0) <= 1e-12 * np.abs(w).max(initial=1.0)
+
+
+def test_prefix_composes_linear_work(monkeypatch):
+    composed = []
+
+    def counted(later, earlier):
+        composed.append(len(later[0]))
+        return _compose(later, earlier)
+
+    monkeypatch.setattr("asipkit.moments._compose", counted)
+    k = _CHUNK
+    _prefix(_random_maps(k, 3, 1, 5))
+    assert sum(composed) <= 2 * k
 
 
 def _count_strides(monkeypatch):
