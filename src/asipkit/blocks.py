@@ -307,13 +307,17 @@ def _masked_prefix_vars(
 
     masked=True: gaps contribute nothing, recorded at the block ends b_j
     (variance of S(M^(k)) . u0).  masked=False: contiguous sum recorded at
-    the cover ends b_j + r (variance of S(I^(k)) . u0).
+    the cover ends b_j + r (variance of S(I^(k)) . u0).  A mask that keeps
+    every time adds no edge, so it is dropped: the floats are the same, and
+    the scan may be served from a kept curve.
     """
     a1 = blocks[0][0]
     stops = np.array([b if masked else b + r for _, b in blocks])
     inside = np.zeros(stops[-1] - a1 + 1, dtype=bool)
     for (a, _), stop in zip(blocks, stops):
         inside[a - a1 : stop - a1 + 1] = True
+    if inside.all():
+        inside = None
     var = np.concatenate([v[:, 0] for _, v in eng.scan(a1, int(stops[-1]), u0, inside)])
     return var[stops - a1]
 

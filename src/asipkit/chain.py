@@ -544,6 +544,13 @@ class ChainSpec:
         i = self._row(j)
         return self._table[i - 1, : self._counts[i - 1]]
 
+    @property
+    def cycle(self) -> tuple[int, int] | None:
+        """(c, P) once the table has found its float cycle: from time c on the
+        law at t + P equals the law at t bit for bit.  None until then; the
+        table fills only as far as the marginals asked for so far need."""
+        return self._cycle
+
     def _row(self, j):
         """The time whose table row holds the law at time j (int or array)."""
         if self._cycle is None:

@@ -26,6 +26,13 @@ run begins, at the run's next first phase, at a mask edge and before a
 kernel whose shape differs, so where the state count changes it holds one
 map.
 
+Once the marginal table has found its float cycle (c, P), a scan with no
+mask whose ends both lie at or past c0 = max(run t0, c) yields a prefix of
+the curve of any longer scan whose start has the same phase mod
+lcm(run period, P): every input of its steps repeats with that period.  An
+engine keeps the longest curve scanned per (scan direction, direction rows,
+phase), and serves such scans from it.
+
 A pairwise-covariance accumulation path is kept alongside as an
 independent cross-check and for callers that want per-pair terms.
 """
@@ -59,7 +66,8 @@ B = 256
 # the chunk length, so a longer chunk pays the per-stride numpy overhead less
 # often.
 _CHUNK = 2 * B
-# Kept spans per engine, one per (scan direction, direction rows).
+# Kept spans per engine, one per (scan direction, direction rows), and kept
+# curves, one per (scan direction, direction rows, start phase).
 _POWERS_KEPT = 4
 # A run's centres are the marginal table's phase means this many steps past
 # its start (rounded down to whole periods), by when the tables of the chains
@@ -209,6 +217,7 @@ class MomentEngine:
         self.chain = chain
         self.d = chain.d
         self._spans: dict = {}  # (backward, direction rows) -> the run's kept span
+        self._curves: dict = {}  # _curve_key -> the longest curve scanned of that key
 
     # -- per-time -----------------------------------------------------------
 
@@ -407,12 +416,65 @@ class MomentEngine:
         boolean mask indexed by t minus the lower end, keeps the times where
         it is False out of the sum; a mask edge ends a stride.  An end past
         the chain's horizon raises ChainConfigError before any step.
+
+        A scan whose curve repeats (see _curve_key) is served from the
+        engine's kept curve of its key when that is long enough: the whole
+        curve arrives as one read-only chunk, not one chunk per stride.
+        Otherwise it runs, and the curve it yields, up to where its consumer
+        stops, is kept when longer than the one held.
         """
         dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-        chain = self.chain
-        top, end = chain.max_time, start if stop is None else max(start, stop)
+        top, end = self.chain.max_time, start if stop is None else max(start, stop)
         if top is not None and end > top:
             raise ChainConfigError(f"scan to time {end} passes the horizon {top}")
+        key = self._curve_key(start, stop, dirs, inside)
+        if key is None:
+            yield from self._walk(start, stop, dirs, inside)
+            return
+        held, n = self._curves.get(key), abs(stop - start) + 1
+        if held is not None and len(held) >= n:
+            yield start, held[:n]
+            return
+        chunks = []
+        try:
+            for t, v in self._walk(start, stop, dirs, None):
+                chunks.append(v)
+                yield t, v
+        finally:
+            self._keep(key, chunks)
+
+    def _curve_key(self, start: int, stop: int | None, dirs: np.ndarray, inside):
+        """(backward, direction rows, phase of start) for a scan whose curve
+        repeats, or None.  From c0 = max(run t0, the marginal table's cycle
+        start c) on, p0, the node values, the kernels, the backward weights
+        and the stride lengths repeat with the lcm L of the run's and the
+        table's periods, and a curve's rows depend only on earlier steps; so
+        a scan with no mask and both ends at or past c0 yields a prefix of
+        the curve of any longer scan whose start is in the same phase mod L."""
+        run, cycle = self._run, self.chain.cycle
+        if inside is not None or stop is None or run is None or cycle is None:
+            return None
+        c0 = max(run.t0, cycle[0])
+        if min(start, stop) < c0:
+            return None
+        phase = (start - c0) % math.lcm(run.period, cycle[1])
+        return stop < start, dirs.shape, dirs.tobytes(), phase
+
+    def _keep(self, key, chunks) -> None:
+        """Keep the curve of `chunks` under `key` if it is longer than the one
+        held; past _POWERS_KEPT curves the oldest key goes."""
+        held = self._curves.get(key)
+        if sum(len(v) for v in chunks) <= (0 if held is None else len(held)):
+            return
+        if held is None and len(self._curves) >= _POWERS_KEPT:
+            self._curves.pop(next(iter(self._curves)))
+        curve = np.concatenate(chunks)
+        curve.flags.writeable = False
+        self._curves[key] = curve
+
+    def _walk(self, start: int, stop: int | None, dirs: np.ndarray, inside):
+        """The scan's stride loop (see scan), from the first time on."""
+        chain = self.chain
         back = stop is not None and stop < start
         sign = -1 if back else 1
         lo = stop if back else start

@@ -352,7 +352,7 @@ def test_marginal_table_stops_at_its_float_cycle(chain, cycle):
     # P steps later bit for bit
     assert want[c - 1 + p].tobytes() == want[c - 1].tobytes()
     assert c == ch.kernels.repeats()[0] or want[c - 2 + p].tobytes() != want[c - 2].tobytes()
-    assert ch._cycle == cycle and ch._known == c + p - 1
+    assert ch.cycle == cycle and ch._known == c + p - 1
     assert ch.marginals(np.arange(1, 3001)).tobytes() == np.stack(want).tobytes()
     assert ch.pieces(1, 10**6) == [(1, 10**6)]
 

@@ -12,6 +12,7 @@ from asipkit.battery import battery, entry
 from asipkit.chain import ChainSpec, ExplicitKernels, ObservableSchedule, build_chain
 from asipkit.moments import (
     _CHUNK,
+    _POWERS_KEPT,
     B,
     MomentEngine,
     SupportOverflow,
@@ -21,7 +22,7 @@ from asipkit.moments import (
     _Sweep,
     engine_for,
 )
-from test_chain import limit_cycle_doc
+from test_chain import CHAINS, limit_cycle_doc
 
 
 def centered(chain, t):
@@ -652,3 +653,89 @@ def test_changing_state_count_ends_a_stride(monkeypatch):
     want_suf = np.diag(c[::-1, ::-1].cumsum(0).cumsum(1))[::-1]
     assert np.abs(pre - want_pre).max() <= 1e-12 * want_pre.max()
     assert np.abs(suf - want_suf).max() <= 1e-12 * want_suf.max()
+
+
+# ---------------------------------------------------------------------------
+# kept curves
+
+
+def _record_walks(monkeypatch):
+    """(engine id, start, stop) of every scan the engines compute."""
+    walks = []
+    walk = MomentEngine._walk
+
+    def counted(self, start, stop, *args):
+        walks.append((id(self), start, stop))
+        return walk(self, start, stop, *args)
+
+    monkeypatch.setattr(MomentEngine, "_walk", counted)
+    return walks
+
+
+def _scanned(eng, walks, start, stop, dirs):
+    """The scan's curve and whether it was served (no stride walked)."""
+    before = len(walks)
+    curve = np.concatenate([v for _, v in eng.scan(start, stop, dirs)])
+    return curve, not any(w[0] == id(eng) for w in walks[before:])
+
+
+def _fresh(chain, start, stop, dirs):
+    return np.concatenate([v for _, v in MomentEngine(chain).scan(start, stop, dirs)])
+
+
+MEMO_CHAINS = {
+    **{e.name: e.build for e in battery() if MomentEngine(e.build())._run is not None},
+    "slow2": lambda: build_chain(CHAINS / "slow2.json"),
+    "limit2": lambda: build_chain(limit_cycle_doc(386)),
+}
+MEMO_LENGTHS = (1, B - 1, B + 1, _CHUNK + 3, 2 * B + 7)
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_CHAINS))
+def test_scan_memo_matches_fresh_scans(name, monkeypatch):
+    chain = MEMO_CHAINS[name]()
+    eng = MomentEngine(chain)
+    run, (c, period) = eng._run, chain.cycle
+    c0, span = max(run.t0, c), np.lcm(run.period, period)
+    assert {"leaky3_delta": 225, "slow2": 847, "mixture2_ramp": 202, "limit2": 23}.get(name, c0) == c0
+    walks = _record_walks(monkeypatch)
+    top = max(MEMO_LENGTHS) - 1
+    for dirs in (np.eye(chain.d)[:1], _polar_directions(chain.d)):
+        for s in range(c0, c0 + 2 * span):
+            for n in MEMO_LENGTHS:
+                # forward from s, backward down to s + top - n + 1 >= c0
+                for start, stop in ((s, s + n - 1), (s + top, s + top - n + 1)):
+                    got, served = _scanned(eng, walks, start, stop, dirs)
+                    assert got.tobytes() == _fresh(chain, start, stop, dirs).tobytes()
+                    # a whole period of phases later every curve is held
+                    assert served or s < c0 + span
+        # a scan that touches a time before c0 is computed, every time
+        if c0 > 1:
+            for start, stop in ((c0 - 1, c0 + B), (c0 + B, c0 - 1), (c0, c0 - 1)):
+                for _ in range(2):
+                    got, served = _scanned(eng, walks, start, stop, dirs)
+                    assert not served
+                    assert got.tobytes() == _fresh(chain, start, stop, dirs).tobytes()
+
+
+def test_scan_memo_keeps_a_bounded_number_of_curves(monkeypatch):
+    chain = entry("period2").build()
+    eng = MomentEngine(chain)
+    walks = _record_walks(monkeypatch)
+    c0 = max(eng._run.t0, chain.cycle[0])
+    # 3 direction rows x 2 scan directions x 2 start phases: 12 keys
+    scans = [
+        (start, stop, [[u]])
+        for u in (1.0, -0.5, 2.0)
+        for s in (c0, c0 + 1)
+        for start, stop in ((s, s + B + 9), (s + B + 9, s))
+    ]
+    for _ in range(2):
+        for start, stop, dirs in scans:
+            got, _ = _scanned(eng, walks, start, stop, dirs)
+            assert len(eng._curves) <= _POWERS_KEPT
+            assert got.tobytes() == _fresh(chain, start, stop, dirs).tobytes()
+    # the last _POWERS_KEPT keys are held and served; the first were evicted
+    held = [_scanned(eng, walks, *scan)[1] for scan in scans[-_POWERS_KEPT:]]
+    assert len(eng._curves) == _POWERS_KEPT and all(held)
+    assert not _scanned(eng, walks, *scans[0])[1]
