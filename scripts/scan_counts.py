@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""Count the moment scans of one warm benchmark pass, and check every one.
+
+    python3 scripts/scan_counts.py [--workload exact-long] [--seed 5]
+
+For each workload of perfbench/workloads.py (imported, not changed), runs one
+pass of its operations to warm up and then one counted pass, and prints the
+scans served from a kept curve (no stride walked), the scans computed and
+the scan rows computed.  Every scan of the counted pass is checked against a
+fresh engine's scan of the same window: the rows it yielded, bit for bit,
+and each chunk's time, which must be the start plus or minus the rows
+before it.  Exits 1 on any mismatch.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+# one thread and one sampling worker, as the benchmark runs
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "ASIPKIT_WORKERS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+
+from asipkit.moments import MomentEngine  # noqa: E402
+
+
+class ScanCounter:
+    """Wraps MomentEngine.scan and _walk; counts and checks while `on`."""
+
+    def __init__(self):
+        self.on = False
+        self.served = self.computed = self.rows = self.mismatches = 0
+        self.walked: set = set()  # (engine id, start, stop) of walks begun
+
+    def install(self) -> None:
+        scan, walk = MomentEngine.scan, MomentEngine._walk
+        counter = self
+
+        def counted_walk(eng, start, stop, *args):
+            counter.walked.add((id(eng), start, stop))
+            return counter._rows(walk(eng, start, stop, *args))
+
+        def checked_scan(eng, start, stop, directions, inside=None):
+            if not counter.on:
+                yield from scan(eng, start, stop, directions, inside)
+                return
+            mark = (id(eng), start, stop)
+            counter.walked.discard(mark)
+            got = []
+            try:
+                for t, v in scan(eng, start, stop, directions, inside):
+                    got.append((t, v))
+                    yield t, v
+            finally:
+                if mark in counter.walked:
+                    counter.computed += 1
+                else:
+                    counter.served += 1
+                counter.on = False
+                try:
+                    fresh = scan(MomentEngine(eng.chain), start, stop, directions, inside)
+                    counter._check(start, stop, got, fresh)
+                finally:
+                    counter.on = True
+
+        MomentEngine._walk = counted_walk
+        MomentEngine.scan = checked_scan
+
+    def _rows(self, chunks):
+        for t, v in chunks:
+            if self.on:
+                self.rows += len(v)
+            yield t, v
+
+    def _check(self, start, stop, got, fresh) -> None:
+        sign = -1 if stop is not None and stop < start else 1
+        n = 0
+        for t, v in got:
+            self.mismatches += t != start + sign * n
+            n += len(v)
+        if not n:
+            return
+        want, m = [], 0
+        for _, v in fresh:
+            want.append(v)
+            m += len(v)
+            if m >= n:
+                break
+        fresh.close()
+        rows = np.concatenate([v for _, v in got])
+        self.mismatches += m < n or rows.tobytes() != np.concatenate(want)[:n].tobytes()
+
+
+def count_pass(name: str, seed: int, counter: ScanCounter) -> None:
+    with tempfile.TemporaryDirectory() as work:
+        wl = workloads.WORKLOADS[name](seed, Path(work))
+        wl.write_docs()
+        wl.prepare()
+        ops = wl.ops()
+        for counted in (False, True):
+            ctx = workloads.PassContext(wl.docs)
+            counter.on = counted
+            for op in ops:
+                ctx.out[op.label] = op.run(ctx)
+            counter.on = False
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--workload", action="append", choices=sorted(workloads.WORKLOADS),
+                    help="a workload to count (repeatable; default all)")
+    ap.add_argument("--seed", type=int, default=5)
+    args = ap.parse_args(argv)
+    counter = ScanCounter()
+    counter.install()
+    bad = 0
+    for name in args.workload or list(workloads.WORKLOADS):
+        counter.served = counter.computed = counter.rows = counter.mismatches = 0
+        count_pass(name, args.seed, counter)
+        total = counter.served + counter.computed
+        print(f"{name}: {counter.served} of {total} scans served, {counter.computed} computed, "
+              f"{counter.rows} scan rows computed, {counter.mismatches} mismatches")
+        bad += counter.mismatches
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -309,7 +309,8 @@ def _masked_prefix_vars(
     (variance of S(M^(k)) . u0).  masked=False: contiguous sum recorded at
     the cover ends b_j + r (variance of S(I^(k)) . u0).  A mask that keeps
     every time adds no edge, so it is dropped: the floats are the same, and
-    the scan may be served from a kept curve.
+    the unmasked scan yields the kept curve of its key first (at d = 1,
+    v_curve's curve covers it when kept).
     """
     a1 = blocks[0][0]
     stops = np.array([b if masked else b + r for _, b in blocks])

@@ -26,12 +26,15 @@ run begins, at the run's next first phase, at a mask edge and before a
 kernel whose shape differs, so where the state count changes it holds one
 map.
 
-Once the marginal table has found its float cycle (c, P), a scan with no
-mask whose ends both lie at or past c0 = max(run t0, c) yields a prefix of
-the curve of any longer scan whose start has the same phase mod
+Two unmasked scans from the same start yield prefixes of one curve, bit for
+bit.  And once the marginal table has found its float cycle (c, P), a scan
+whose ends both lie at or past c0 = max(run t0, c) yields a prefix of the
+curve of any longer scan whose start has the same phase mod
 lcm(run period, P): every input of its steps repeats with that period.  An
 engine keeps the longest curve scanned per (scan direction, direction rows,
-phase), and serves such scans from it.
+phase) for such scans and per (scan direction, direction rows, start) for
+any other unmasked scan with a finite stop, at most _CURVE_BYTES in all.  A
+scan yields the held curve of its key first and walks only past its end.
 
 A pairwise-covariance accumulation path is kept alongside as an
 independent cross-check and for callers that want per-pair terms.
@@ -67,8 +70,11 @@ B = 256
 # often.
 _CHUNK = 2 * B
 # Kept spans per engine, one per (scan direction, direction rows), and kept
-# curves, one per (scan direction, direction rows, start phase).
+# curves, one per (scan direction, direction rows, start phase or start).
 _POWERS_KEPT = 4
+# Most bytes an engine's kept curves hold in all: a curve from time 1 can be
+# as long as the horizon.
+_CURVE_BYTES = 1 << 24
 # A run's centres are the marginal table's phase means this many steps past
 # its start (rounded down to whole periods), by when the tables of the chains
 # measured have reached their float cycle.
@@ -417,11 +423,14 @@ class MomentEngine:
         it is False out of the sum; a mask edge ends a stride.  An end past
         the chain's horizon raises ChainConfigError before any step.
 
-        A scan whose curve repeats (see _curve_key) is served from the
-        engine's kept curve of its key when that is long enough: the whole
-        curve arrives as one read-only chunk, not one chunk per stride.
-        Otherwise it runs, and the curve it yields, up to where its consumer
-        stops, is kept when longer than the one held.
+        An unmasked scan with a finite stop has a key (see _curve_key), and
+        the engine keeps the longest curve scanned of each key.  When the
+        held curve is long enough it serves the scan: the whole curve
+        arrives as one read-only chunk, not one chunk per stride.  When it
+        is shorter, it arrives first, as one read-only chunk; a consumer
+        that asks for more gets the rest from a fresh walk from `start`,
+        whose rows already yielded are skipped.  The curve a walk yields, up
+        to where its consumer stops, is kept when longer than the one held.
         """
         dirs = np.atleast_2d(np.asarray(directions, dtype=float))
         top, end = self.chain.max_time, start if stop is None else max(start, stop)
@@ -432,45 +441,65 @@ class MomentEngine:
             yield from self._walk(start, stop, dirs, inside)
             return
         held, n = self._curves.get(key), abs(stop - start) + 1
-        if held is not None and len(held) >= n:
+        done = 0  # rows yielded
+        if held is not None:
             yield start, held[:n]
-            return
-        chunks = []
+            done = len(held)
+            if done >= n:
+                return
+        sign = -1 if stop < start else 1
+        chunks, rows = [], 0  # the walk's chunks, and the rows they hold
         try:
-            for t, v in self._walk(start, stop, dirs, None):
+            for _, v in self._walk(start, stop, dirs, None):
                 chunks.append(v)
-                yield t, v
+                rows += len(v)
+                if rows > done:
+                    yield start + sign * done, v[done - rows :]
+                    done = rows
         finally:
             self._keep(key, chunks)
 
     def _curve_key(self, start: int, stop: int | None, dirs: np.ndarray, inside):
-        """(backward, direction rows, phase of start) for a scan whose curve
-        repeats, or None.  From c0 = max(run t0, the marginal table's cycle
-        start c) on, p0, the node values, the kernels, the backward weights
-        and the stride lengths repeat with the lcm L of the run's and the
-        table's periods, and a curve's rows depend only on earlier steps; so
-        a scan with no mask and both ends at or past c0 yields a prefix of
-        the curve of any longer scan whose start is in the same phase mod L."""
+        """The key of an unmasked scan with a finite stop, or None.
+
+        Two scans from the same start yield prefixes of one curve: a
+        stride's length depends on `stop` only where the last stride is cut
+        short, _prefix builds entry i from maps 0..i only, and jump's running
+        sum adds to row i only over shifts h <= i.  So any such scan has the
+        key (backward, direction rows, "start", start).
+
+        Scans whose curves repeat share a key across starts.  From
+        c0 = max(run t0, the marginal table's cycle start c) on, p0, the node
+        values, the kernels, the backward weights and the stride lengths
+        repeat with the lcm L of the run's and the table's periods; so a
+        scan with both ends at or past c0 has the key (backward, direction
+        rows, "phase", (start - c0) mod L)."""
+        if inside is not None or stop is None:
+            return None
         run, cycle = self._run, self.chain.cycle
-        if inside is not None or stop is None or run is None or cycle is None:
-            return None
-        c0 = max(run.t0, cycle[0])
-        if min(start, stop) < c0:
-            return None
-        phase = (start - c0) % math.lcm(run.period, cycle[1])
-        return stop < start, dirs.shape, dirs.tobytes(), phase
+        rows = (stop < start, dirs.shape, dirs.tobytes())
+        if run is not None and cycle is not None:
+            c0 = max(run.t0, cycle[0])
+            if min(start, stop) >= c0:
+                return (*rows, "phase", (start - c0) % math.lcm(run.period, cycle[1]))
+        return (*rows, "start", start)
 
     def _keep(self, key, chunks) -> None:
         """Keep the curve of `chunks` under `key` if it is longer than the one
-        held; past _POWERS_KEPT curves the oldest key goes."""
-        held = self._curves.get(key)
-        if sum(len(v) for v in chunks) <= (0 if held is None else len(held)):
+        held.  The oldest other keys go until at most _POWERS_KEPT curves of
+        at most _CURVE_BYTES in all are held; a curve larger than
+        _CURVE_BYTES is not kept."""
+        curves, held = self._curves, self._curves.get(key)
+        rows, size = sum(len(v) for v in chunks), sum(v.nbytes for v in chunks)
+        if rows <= (0 if held is None else len(held)) or size > _CURVE_BYTES:
             return
-        if held is None and len(self._curves) >= _POWERS_KEPT:
-            self._curves.pop(next(iter(self._curves)))
+        others = [k for k in curves if k != key]
+        size += sum(curves[k].nbytes for k in others)
+        while len(others) >= _POWERS_KEPT or size > _CURVE_BYTES:
+            size -= curves.pop(others.pop(0)).nbytes
         curve = np.concatenate(chunks)
         curve.flags.writeable = False
-        self._curves[key] = curve
+        curves[key] = curve
 
     def _walk(self, start: int, stop: int | None, dirs: np.ndarray, inside):
         """The scan's stride loop (see scan), from the first time on."""

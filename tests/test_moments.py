@@ -1,7 +1,11 @@
 """Exact moment engine vs brute-force path enumeration and closed forms."""
 import gc
 import itertools
+import re
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from asipkit.battery import battery, entry
 from asipkit.chain import ChainSpec, ExplicitKernels, ObservableSchedule, build_chain
 from asipkit.moments import (
     _CHUNK,
+    _CURVE_BYTES,
     _POWERS_KEPT,
     B,
     MomentEngine,
@@ -672,15 +677,15 @@ def _record_walks(monkeypatch):
     return walks
 
 
-def _scanned(eng, walks, start, stop, dirs):
+def _scanned(eng, walks, start, stop, dirs, inside=None):
     """The scan's curve and whether it was served (no stride walked)."""
     before = len(walks)
-    curve = np.concatenate([v for _, v in eng.scan(start, stop, dirs)])
+    curve = np.concatenate([v for _, v in eng.scan(start, stop, dirs, inside)])
     return curve, not any(w[0] == id(eng) for w in walks[before:])
 
 
-def _fresh(chain, start, stop, dirs):
-    return np.concatenate([v for _, v in MomentEngine(chain).scan(start, stop, dirs)])
+def _fresh(chain, start, stop, dirs, inside=None):
+    return np.concatenate([v for _, v in MomentEngine(chain).scan(start, stop, dirs, inside)])
 
 
 MEMO_CHAINS = {
@@ -709,12 +714,13 @@ def test_scan_memo_matches_fresh_scans(name, monkeypatch):
                     assert got.tobytes() == _fresh(chain, start, stop, dirs).tobytes()
                     # a whole period of phases later every curve is held
                     assert served or s < c0 + span
-        # a scan that touches a time before c0 is computed, every time
+        # a scan that touches a time before c0 is keyed by its exact start:
+        # computed the first time, served the second
         if c0 > 1:
             for start, stop in ((c0 - 1, c0 + B), (c0 + B, c0 - 1), (c0, c0 - 1)):
-                for _ in range(2):
+                for again in (False, True):
                     got, served = _scanned(eng, walks, start, stop, dirs)
-                    assert not served
+                    assert served == again
                     assert got.tobytes() == _fresh(chain, start, stop, dirs).tobytes()
 
 
@@ -739,3 +745,99 @@ def test_scan_memo_keeps_a_bounded_number_of_curves(monkeypatch):
     held = [_scanned(eng, walks, *scan)[1] for scan in scans[-_POWERS_KEPT:]]
     assert len(eng._curves) == _POWERS_KEPT and all(held)
     assert not _scanned(eng, walks, *scans[0])[1]
+
+
+EXACT_CHAINS = {
+    # an explicit schedule has no run, and a cosine of non-integer period no
+    # float cycle: only the exact-start key can serve them
+    "explicit": lambda: _explicit_chain(2 * _CHUNK + 40, 3, 2, 21),
+    "cosine": _cosine_chain,
+}
+
+
+def _exact_dirs(d):
+    """One direction row, and more than one."""
+    return np.eye(d)[:1], np.vstack([_polar_directions(d), np.ones((1, d))])
+
+
+def _exact_start_scans(chain, eng, walks, bound):
+    """Forward and backward scans of every MEMO_LENGTHS length, shuffled,
+    from one start, each bit-equal to a fresh scan; a masked scan is never
+    served, and the kept curves hold at most `bound` bytes."""
+    start = max(MEMO_LENGTHS)
+    order = np.random.default_rng(3).permutation(MEMO_LENGTHS * 2)
+    held = {}  # (scan direction, direction rows) -> rows of the longest curve
+    for dirs in _exact_dirs(chain.d):
+        for n in order.tolist():
+            for back in (False, True):
+                stop = start - n + 1 if back else start + n - 1
+                got, served = _scanned(eng, walks, start, stop, dirs)
+                assert got.tobytes() == _fresh(chain, start, stop, dirs).tobytes()
+                key = back, len(dirs)
+                if bound == _CURVE_BYTES:
+                    assert served == (n <= held.get(key, 0))
+                held[key] = max(held.get(key, 0), n)
+                assert sum(c.nbytes for c in eng._curves.values()) <= bound
+                # a mask that keeps every time yields the same curve, walked
+                keep = np.ones(n, dtype=bool)
+                got, served = _scanned(eng, walks, start, stop, dirs, keep)
+                assert not served
+                assert got.tobytes() == _fresh(chain, start, stop, dirs, keep).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_CHAINS))
+def test_scan_memo_serves_exact_starts(name, monkeypatch):
+    chain = EXACT_CHAINS[name]()
+    eng = MomentEngine(chain)
+    assert eng._run is None
+    walks = _record_walks(monkeypatch)
+    _exact_start_scans(chain, eng, walks, _CURVE_BYTES)
+    assert len(eng._curves) == _POWERS_KEPT
+    # a bound below the longest many-direction curves skips them and evicts
+    # curves, and changes no float
+    bound = len(_exact_dirs(chain.d)[1]) * 8 * max(MEMO_LENGTHS) * 3 // 4
+    monkeypatch.setattr("asipkit.moments._CURVE_BYTES", bound)
+    _exact_start_scans(chain, MomentEngine(chain), walks, bound)
+
+
+@pytest.mark.parametrize("back", [False, True])
+@pytest.mark.parametrize("name", ["explicit", "period2"])
+def test_scan_yields_the_held_prefix_first(name, back, monkeypatch):
+    chain = _explicit_chain(3 * _CHUNK, 3, 1, 4) if name == "explicit" else entry(name).build()
+    eng = MomentEngine(chain)
+    sign = -1 if back else 1
+    start = 2 * _CHUNK if back else 5
+    short, stop = B + 1, start + sign * (_CHUNK + 2)
+    dirs = [[1.0]]
+    walks = _record_walks(monkeypatch)
+    lengths = _count_strides(monkeypatch)
+    _scanned(eng, walks, start, start + sign * (short - 1), dirs)
+    # a consumer that stops inside the held rows walks no stride
+    lengths.clear()
+    before = len(walks)
+    for t, v in eng.scan(start, stop, dirs):
+        assert (t, len(v)) == (start, short)
+        break
+    assert lengths == [] and len(walks) == before
+    # one that reads on gets the rest of a fresh walk, each chunk at the
+    # time of its first row
+    chunks = list(eng.scan(start, stop, dirs))
+    assert len(chunks[0][1]) == short and len(chunks) > 1 and len(walks) == before + 1
+    rows = 0
+    for t, v in chunks:
+        assert t == start + sign * rows
+        rows += len(v)
+    got = np.concatenate([v for _, v in chunks])
+    assert got.tobytes() == _fresh(chain, start, stop, dirs).tobytes()
+    # the longer curve is held afterwards
+    again, served = _scanned(eng, walks, start, stop, dirs)
+    assert served and again.tobytes() == got.tobytes()
+
+
+def test_scan_counts_finds_no_mismatch():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "scan_counts.py"
+    done = subprocess.run([sys.executable, str(script), "--workload", "exact-long"],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    line = r"exact-long: \d+ of \d+ scans served, \d+ computed, \d+ scan rows computed, 0 mismatches\n"
+    assert re.fullmatch(line, done.stdout)
