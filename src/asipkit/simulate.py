@@ -13,6 +13,10 @@ a block after each checkpoint and at cover edges and adds each segment's
 rows with one reduce over the time axis, the carried sum added to the first
 row first (_fold); the LIL diagnostic, which needs the running sum at every
 time, adds the rows one time at a time.
+
+The statistics need numpy and the standard library only: ks_statistic takes
+Phi from math.erfc, and the rate curve compares the sampled sums with the
+Gaussian surrogate's draws by two-sample W1.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ class PathBatch:
     checkpoints: list
     sums: np.ndarray
     block_sums: np.ndarray | None = None
-    block_covers: list | None = None
 
     def projected(self, u: np.ndarray) -> np.ndarray:
         """Checkpoint sums along a direction, shape (paths, checkpoints)."""
@@ -166,7 +169,7 @@ def sample_paths(
             blocks[lo:hi] = cover.swapaxes(0, 1)
     return PathBatch(
         seed=int(seed), n_paths=int(n_paths), n_max=int(n_max), checkpoints=cps,
-        sums=sums, block_sums=blocks, block_covers=covers,
+        sums=sums, block_sums=blocks,
     )
 
 
@@ -180,10 +183,8 @@ class SurrogateBatch:
     cumulative sums along the block axis, shape (samples, blocks, d)."""
 
     seed: int
-    n_samples: int
     cum_sums: np.ndarray
     clipped: int
-    block_var: np.ndarray  # exact Var(Z_j . u0-free): d x d stack
 
     def projected(self, u: np.ndarray) -> np.ndarray:
         return self.cum_sums @ np.asarray(u, dtype=float)
@@ -208,9 +209,7 @@ def gaussian_surrogate(partition, n_samples: int, seed: int) -> SurrogateBatch:
     z = rng.standard_normal((n_samples, *vals.shape))
     samples = np.einsum("jdk,njk->njd", roots, z)
     return SurrogateBatch(
-        seed=int(seed), n_samples=int(n_samples),
-        cum_sums=np.cumsum(samples, axis=1), clipped=int(neg.sum()),
-        block_var=covs,
+        seed=int(seed), cum_sums=np.cumsum(samples, axis=1), clipped=int(neg.sum()),
     )
 
 
@@ -219,44 +218,18 @@ def gaussian_surrogate(partition, n_samples: int, seed: int) -> SurrogateBatch:
 
 
 def ks_statistic(standardized: np.ndarray) -> float:
-    """Exact Kolmogorov-Smirnov distance of a sample to the standard normal."""
-    from scipy.special import ndtr  # loaded here, so `import asipkit` stays light
+    """Exact Kolmogorov-Smirnov distance of a sample to the standard normal.
 
+    Phi(x) = erfc(-x / sqrt 2) / 2 is evaluated once per distinct value: a
+    run of ties x_(i) = ... = x_(j) meets the empirical CDF's largest gaps
+    at its ends, j / n - Phi above and Phi - (i - 1) / n below."""
     x = np.sort(np.asarray(standardized, dtype=float))
     n = x.shape[0]
-    cdf = ndtr(x)
-    upper = np.arange(1, n + 1) / n - cdf
-    lower = cdf - np.arange(0, n) / n
+    first = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))  # each value's first index
+    cdf = 0.5 * np.fromiter(map(math.erfc, (-x[first] / math.sqrt(2.0)).tolist()), float)
+    upper = np.append(first[1:], n) / n - cdf
+    lower = cdf - first / n
     return float(max(upper.max(), lower.max()))
-
-
-def w1_to_gaussian(samples: np.ndarray, sigma: float) -> float:
-    """Exact W1 distance between the empirical law and N(0, sigma^2),
-    by piecewise integration of |empirical CDF - Gaussian CDF|."""
-    from scipy.special import ndtr, ndtri  # loaded here, as in ks_statistic
-
-    if sigma <= 0:
-        raise ChainConfigError(f"need sigma > 0, got {sigma}")
-    x = np.sort(np.asarray(samples, dtype=float))
-    n = x.shape[0]
-
-    def big_g(v):  # antiderivative of Phi(x / sigma)
-        u = v / sigma
-        return v * ndtr(u) + sigma * np.exp(-0.5 * u * u) / math.sqrt(2 * math.pi)
-
-    total = float(big_g(x[0]))  # left tail: integral of Phi up to x_(1)
-    u_n = x[-1] / sigma
-    total += float(
-        sigma * math.exp(-0.5 * u_n * u_n) / math.sqrt(2 * math.pi)
-        - x[-1] * (1.0 - ndtr(u_n))
-    )  # right tail: integral of 1 - Phi
-    if n > 1:
-        a, b = x[:-1], x[1:]
-        c = np.arange(1, n) / n
-        m = np.clip(sigma * ndtri(c), a, b)
-        ga, gm, gb = big_g(a), big_g(m), big_g(b)
-        total += float(np.sum(c * (m - a) - (gm - ga) + (gb - gm) - c * (b - m)))
-    return total
 
 
 def w1_two_sample(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -440,17 +413,15 @@ def rate_scaling_diagnostic(
     batch: PathBatch,
     chain: ChainSpec,
     partition,
+    surrogate: SurrogateBatch,
     delta: float = 0.1,
-    surrogate: SurrogateBatch | None = None,
     k_values=None,
 ) -> RateCurve:
-    """W1(empirical law of S . u at cover end k, law of the surrogate Gaussian
-    sum) normalized by s_n^(1/4+delta), u the first coordinate direction.
-
-    With surrogate=None the Gaussian side is exact N(0, sum_j u'Cov(Theta_j)u)
-    and W1 is computed by exact CDF integration; a supplied surrogate batch is
-    compared sample-to-sample instead.  Standard errors come from
-    BOOTSTRAP_REPS bootstrap resamples.  k_values restricts to the given
+    """W1(empirical law of S . u at cover end k, empirical law of the
+    surrogate's Gaussian sum at the same cover) normalized by
+    s_n^(1/4+delta), u the first coordinate direction; the two samples are
+    compared by w1_two_sample.  Standard errors come from BOOTSTRAP_REPS
+    bootstrap resamples of the paths.  k_values restricts to the given
     1-based block indices (default: every block)."""
     if batch.block_sums is None:
         raise ChainConfigError("batch was sampled without a partition")
@@ -468,17 +439,14 @@ def rate_scaling_diagnostic(
             raise ChainConfigError(f"k_values outside 1..{proj.shape[1]}")
     if k_iter:  # s_n for every n up to the last cover end asked for
         s_curve = engine_for(chain).s_curve(int(partition.i_ends[k_iter[-1]]))
-    ys = None if surrogate is None else surrogate.projected(u)
+    ys = surrogate.projected(u)
     for k in k_iter:
         n = int(partition.i_ends[k])
         sigma = math.sqrt(max(cum_var[k], 0.0))
         xs = proj[:, k]
         if sigma <= 0:
             continue
-        if surrogate is None:
-            stat = partial(w1_to_gaussian, sigma=sigma)
-        else:
-            stat = partial(w1_two_sample, ys=ys[:, k])
+        stat = partial(w1_two_sample, ys=ys[:, k])
         w1 = stat(xs)
         se = _bootstrap_se(xs, stat, BOOTSTRAP_REPS, batch.seed + k)
         s_n = float(s_curve[n - 1])

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-from math import comb
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,18 +19,14 @@ from asipkit.simulate import (
     CHUNK,
     clt_diagnostic,
     gaussian_surrogate,
+    ks_statistic,
     lil_diagnostic,
     rate_scaling_diagnostic,
     sample_paths,
     variance_matching_diagnostic,
-    w1_to_gaussian,
     w1_two_sample,
 )
 from asipkit.util import direction_grid
-
-# exact W1 between the 9-step sign-walk law and N(0, 9); frozen from an
-# independent trapezoid integration of |F - Phi| (agreement 5e-8)
-W1_S9 = 0.5045831549423662
 
 
 def test_determinism_across_runs_and_workers(sym):
@@ -91,37 +86,53 @@ def test_ks_variances_are_the_window_variances():
 def test_w1_plumbing():
     rng = np.random.default_rng(1)
     g = rng.normal(0.0, 2.0, 200_000)
-    assert w1_to_gaussian(g, 2.0) < 0.02
     assert w1_two_sample(g, g) == 0.0
     assert abs(w1_two_sample(g, g + 0.5) - 0.5) < 1e-9
 
 
-def test_w1_exact_lattice_law():
-    # the full 9-step sign-walk law as a weighted sample: 2^9 atoms
-    vals = np.repeat(np.arange(-9, 10, 2.0), [comb(9, k) for k in range(10)])
-    assert vals.shape[0] == 512
-    assert abs(w1_to_gaussian(vals, 3.0) - W1_S9) < 1e-7
+def _ks_oracle(x):
+    """KS distance to N(0, 1) from every order statistic, with scipy's ndtr."""
+    x = np.sort(np.asarray(x, dtype=float))
+    n = x.shape[0]
+    cdf = ndtr(x)
+    return float(max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max()))
 
 
-def test_import_leaves_scipy_special_unloaded():
-    # scipy.special is loaded by the KS and W1 statistics, not by the import;
-    # in a fresh interpreter they return the values pinned above
+def test_ks_statistic_matches_ndtr_oracle():
+    rng = np.random.default_rng(3)
+    lattice = (2.0 * rng.binomial(68, 0.5, 512) - 68.0) / math.sqrt(68.0)  # ties
+    assert np.unique(lattice).size < 50
+    for x in (lattice, rng.normal(0.3, 1.2, 700), [0.7], rng.standard_normal(10_000)):
+        assert abs(ks_statistic(x) - _ks_oracle(x)) <= 1e-15
+    assert ks_statistic([0.0]) == 0.5  # the KS gap of one atom at 0 is Phi(0)
+
+
+def test_simulate_runs_without_scipy(tmp_path):
+    # the simulate command in a fresh interpreter where every scipy import fails
     code = (
-        "import sys, asipkit, asipkit.cli\n"
-        "from math import comb\n"
-        "print('scipy.special' in sys.modules)\n"
-        "vals = [float(2 * k - 9) for k in range(10) for _ in range(comb(9, k))]\n"
-        "print(repr(asipkit.w1_to_gaussian(vals, 3.0)), repr(asipkit.ks_statistic([0.0])))\n"
-        "print('scipy.special' in sys.modules)\n"
+        "import sys\n"
+        "class Block:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy' or name.startswith('scipy.'):\n"
+        "            raise ImportError(f'blocked: {name}')\n"
+        "sys.meta_path.insert(0, Block())\n"
+        "import asipkit.cli\n"
+        "rc = asipkit.cli.main(['simulate', '--chain', sys.argv[1], '--paths', '500',\n"
+        "                       '--out', sys.argv[2]])\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(asipkit.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout.split()
-    assert out[0] == "False" and out[3] == "True"
-    vals = np.repeat(np.arange(-9, 10, 2.0), [comb(9, k) for k in range(10)])
-    assert float(out[1]) == w1_to_gaussian(vals, 3.0)
-    assert abs(float(out[1]) - W1_S9) < 1e-7
-    assert float(out[2]) == 0.5  # the KS gap of one atom at 0 is Phi(0)
+    root = Path(asipkit.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(root / "chains" / "chain3_d2.json"), str(tmp_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert out.stdout.splitlines()[-1:] == ["0 []"], out.stdout + out.stderr
+    assert len(list(tmp_path.iterdir())) == 4
+    import tomllib  # Python 3.11
+
+    deps = tomllib.loads((root / "pyproject.toml").read_text())["project"]["dependencies"]
+    assert not any(d.startswith("scipy") for d in deps)
 
 
 def test_variance_matching_iid_zero_gap(iid2):
@@ -159,19 +170,16 @@ def test_variance_matching_is_a_spectral_norm():
 def test_rate_scaling_diagnostic(iid2):
     part = build_blocks(iid2, 9.0, 2, 200)
     batch = sample_paths(iid2, part.cover_end, 20_000, 42, [], partition=part)
-    rc = rate_scaling_diagnostic(batch, iid2, part)
+    sur = gaussian_surrogate(part, 20_000, 9)
+    rc = rate_scaling_diagnostic(batch, iid2, part, sur)
     assert rc.points[0].sigma == math.sqrt(11.0)
     assert all(np.isfinite(pt.w1) and pt.stderr >= 0 for pt in rc.points)
     assert rc.bounded
     # restricting to chosen block indices
-    rc2 = rate_scaling_diagnostic(batch, iid2, part, k_values=[1, part.count])
+    rc2 = rate_scaling_diagnostic(batch, iid2, part, sur, k_values=[1, part.count])
     assert len(rc2.points) == 2
     with pytest.raises(ChainConfigError):
-        rate_scaling_diagnostic(batch, iid2, part, k_values=[0])
-    # two-sample variant against surrogate draws
-    sur = gaussian_surrogate(part, 20_000, 9)
-    rc3 = rate_scaling_diagnostic(batch, iid2, part, surrogate=sur)
-    assert all(np.isfinite(pt.w1) for pt in rc3.points)
+        rate_scaling_diagnostic(batch, iid2, part, sur, k_values=[0])
 
 
 def test_lil_diagnostic(iid2, zero):
