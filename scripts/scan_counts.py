@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Count the moment scans of one warm benchmark pass, and check every one.
+"""Count the moment scans and mixing reports of one warm benchmark pass, and
+check every one.
 
     python3 scripts/scan_counts.py [--workload exact-long] [--seed 5]
 
@@ -9,7 +10,9 @@ scans served from a kept curve (no stride walked), the scans computed and
 the scan rows computed.  Every scan of the counted pass is checked against a
 fresh engine's scan of the same window: the rows it yielded, bit for bit,
 and each chunk's time, which must be the start plus or minus the rows
-before it.  Exits 1 on any mismatch.
+before it.  It also prints the mixing reports asked for and computed; every
+report returned again is checked field by field against the report of a
+chain freshly built from the same document.  Exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "ASIP
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import dataclasses  # noqa: E402
+import importlib  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -32,7 +37,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
 
+import asipkit  # noqa: E402
+from asipkit import blocks, chain, cli, mixing, verify  # noqa: E402
 from asipkit.moments import MomentEngine  # noqa: E402
+
+# `asipkit.battery` names the battery() function, not the module
+battery = importlib.import_module("asipkit.battery")
 
 
 class ScanCounter:
@@ -102,7 +112,49 @@ class ScanCounter:
         self.mismatches += m < n or rows.tobytes() != np.concatenate(want)[:n].tobytes()
 
 
-def count_pass(name: str, seed: int, counter: ScanCounter) -> None:
+class ReportCounter:
+    """Wraps build_chain and mixing_report where their callers look them up;
+    counts the reports asked for and computed, and checks the repeated ones,
+    while `on`."""
+
+    def __init__(self):
+        self.on = False
+        self.asked = self.computed = self.mismatches = 0
+        # both held so that ids stay unique
+        self.docs: dict = {}  # id(chain) -> (chain, document)
+        self.reports: dict = {}  # id(report) -> report
+        self.build = chain.build_chain
+        self.report = mixing.mixing_report
+
+    def install(self) -> None:
+        counter = self
+
+        def built(doc):
+            out = counter.build(doc)
+            counter.docs[id(out)] = (out, doc)
+            return out
+
+        def counted(ch, *args, **kwargs):
+            rep = counter.report(ch, *args, **kwargs)
+            if counter.on:
+                counter.asked += 1
+                if id(rep) in counter.reports:
+                    fresh = counter.report(counter.build(counter.docs[id(ch)][1]), *args, **kwargs)
+                    counter.mismatches += any(
+                        repr(getattr(rep, f.name)) != repr(getattr(fresh, f.name))
+                        for f in dataclasses.fields(rep))
+                else:
+                    counter.computed += 1
+            counter.reports[id(rep)] = rep
+            return rep
+
+        for mod in (chain, asipkit, cli, battery):
+            mod.build_chain = built
+        for mod in (mixing, asipkit, blocks, cli, verify):
+            mod.mixing_report = counted
+
+
+def count_pass(name: str, seed: int, counter: ScanCounter, reports: ReportCounter) -> None:
     with tempfile.TemporaryDirectory() as work:
         wl = workloads.WORKLOADS[name](seed, Path(work))
         wl.write_docs()
@@ -110,10 +162,10 @@ def count_pass(name: str, seed: int, counter: ScanCounter) -> None:
         ops = wl.ops()
         for counted in (False, True):
             ctx = workloads.PassContext(wl.docs)
-            counter.on = counted
+            counter.on = reports.on = counted
             for op in ops:
                 ctx.out[op.label] = op.run(ctx)
-            counter.on = False
+            counter.on = reports.on = False
 
 
 def main(argv=None) -> int:
@@ -124,14 +176,19 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     counter = ScanCounter()
     counter.install()
+    reports = ReportCounter()
+    reports.install()
     bad = 0
     for name in args.workload or list(workloads.WORKLOADS):
         counter.served = counter.computed = counter.rows = counter.mismatches = 0
-        count_pass(name, args.seed, counter)
+        reports.asked = reports.computed = reports.mismatches = 0
+        count_pass(name, args.seed, counter, reports)
         total = counter.served + counter.computed
         print(f"{name}: {counter.served} of {total} scans served, {counter.computed} computed, "
-              f"{counter.rows} scan rows computed, {counter.mismatches} mismatches")
-        bad += counter.mismatches
+              f"{counter.rows} scan rows computed, {counter.mismatches} mismatches; "
+              f"{reports.asked} mixing reports asked, {reports.computed} computed, "
+              f"{reports.mismatches} mismatches")
+        bad += counter.mismatches + reports.mismatches
     return 1 if bad else 0
 
 

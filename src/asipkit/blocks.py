@@ -550,9 +550,10 @@ def plan_partition(
 ) -> tuple[BlockPartition, PartitionPlan]:
     """Full pipeline: mixing envelope -> separation -> amplitude -> blocks.
 
-    The envelope is mixing_report's default fit, and the blocks are built
-    along the first coordinate direction u0.  The exact variance growth rate
-    along u0 over the first 256 times is probed first; a rate <= 1e-12
+    The envelope is mixing_report's default fit (the chain's kept report
+    once it has one), and the blocks are built along the first coordinate
+    direction u0.  The exact variance growth rate along u0 over the first
+    256 times is probed first; a rate <= 1e-12
     raises VarianceStarvedError at the probe index, with or without a given
     horizon.  A given horizon is final: the partition that closes
     there is returned, even with fewer than min_blocks blocks, and

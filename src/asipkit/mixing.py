@@ -10,9 +10,14 @@ boundary pair).
 The pair laws of all requested start times come from one stacked pass: the
 kernels and marginals of up to PASS_CHUNK start times are stacked, one
 running product P_j ... P_{j+k-1} advances over the stack for k = 1, 2, ...,
-and the closed forms and the contraction coefficients pi and rho take
-whole stacks.  So the numpy calls grow with k_max, not with the number of
-start times.
+and the contraction coefficients pi and rho take whole stacks.  The closed
+forms take the laws of consecutive gaps of equal shape as one stack of up
+to GAP_STACK_CAP floats.  So the numpy calls grow with k_max, not with the
+number of start times, and a report over a few start times makes one or
+two closed-form calls.
+
+mixing_report keeps one report per chain and argument set on the chain, as
+engine_for keeps the engine, so a chain is read-only once it has a report.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ EVENT_PAIR_CAP = 1 << 16
 PASS_CHUNK = 4096
 # floats in one stacked block of event sums (2 MiB)
 EVENT_STACK_CAP = 1 << 18
+# floats in one stack of gap laws taken by the closed forms at once (32 KiB)
+GAP_STACK_CAP = 1 << 12
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +155,18 @@ def _fold(marg: np.ndarray, kernel, k_max: int):
     for k in range(1, k_max):
         prod = prod @ kernel(k)
         yield marg[:, :, None] * prod
+
+
+def _gap_stacks(laws):
+    """Runs of consecutive gap laws of one shape, each stacked into at most
+    GAP_STACK_CAP floats (one law at least)."""
+    run = []
+    for joint in laws:
+        if run and (joint.shape != run[0].shape or (len(run) + 1) * joint.size > GAP_STACK_CAP):
+            yield np.stack(run)
+            run = []
+        run.append(joint)
+    yield np.stack(run)
 
 
 def alpha_phi(chain: ChainSpec, k: int, j_range) -> tuple[float, float]:
@@ -381,24 +400,30 @@ def mixing_report(
     j = 1..max(1, min(horizon - k_max, 8)) (1..8 without a horizon), so a schedule
     whose period exceeds 8 is not seen whole and the suprema are taken over
     those starts only (ROADMAP item 1); a probed j with j + k_max past the
-    horizon raises ChainConfigError."""
+    horizon raises ChainConfigError, on every call.
+
+    The report is kept on the chain, keyed by k_max and the start times, and
+    freed with it: a repeated call returns the same report, so neither the
+    chain nor the report may be changed afterwards."""
     if j_probe is None:
         horizon = chain.max_time
         top = min(horizon - k_max, 8) if horizon else 8
         j_probe = list(range(1, max(top, 1) + 1))
     j_probe = list(j_probe)
+    kept = chain.__dict__.setdefault("_mixing_reports", {})
+    key = (k_max, tuple(j_probe))
+    if key in kept:
+        return kept[key]
     groups = _pair_pass(chain, j_probe, k_max)
-    alpha = np.zeros(k_max)
-    phi = np.zeros(k_max)
+    alpha = phi = np.zeros(k_max)
     rows = []  # (starts, pi, rho) per group
     for starts, marg, kern, laws in groups:
-        for k, joint in enumerate(laws):
-            a, p = _alpha_phi_pair(joint)
-            alpha[k] = max(alpha[k], a.max())
-            phi[k] = max(phi[k], p.max())
-            if k == 0:
-                m1 = chain.marginals(starts + 1)
-                rows.append((starts, dobrushin(kern), _rho_rows(marg, joint, m1)))
+        m1 = chain.marginals(starts + 1)
+        rows.append((starts, dobrushin(kern), _rho_rows(marg, marg[:, :, None] * kern, m1)))
+        # the closed forms of gap k fill entries (k - 1) * J .. k * J - 1
+        a, p = (np.concatenate(c).reshape(k_max, -1).max(axis=1)
+                for c in zip(*map(_alpha_phi_pair, _gap_stacks(laws))))
+        alpha, phi = np.maximum(alpha, a), np.maximum(phi, p)
     alphas = dict(zip(range(1, k_max + 1), alpha.tolist()))
     phis = dict(zip(range(1, k_max + 1), phi.tolist()))
     pis, rhos = [], []
@@ -408,7 +433,7 @@ def mixing_report(
         at = order[np.searchsorted(starts, j_probe, sorter=order)]
         pis, rhos = pi[at].tolist(), rho[at].tolist()
     env, n0 = fit_envelope(alphas, phis)
-    return MixingReport(
+    kept[key] = MixingReport(
         ks=list(alphas),
         alpha=list(alphas.values()),
         phi=list(phis.values()),
@@ -420,3 +445,4 @@ def mixing_report(
         n0=n0,
         j_probe=j_probe,
     )
+    return kept[key]

@@ -46,11 +46,11 @@ _KOLMOGOROV_STD = 0.26
 class PathBatch:
     """Streamed centered partial sums at checkpoints (paths, checkpoints, d),
     plus per-path cover-block sums (paths, blocks, d) when a partition was
-    supplied.  (seed, n_paths, n_max, chain) determine every sample."""
+    supplied.  The chain, the seed, the path count and the horizon
+    determine every sample."""
 
     seed: int
     n_paths: int
-    n_max: int
     checkpoints: list
     sums: np.ndarray
     block_sums: np.ndarray | None = None
@@ -168,8 +168,7 @@ def sample_paths(
         if blocks is not None:
             blocks[lo:hi] = cover.swapaxes(0, 1)
     return PathBatch(
-        seed=int(seed), n_paths=int(n_paths), n_max=int(n_max), checkpoints=cps,
-        sums=sums, block_sums=blocks,
+        seed=int(seed), n_paths=int(n_paths), checkpoints=cps, sums=sums, block_sums=blocks,
     )
 
 
@@ -182,7 +181,6 @@ class SurrogateBatch:
     """Independent Gaussians matched to the exact cover-sum covariances;
     cumulative sums along the block axis, shape (samples, blocks, d)."""
 
-    seed: int
     cum_sums: np.ndarray
     clipped: int
 
@@ -208,9 +206,7 @@ def gaussian_surrogate(partition, n_samples: int, seed: int) -> SurrogateBatch:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
     z = rng.standard_normal((n_samples, *vals.shape))
     samples = np.einsum("jdk,njk->njd", roots, z)
-    return SurrogateBatch(
-        seed=int(seed), cum_sums=np.cumsum(samples, axis=1), clipped=int(neg.sum()),
-    )
+    return SurrogateBatch(cum_sums=np.cumsum(samples, axis=1), clipped=int(neg.sum()))
 
 
 # ---------------------------------------------------------------------------

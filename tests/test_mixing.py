@@ -5,7 +5,7 @@ single coordinates give alpha(k) = 0.25 * 0.5^k and phi(k) = 0.5 * 0.5^k.
 The closed forms for alpha and phi are checked against a brute force over
 every event pair and against cylinder events on two coordinates per side,
 and the stacked pass over start times against pair_joint one start time at
-a time.
+a time.  A chain keeps its reports, so each is computed once.
 """
 import itertools
 import json
@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 from test_moments import small_random_chain
 
+from asipkit import mixing
 from asipkit.battery import battery, entry
+from asipkit.blocks import plan_partition
 from asipkit.chain import ChainConfigError, build_chain, pair_joint
 from asipkit.cli import EXIT_INPUT, main
 from asipkit.mixing import (
@@ -30,6 +32,7 @@ from asipkit.mixing import (
     mixing_report,
     rho_coefficient,
 )
+from asipkit.verify import verify_chain
 
 
 def test_alpha_phi_hand_oracles(sym):
@@ -90,32 +93,82 @@ def test_stacked_pass_matches_pair_joint():
         (entry("leaky3_delta").build(), [7, 3, 3, 1, 12, 5, 1, 2], 12),
     ]
     for chain, j_range, k_max in cases:
+        rep = mixing_report(chain, k_max=k_max, j_probe=j_range)
         for k in range(1, k_max + 1):
             laws = [pair_joint(chain, j, j + k).matrix for j in j_range]
             pairs = [_alpha_phi_pair(joint) for joint in laws]
             got = alpha_phi(chain, k, j_range)
             assert got == tuple(max(col) for col in zip(*pairs)), k
+            # the report's stacked gaps give the same floats
+            assert (rep.alpha[k - 1], rep.phi[k - 1]) == got, k
             want = [max(col) for col in zip(*map(_brute_alpha_phi, laws))]
             assert np.allclose(got, want, rtol=0.0, atol=1e-14), k
-        rep = mixing_report(chain, k_max=k_max, j_probe=j_range)
         assert rep.pi == [dobrushin_coefficient(chain, j) for j in j_range]
         assert rep.rho == [rho_coefficient(chain, j) for j in j_range]
 
 
+# six times: too short for the default k_max = 12
+SHORT_DOC = {
+    "kernels": [[[0.75, 0.25], [0.25, 0.75]]] * 5,
+    "initial": [0.5, 0.5],
+    "observable": {"constant": [[1.0], [-1.0]]},
+    "L": 1.0,
+}
+
+
 def test_mixing_report_fails_fast_on_short_horizons(tmp_path, capsys):
-    doc = {
-        "kernels": [[[0.75, 0.25], [0.25, 0.75]]] * 5,
-        "initial": [0.5, 0.5],
-        "observable": {"constant": [[1.0], [-1.0]]},
-        "L": 1.0,
-    }
     msg = "k_max=12 from start time j=1 passes the horizon 6"
     with pytest.raises(ChainConfigError, match=msg):
-        mixing_report(build_chain(doc))
+        mixing_report(build_chain(SHORT_DOC))
     path = tmp_path / "short.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(SHORT_DOC))
     assert main(["mixing", "--chain", str(path), "--out", str(tmp_path / "o")]) == EXIT_INPUT
     assert msg in capsys.readouterr().err
+
+
+def test_stacked_gaps_at_many_start_times():
+    # 256 start times of a 3-state explicit chain: one gap's laws fill more
+    # than half of GAP_STACK_CAP, so every gap is a stack of its own
+    chain = small_random_chain([3] * 300, 1, 3)
+    rep = mixing_report(chain, k_max=40, j_probe=range(1, 257))
+    for k in range(1, 41):
+        assert (rep.alpha[k - 1], rep.phi[k - 1]) == alpha_phi(chain, k, range(1, 257)), k
+
+
+def test_mixing_report_is_computed_once_per_chain(monkeypatch):
+    passes = []
+    groups = mixing._pair_groups
+
+    def counted(chain, starts, k_max):
+        passes.append((k_max, starts.tolist()))
+        return groups(chain, starts, k_max)
+
+    monkeypatch.setattr(mixing, "_pair_groups", counted)
+    chain = entry("sym2_p02").build()
+    rep = mixing_report(chain)
+    assert mixing_report(chain) is rep
+    plan_partition(chain)
+    assert passes == [(12, list(range(1, 9)))]
+    assert mixing_report(chain, j_probe=range(1, 9)) is rep
+
+    passes.clear()
+    verify_chain("sym2_p02")
+    # covariance_inequality_check's alpha_phi(chain, r, ...) is the other pass
+    assert [p for p in passes if p[0] == 12] == [(12, list(range(1, 9)))]
+
+    passes.clear()
+    assert mixing_report(chain, k_max=6) is not rep
+    assert mixing_report(chain, j_probe=[2, 1]) is not rep
+    fresh = mixing_report(entry("sym2_p02").build())
+    assert fresh is not rep and fresh == rep
+    assert [k for k, _ in passes] == [6, 12, 12]
+
+    passes.clear()
+    short = build_chain(SHORT_DOC)
+    for _ in range(2):
+        with pytest.raises(ChainConfigError, match="passes the horizon 6"):
+            mixing_report(short)
+    assert passes == [] and short._mixing_reports == {}
 
 
 def test_event_cap_on_the_smaller_side():

@@ -839,5 +839,6 @@ def test_scan_counts_finds_no_mismatch():
     done = subprocess.run([sys.executable, str(script), "--workload", "exact-long"],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    line = r"exact-long: \d+ of \d+ scans served, \d+ computed, \d+ scan rows computed, 0 mismatches\n"
+    line = (r"exact-long: \d+ of \d+ scans served, \d+ computed, \d+ scan rows computed, "
+            r"0 mismatches; \d+ mixing reports asked, \d+ computed, 0 mismatches\n")
     assert re.fullmatch(line, done.stdout)
