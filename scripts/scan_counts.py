@@ -6,8 +6,9 @@ check every one.
 
 For each workload of perfbench/workloads.py (imported, not changed), runs one
 pass of its operations to warm up and then one counted pass, and prints the
-scans served from a kept curve (no stride walked), the scans computed and
-the scan rows computed.  Every scan of the counted pass is checked against a
+scans served from a kept curve (no stride walked), the scans computed, the
+scan rows computed and the kept curves evicted to stay within the engine's
+byte bound.  Every scan of the counted pass is checked against a
 fresh engine's scan of the same window: the rows it yielded, bit for bit,
 and each chunk's time, which must be the start plus or minus the rows
 before it.  It also prints the mixing reports asked for and computed; every
@@ -46,16 +47,23 @@ battery = importlib.import_module("asipkit.battery")
 
 
 class ScanCounter:
-    """Wraps MomentEngine.scan and _walk; counts and checks while `on`."""
+    """Wraps MomentEngine.scan, _walk and _keep; counts and checks while
+    `on`."""
 
     def __init__(self):
         self.on = False
-        self.served = self.computed = self.rows = self.mismatches = 0
+        self.served = self.computed = self.rows = self.evicted = self.mismatches = 0
         self.walked: set = set()  # (engine id, start, stop) of walks begun
 
     def install(self) -> None:
-        scan, walk = MomentEngine.scan, MomentEngine._walk
+        scan, walk, keep = MomentEngine.scan, MomentEngine._walk, MomentEngine._keep
         counter = self
+
+        def counted_keep(eng, key, chunks):
+            held = list(eng._curves)
+            keep(eng, key, chunks)
+            if counter.on:
+                counter.evicted += sum(k not in eng._curves for k in held)
 
         def counted_walk(eng, start, stop, *args):
             counter.walked.add((id(eng), start, stop))
@@ -85,6 +93,7 @@ class ScanCounter:
                     counter.on = True
 
         MomentEngine._walk = counted_walk
+        MomentEngine._keep = counted_keep
         MomentEngine.scan = checked_scan
 
     def _rows(self, chunks):
@@ -94,7 +103,7 @@ class ScanCounter:
             yield t, v
 
     def _check(self, start, stop, got, fresh) -> None:
-        sign = -1 if stop is not None and stop < start else 1
+        sign = -1 if stop < start else 1
         n = 0
         for t, v in got:
             self.mismatches += t != start + sign * n
@@ -180,12 +189,13 @@ def main(argv=None) -> int:
     reports.install()
     bad = 0
     for name in args.workload or list(workloads.WORKLOADS):
-        counter.served = counter.computed = counter.rows = counter.mismatches = 0
+        counter.served = counter.computed = counter.rows = counter.evicted = counter.mismatches = 0
         reports.asked = reports.computed = reports.mismatches = 0
         count_pass(name, args.seed, counter, reports)
         total = counter.served + counter.computed
         print(f"{name}: {counter.served} of {total} scans served, {counter.computed} computed, "
-              f"{counter.rows} scan rows computed, {counter.mismatches} mismatches; "
+              f"{counter.rows} scan rows computed, {counter.evicted} curves evicted, "
+              f"{counter.mismatches} mismatches; "
               f"{reports.asked} mixing reports asked, {reports.computed} computed, "
               f"{reports.mismatches} mismatches")
         bad += counter.mismatches + reports.mismatches

@@ -300,27 +300,16 @@ class BlockVerification:
         }
 
 
-def _masked_prefix_vars(
-    eng: MomentEngine, u0: np.ndarray, blocks, r: int, masked: bool
-) -> np.ndarray:
-    """Var of the union sum recorded at each block boundary.
-
-    masked=True: gaps contribute nothing, recorded at the block ends b_j
-    (variance of S(M^(k)) . u0).  masked=False: contiguous sum recorded at
-    the cover ends b_j + r (variance of S(I^(k)) . u0).  A mask that keeps
-    every time adds no edge, so it is dropped: the floats are the same, and
-    the unmasked scan yields the kept curve of its key first (at d = 1,
-    v_curve's curve covers it when kept).
-    """
+def _masked_prefix_vars(eng: MomentEngine, u0: np.ndarray, blocks) -> np.ndarray:
+    """Var(S(M^(k)) . u0) at each block end b_k, from one scan over
+    [a_1, b_K] whose mask keeps the blocks' times only."""
     a1 = blocks[0][0]
-    stops = np.array([b if masked else b + r for _, b in blocks])
-    inside = np.zeros(stops[-1] - a1 + 1, dtype=bool)
-    for (a, _), stop in zip(blocks, stops):
-        inside[a - a1 : stop - a1 + 1] = True
-    if inside.all():
-        inside = None
-    var = np.concatenate([v[:, 0] for _, v in eng.scan(a1, int(stops[-1]), u0, inside)])
-    return var[stops - a1]
+    ends = np.array([b for _, b in blocks])
+    inside = np.zeros(ends[-1] - a1 + 1, dtype=bool)
+    for a, b in blocks:
+        inside[a - a1 : b - a1 + 1] = True
+    var = np.concatenate([v[:, 0] for _, v in eng.scan(a1, int(ends[-1]), u0, inside)])
+    return var[ends - a1]
 
 
 def verify_partition(
@@ -336,7 +325,11 @@ def verify_partition(
     sqrt(lambda_min) of a cover covariance, a2 and c the largest
     sqrt(lambda_max) of a prefix and of a suffix sum inside a cover, r1 and
     r2 the extremes of lambda_min(V_n) / k_n and lambda_max(V_n) / k_n.
-    Their witnesses are (n, unit eigenvector)."""
+    Their witnesses are (n, unit eigenvector).
+
+    The sandwich and the block/cover ratio read Var(S(I^(k)) . u0) as the
+    (0, 0) entry of v_curve(cover_end) at the cover ends: the covers tile
+    [1, cover_end] and u0 is the first coordinate direction."""
     eng = engine_for(chain)
     part = partition
     horizon = part.cover_end if horizon is None else int(horizon)
@@ -383,8 +376,8 @@ def verify_partition(
         r2_wit = (int(ns[j]), [float(x) for x in np.linalg.eigh(vn[j]).eigenvectors[:, -1]])
 
     # masked-variance sandwich and the block/cover ratio, both along u0
-    var_m = _masked_prefix_vars(eng, part.u0, part.blocks, part.r, masked=True)
-    var_i = _masked_prefix_vars(eng, part.u0, part.blocks, part.r, masked=False)
+    var_m = _masked_prefix_vars(eng, part.u0, part.blocks)
+    var_i = eng.v_curve(part.cover_end)[part.i_ends - 1, 0, 0]
     sums = np.cumsum(part.norms**2)
     ratios_m = var_m / sums
     sandwich_min = float(ratios_m.min())

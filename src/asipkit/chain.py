@@ -297,7 +297,8 @@ class MixtureKernels(KernelSchedule):
         # (j0, period) of repeats(): a constant or linear weight stops
         # changing at its flat step, and a cosine of integer period weighs
         # step j by the phase (j - 1) mod period; steps j0 + i and
-        # j0 + i + period share one kernel array
+        # j0 + i + period share one kernel array, kept in _cache (a schedule
+        # that never repeats keeps none)
         self._repeats = None
         if kind == "constant":
             self._repeats = 1, 1
@@ -357,7 +358,8 @@ class MixtureKernels(KernelSchedule):
         if k is None:
             w = self.weight(key)
             k = (1.0 - w) * self.k0 + w * self.k1
-            self._cache[key] = k
+            if self._repeats is not None:
+                self._cache[key] = k
         return k
 
     def stack(self, j: int, k: int) -> np.ndarray:
@@ -373,6 +375,10 @@ class ObservableSchedule:
     def __init__(self, kind: str, tables: Sequence[np.ndarray]):
         self.kind = kind
         self.tables = tables
+        i = next((i for i, a in enumerate(tables) if a.shape[1] != tables[0].shape[1]), None)
+        if i is not None:
+            raise ChainConfigError(f"observable {i + 1}: value dimension {tables[i].shape[1]} != "
+                                   f"{tables[0].shape[1]} of observable 1")
 
     @staticmethod
     def _normalize_table(tab, d_hint: int | None, what: str) -> np.ndarray:
@@ -745,11 +751,14 @@ def build_chain(doc) -> ChainSpec:
 
     Recognized fields: states, kernels (list | {periodic} | {mixture}),
     initial, observable (list | {constant} | {periodic} | {explicit}),
-    L, d, name.
+    L, d, name.  A faulty document or file raises ChainConfigError.
     """
     if isinstance(doc, (str, Path)):
         if os.path.exists(doc):  # unlike Path.exists, False for too long a name
-            doc = json.loads(Path(doc).read_text())
+            try:
+                doc = json.loads(Path(doc).read_text())
+            except (OSError, ValueError) as e:  # a directory, say, or invalid JSON
+                raise ChainConfigError(f"cannot read chain file {doc}: {e}") from e
         else:
             try:
                 doc = json.loads(str(doc))

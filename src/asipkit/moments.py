@@ -33,8 +33,8 @@ curve of any longer scan whose start has the same phase mod
 lcm(run period, P): every input of its steps repeats with that period.  An
 engine keeps the longest curve scanned per (scan direction, direction rows,
 phase) for such scans and per (scan direction, direction rows, start) for
-any other unmasked scan with a finite stop, at most _CURVE_BYTES in all.  A
-scan yields the held curve of its key first and walks only past its end.
+any other unmasked scan, at most _CURVE_BYTES in all.  A scan yields the
+held curve of its key first and walks only past its end.
 
 A pairwise-covariance accumulation path is kept alongside as an
 independent cross-check and for callers that want per-pair terms.
@@ -69,11 +69,11 @@ B = 256
 # the chunk length, so a longer chunk pays the per-stride numpy overhead less
 # often.
 _CHUNK = 2 * B
-# Kept spans per engine, one per (scan direction, direction rows), and kept
-# curves, one per (scan direction, direction rows, start phase or start).
-_POWERS_KEPT = 4
-# Most bytes an engine's kept curves hold in all: a curve from time 1 can be
-# as long as the horizon.
+# Kept spans per engine, one per (scan direction, direction rows): a span
+# grows with the state count, and _walk reads it at every first-phase stride.
+_SPANS_KEPT = 4
+# Most bytes an engine's kept curves hold in all, the oldest key going first:
+# a curve from time 1 can be as long as the horizon.
 _CURVE_BYTES = 1 << 24
 # A run's centres are the marginal table's phase means this many steps past
 # its start (rounded down to whole periods), by when the tables of the chains
@@ -224,6 +224,7 @@ class MomentEngine:
         self.d = chain.d
         self._spans: dict = {}  # (backward, direction rows) -> the run's kept span
         self._curves: dict = {}  # _curve_key -> the longest curve scanned of that key
+        self._curve_bytes = 0  # bytes of the kept curves
 
     # -- per-time -----------------------------------------------------------
 
@@ -345,18 +346,18 @@ class MomentEngine:
             q, x, v = (z[: run.span - h] for z in maps)
             more = (*_compose((q, x), (maps[0][h - 1], maps[1][h - 1])), v)
             maps = tuple(np.concatenate(pair) for pair in zip(maps, more))
-        if len(self._spans) >= _POWERS_KEPT:
+        if len(self._spans) >= _SPANS_KEPT:
             self._spans.pop(next(iter(self._spans)))
         self._spans[key] = maps
         return maps
 
-    def _stride(self, nxt: int, stop: int | None, edges, dirs: np.ndarray, back: bool, live: bool):
+    def _stride(self, nxt: int, stop: int, edges, dirs: np.ndarray, back: bool, live: bool):
         """Stacked (Q, X, V) of the steps the scan takes at once from the
         step into time nxt.  In the run from the period's first phase, the
         first k steps of the kept span, k up to its length; in the run off
         that phase, a chunk up to the next first-phase time.  Outside the
         run, a chunk of up to _CHUNK steps, ending before the run's t0.  No
-        further than `stop` (or the horizon) or the next mask edge."""
+        further than `stop` or the next mask edge."""
         run = self._run
         first = False
         if run is not None and nxt >= run.t0:
@@ -370,12 +371,7 @@ class MomentEngine:
                 k = min(k, nxt - run.t0 + 1)
         else:
             k = _CHUNK if back or run is None else min(_CHUNK, run.t0 - nxt)
-        if back:
-            k = min(k, nxt - stop + 1)
-        else:
-            end = self.chain.max_time if stop is None else stop
-            if end is not None:
-                k = min(k, end - nxt + 1)
+        k = min(k, abs(stop - nxt) + 1)
         if edges is not None:  # times where a mask segment begins
             i = np.searchsorted(edges, nxt, side="right")
             if back and i:
@@ -405,13 +401,13 @@ class MomentEngine:
         v = v[::-1] if back else v
         return (*_prefix((q, v.transpose(0, 2, 1)[..., None] * q[:, None])), v)
 
-    def scan(self, start: int, stop: int | None, directions: np.ndarray, inside=None):
+    def scan(self, start: int, stop: int, directions: np.ndarray, inside=None):
         """Exact moment scan of S . u for every direction row u.
 
-        Walks from `start` toward `stop` and yields (t, v) chunks: v[i] holds
-        the variances of the sum over the times from `start` through the
-        i-th time of the chunk, t being the first.  Forward (stop >= start,
-        or None for no end) these are prefix sums, one time per step.
+        Walks from `start` to the time `stop` and yields (t, v) chunks: v[i]
+        holds the variances of the sum over the times from `start` through
+        the i-th time of the chunk, t being the first.  Forward
+        (stop >= start) these are prefix sums, one time per step.
         Backward (stop < start) they are suffix sums over [t, start], by the
         conditional-moment recursion g1_t = v_t + K_t g1_{t+1},
         g2_t = v_t^2 + 2 v_t K_t g1_{t+1} + K_t g2_{t+1}, read as
@@ -420,26 +416,27 @@ class MomentEngine:
         Every chunk after the first time is one stride (_stride): a stack of
         up to _CHUNK composed step maps, applied by _Sweep.jump.  `inside`, a
         boolean mask indexed by t minus the lower end, keeps the times where
-        it is False out of the sum; a mask edge ends a stride.  An end past
-        the chain's horizon raises ChainConfigError before any step.
+        it is False out of the sum; a mask edge ends a stride, and a mask
+        that keeps every time is dropped (the same floats).  An end past the
+        chain's horizon raises ChainConfigError before any step.
 
-        An unmasked scan with a finite stop has a key (see _curve_key), and
-        the engine keeps the longest curve scanned of each key.  When the
-        held curve is long enough it serves the scan: the whole curve
-        arrives as one read-only chunk, not one chunk per stride.  When it
-        is shorter, it arrives first, as one read-only chunk; a consumer
+        An unmasked scan has a key (see _curve_key), and the engine keeps
+        the longest curve scanned of each key.  When the held curve is long
+        enough it serves the scan: the whole curve arrives as one read-only
+        chunk, not one chunk per stride.  When it is shorter, it arrives
+        first, as one read-only chunk; a consumer
         that asks for more gets the rest from a fresh walk from `start`,
         whose rows already yielded are skipped.  The curve a walk yields, up
         to where its consumer stops, is kept when longer than the one held.
         """
         dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-        top, end = self.chain.max_time, start if stop is None else max(start, stop)
+        top, end = self.chain.max_time, max(start, stop)
         if top is not None and end > top:
             raise ChainConfigError(f"scan to time {end} passes the horizon {top}")
-        key = self._curve_key(start, stop, dirs, inside)
-        if key is None:
+        if inside is not None and not inside.all():
             yield from self._walk(start, stop, dirs, inside)
             return
+        key = self._curve_key(start, stop, dirs)
         held, n = self._curves.get(key), abs(stop - start) + 1
         done = 0  # rows yielded
         if held is not None:
@@ -459,8 +456,8 @@ class MomentEngine:
         finally:
             self._keep(key, chunks)
 
-    def _curve_key(self, start: int, stop: int | None, dirs: np.ndarray, inside):
-        """The key of an unmasked scan with a finite stop, or None.
+    def _curve_key(self, start: int, stop: int, dirs: np.ndarray):
+        """The key of an unmasked scan.
 
         Two scans from the same start yield prefixes of one curve: a
         stride's length depends on `stop` only where the last stride is cut
@@ -474,8 +471,6 @@ class MomentEngine:
         repeat with the lcm L of the run's and the table's periods; so a
         scan with both ends at or past c0 has the key (backward, direction
         rows, "phase", (start - c0) mod L)."""
-        if inside is not None or stop is None:
-            return None
         run, cycle = self._run, self.chain.cycle
         rows = (stop < start, dirs.shape, dirs.tobytes())
         if run is not None and cycle is not None:
@@ -486,25 +481,26 @@ class MomentEngine:
 
     def _keep(self, key, chunks) -> None:
         """Keep the curve of `chunks` under `key` if it is longer than the one
-        held.  The oldest other keys go until at most _POWERS_KEPT curves of
-        at most _CURVE_BYTES in all are held; a curve larger than
+        held, as the newest key.  The oldest other keys go until the kept
+        curves hold at most _CURVE_BYTES in all; a curve larger than
         _CURVE_BYTES is not kept."""
         curves, held = self._curves, self._curves.get(key)
         rows, size = sum(len(v) for v in chunks), sum(v.nbytes for v in chunks)
         if rows <= (0 if held is None else len(held)) or size > _CURVE_BYTES:
             return
-        others = [k for k in curves if k != key]
-        size += sum(curves[k].nbytes for k in others)
-        while len(others) >= _POWERS_KEPT or size > _CURVE_BYTES:
-            size -= curves.pop(others.pop(0)).nbytes
+        if held is not None:
+            self._curve_bytes -= curves.pop(key).nbytes
+        while self._curve_bytes + size > _CURVE_BYTES:
+            self._curve_bytes -= curves.pop(next(iter(curves))).nbytes
         curve = np.concatenate(chunks)
         curve.flags.writeable = False
         curves[key] = curve
+        self._curve_bytes += size
 
-    def _walk(self, start: int, stop: int | None, dirs: np.ndarray, inside):
+    def _walk(self, start: int, stop: int, dirs: np.ndarray, inside):
         """The scan's stride loop (see scan), from the first time on."""
         chain = self.chain
-        back = stop is not None and stop < start
+        back = stop < start
         sign = -1 if back else 1
         lo = stop if back else start
         edges = None
@@ -520,7 +516,7 @@ class MomentEngine:
         v0 = self._nodes(t, t, dirs)[0] if live(t) else np.zeros((len(p0), len(dirs)))
         sweep = _Sweep(p0, v0, w0)
         yield t, sweep.var0[None]
-        while stop is None or t != stop:
+        while t != stop:
             nxt = t + sign
             on = live(nxt)
             maps = self._stride(nxt, stop, edges, dirs, back, on)

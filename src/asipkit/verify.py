@@ -71,7 +71,8 @@ class VerifyReport:
 
 
 def inject_fault(chain: ChainSpec, kind: str = "kernel-row") -> ChainSpec:
-    """Corrupt the chain in place, bypassing document validation."""
+    """Corrupt kernel 1's array in place, bypassing document validation:
+    battery chain 0, which run_verification corrupts, is periodic and keeps it."""
     if kind not in FAULT_KINDS:
         raise ChainConfigError(f"unknown fault kind {kind!r}; known: {FAULT_KINDS}")
     k = chain.kernel(1)

@@ -110,6 +110,20 @@ def test_mixture_weights_constant_and_cosine():
         MixtureKernels(k0, k1, {"kind": "sawtooth"})
 
 
+def test_mixture_kernels_of_weights_that_never_repeat_are_not_kept():
+    # a cosine of non-integer period weighs every step anew: kernel(j) is
+    # the floats of stack(j, 1)[0], and a long marginal fill keeps none
+    mixture = {"base": [SYM_K, [[0.5, 0.5], [0.5, 0.5]]], "weights": {"kind": "cosine", "period": 3.7}}
+    ch = build_chain({"kernels": {"mixture": mixture}, "initial": [0.5, 0.5],
+                      "observable": {"constant": [[1.0], [-1.0]]}, "L": 1.0})
+    mk = ch.kernels
+    ch.marginal(20_000)
+    assert mk.repeats() is None and ch.cycle is None and mk._cache == {}
+    for j in (1, 2, 3, 4, 17, 19_999):
+        assert mk.kernel(j).tobytes() == mk.stack(j, 1)[0].tobytes()
+    assert mk._cache == {}
+
+
 def test_explicit_horizon_limits():
     ks = ExplicitKernels([SYM_K, SYM_K, SYM_K])
     assert ks.n_steps == 3
@@ -183,6 +197,11 @@ def _mixture(rule):
          "observable at time 4 has 2 rows, state space has 3"),
         ({"kernels": {"periodic": [_K23, _K33, _K32]}, "observable": {"periodic": _tables(2, 3)}},
          "observable at time 3 has 2 rows, state space has 3"),
+        # with no d declared, every table has the dimension of table 1
+        ({"d": None, "observable": {"periodic": [[[1.0], [-1.0]], [[1.0, 0.0], [0.0, 1.0]]]}},
+         "observable 2: value dimension 2 != 1 of observable 1"),
+        ({"d": None, "observable": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], [[1.0], [0.0]]]},
+         "observable 3: value dimension 1 != 2 of observable 1"),
     ],
 )
 def test_document_validation_errors(patch, msg):
@@ -194,6 +213,7 @@ def test_document_validation_errors(patch, msg):
         "d": 1,
     }
     doc.update(patch)
+    doc = {k: v for k, v in doc.items() if v is not None}  # a field patched to None is left out
     with pytest.raises(ChainConfigError, match=re.escape(msg)):
         build_chain(doc)
 
@@ -464,6 +484,14 @@ def test_build_chain_accepts_json_text_too_long_for_a_file_name(tmp_path):
     for missing in (str(tmp_path / "missing.json"), "x" * 300):
         with pytest.raises(ChainConfigError, match="chain file not found"):
             build_chain(missing)
+
+
+def test_build_chain_names_a_file_it_cannot_read(tmp_path):
+    bad = tmp_path / "broken.json"
+    bad.write_text("{not json")
+    for path in (bad, str(bad), tmp_path):
+        with pytest.raises(ChainConfigError, match=f"cannot read chain file {re.escape(str(path))}: "):
+            build_chain(path)
 
 
 def test_readme_json_examples_parse():

@@ -208,6 +208,7 @@ def test_malformed_documents_exit_2(tmp_path, capsys):
         ({"L": "big"}, "bound L"),
         ({"d": "x"}, "declared d"),
         ({"states": [2, "q"]}, "declared states at time 2"),
+        ({"observable": {"periodic": [[[1.0], [-1.0]], [[1.0, 0.0], [0.0, 1.0]]]}}, "observable 2"),
     ]
     weights = [
         {"kind": "linear", "start": 1.0, "end": 0.0, "length": 0},

@@ -17,7 +17,6 @@ from asipkit.chain import ChainSpec, ExplicitKernels, ObservableSchedule, build_
 from asipkit.moments import (
     _CHUNK,
     _CURVE_BYTES,
-    _POWERS_KEPT,
     B,
     MomentEngine,
     SupportOverflow,
@@ -705,6 +704,7 @@ def test_scan_memo_matches_fresh_scans(name, monkeypatch):
     assert {"leaky3_delta": 225, "slow2": 847, "mixture2_ramp": 202, "limit2": 23}.get(name, c0) == c0
     walks = _record_walks(monkeypatch)
     top = max(MEMO_LENGTHS) - 1
+    asked = set()  # (start, stop, direction rows) of the exact-start scans
     for dirs in (np.eye(chain.d)[:1], _polar_directions(chain.d)):
         for s in range(c0, c0 + 2 * span):
             for n in MEMO_LENGTHS:
@@ -715,20 +715,24 @@ def test_scan_memo_matches_fresh_scans(name, monkeypatch):
                     # a whole period of phases later every curve is held
                     assert served or s < c0 + span
         # a scan that touches a time before c0 is keyed by its exact start:
-        # computed the first time, served the second
+        # computed the first time, served after, also across the two
+        # direction sets where d = 1 makes them one (no curve is evicted)
         if c0 > 1:
             for start, stop in ((c0 - 1, c0 + B), (c0 + B, c0 - 1), (c0, c0 - 1)):
-                for again in (False, True):
+                for _ in range(2):
                     got, served = _scanned(eng, walks, start, stop, dirs)
-                    assert served == again
+                    assert served == ((start, stop, dirs.tobytes()) in asked)
+                    asked.add((start, stop, dirs.tobytes()))
                     assert got.tobytes() == _fresh(chain, start, stop, dirs).tobytes()
 
 
 def test_scan_memo_keeps_a_bounded_number_of_curves(monkeypatch):
+    # kept curves are bounded by _CURVE_BYTES alone, the oldest key going
+    # first: under the bound every key is held, and a bound of three and a
+    # half curves holds the last three keys
     chain = entry("period2").build()
-    eng = MomentEngine(chain)
     walks = _record_walks(monkeypatch)
-    c0 = max(eng._run.t0, chain.cycle[0])
+    c0 = max(MomentEngine(chain)._run.t0, chain.cycle[0])
     # 3 direction rows x 2 scan directions x 2 start phases: 12 keys
     scans = [
         (start, stop, [[u]])
@@ -736,15 +740,40 @@ def test_scan_memo_keeps_a_bounded_number_of_curves(monkeypatch):
         for s in (c0, c0 + 1)
         for start, stop in ((s, s + B + 9), (s + B + 9, s))
     ]
-    for _ in range(2):
-        for start, stop, dirs in scans:
-            got, _ = _scanned(eng, walks, start, stop, dirs)
-            assert len(eng._curves) <= _POWERS_KEPT
-            assert got.tobytes() == _fresh(chain, start, stop, dirs).tobytes()
-    # the last _POWERS_KEPT keys are held and served; the first were evicted
-    held = [_scanned(eng, walks, *scan)[1] for scan in scans[-_POWERS_KEPT:]]
-    assert len(eng._curves) == _POWERS_KEPT and all(held)
-    assert not _scanned(eng, walks, *scans[0])[1]
+    size = (B + 10) * 8  # bytes of one curve
+    for bound, kept in ((_CURVE_BYTES, len(scans)), (3 * size + size // 2, 3)):
+        monkeypatch.setattr("asipkit.moments._CURVE_BYTES", bound)
+        eng = MomentEngine(chain)
+        for again in (False, True):
+            for start, stop, dirs in scans:
+                got, served = _scanned(eng, walks, start, stop, dirs)
+                assert served == (again and kept == len(scans))
+                assert got.tobytes() == _fresh(chain, start, stop, dirs).tobytes()
+                held = sum(c.nbytes for c in eng._curves.values())
+                assert held == eng._curve_bytes <= bound
+        assert len(eng._curves) == kept
+        # the last `kept` keys are served; each earlier one was evicted
+        assert all(_scanned(eng, walks, *scan)[1] for scan in scans[-kept:])
+        assert not any(_scanned(eng, walks, *scan)[1] for scan in scans[:-kept])
+
+
+def test_a_mask_that_keeps_every_time_is_no_mask(monkeypatch):
+    # a one-segment var_segments reads the held curve of a longer unmasked
+    # scan from the same start, and walks no stride
+    chain = entry("chain3").build()
+    eng = MomentEngine(chain)
+    walks = _record_walks(monkeypatch)
+    lengths = _count_strides(monkeypatch)
+    u = np.array([1.0])
+    for a in (1, 40):
+        ends = (a, a + B, a + _CHUNK + 9)
+        fresh = [MomentEngine(chain).var_segments(u, [(a, b)]) for b in ends]
+        pre = eng.prefix_variances(a, ends[-1], u)[:, 0]
+        lengths.clear()
+        before = len(walks)
+        got = [eng.var_segments(u, [(a, b)]) for b in ends]
+        assert lengths == [] and len(walks) == before
+        assert got == fresh == [pre[b - a] for b in ends]
 
 
 EXACT_CHAINS = {
@@ -762,8 +791,10 @@ def _exact_dirs(d):
 
 def _exact_start_scans(chain, eng, walks, bound):
     """Forward and backward scans of every MEMO_LENGTHS length, shuffled,
-    from one start, each bit-equal to a fresh scan; a masked scan is never
-    served, and the kept curves hold at most `bound` bytes."""
+    from one start, each bit-equal to a fresh scan, and the kept curves
+    hold at most `bound` bytes.  Under _CURVE_BYTES a scan is served when a
+    curve of its key at least as long was scanned before, and the same scan
+    under a mask that keeps every time is served after it."""
     start = max(MEMO_LENGTHS)
     order = np.random.default_rng(3).permutation(MEMO_LENGTHS * 2)
     held = {}  # (scan direction, direction rows) -> rows of the longest curve
@@ -777,11 +808,11 @@ def _exact_start_scans(chain, eng, walks, bound):
                 if bound == _CURVE_BYTES:
                     assert served == (n <= held.get(key, 0))
                 held[key] = max(held.get(key, 0), n)
-                assert sum(c.nbytes for c in eng._curves.values()) <= bound
-                # a mask that keeps every time yields the same curve, walked
+                assert sum(c.nbytes for c in eng._curves.values()) == eng._curve_bytes <= bound
+                # a mask that keeps every time is dropped: the same curve
                 keep = np.ones(n, dtype=bool)
                 got, served = _scanned(eng, walks, start, stop, dirs, keep)
-                assert not served
+                assert served or bound < _CURVE_BYTES
                 assert got.tobytes() == _fresh(chain, start, stop, dirs, keep).tobytes()
 
 
@@ -792,7 +823,8 @@ def test_scan_memo_serves_exact_starts(name, monkeypatch):
     assert eng._run is None
     walks = _record_walks(monkeypatch)
     _exact_start_scans(chain, eng, walks, _CURVE_BYTES)
-    assert len(eng._curves) == _POWERS_KEPT
+    # one curve per (scan direction, direction rows), none evicted
+    assert len(eng._curves) == 4
     # a bound below the longest many-direction curves skips them and evicts
     # curves, and changes no float
     bound = len(_exact_dirs(chain.d)[1]) * 8 * max(MEMO_LENGTHS) * 3 // 4
@@ -836,9 +868,12 @@ def test_scan_yields_the_held_prefix_first(name, back, monkeypatch):
 
 def test_scan_counts_finds_no_mismatch():
     script = Path(__file__).resolve().parents[1] / "scripts" / "scan_counts.py"
-    done = subprocess.run([sys.executable, str(script), "--workload", "exact-long"],
+    done = subprocess.run([sys.executable, str(script), "--workload", "exact-long",
+                           "--workload", "schedule"],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    line = (r"exact-long: \d+ of \d+ scans served, \d+ computed, \d+ scan rows computed, "
-            r"0 mismatches; \d+ mixing reports asked, \d+ computed, 0 mismatches\n")
-    assert re.fullmatch(line, done.stdout)
+    line = (r"{}: \d+ of \d+ scans served, \d+ computed, \d+ scan rows computed, "
+            r"{} curves evicted, 0 mismatches; \d+ mixing reports asked, \d+ computed, "
+            r"0 mismatches\n")
+    assert re.fullmatch(line.format("exact-long", "0") + line.format("schedule", r"\d+"),
+                        done.stdout)
