@@ -470,10 +470,9 @@ def covariance_inequality_check(
     u the first coordinate direction.
 
     Both sides exact: the covariance by masked sweeps, the L^p norms by the
-    distribution DP, alpha(r) from its closed form over the pair laws at the
-    separating gap r = min M2 - max M1, maximized over start times
-    j <= min(max M2, 24).  A support past the DP's atom cap raises
-    SupportOverflow.
+    forward moment recursion (MomentEngine.lp_norm), alpha(r) from its closed
+    form over the pair laws at the separating gap r = min M2 - max M1,
+    maximized over start times j <= min(max M2, 24).
     """
     eng = engine_for(chain)
     u = _default_u0(chain)

@@ -751,19 +751,26 @@ def build_chain(doc) -> ChainSpec:
 
     Recognized fields: states, kernels (list | {periodic} | {mixture}),
     initial, observable (list | {constant} | {periodic} | {explicit}),
-    L, d, name.  A faulty document or file raises ChainConfigError.
+    L, d, name.  A faulty document or file raises ChainConfigError, whose
+    message names the file.
     """
+    # os.path.exists, unlike Path.exists, is False for too long a name
+    if isinstance(doc, (str, Path)) and os.path.exists(doc):
+        try:
+            parsed = json.loads(Path(doc).read_text())
+        except OSError as e:  # a directory, say
+            raise ChainConfigError(f"cannot read chain file {doc}: {e.strerror or e}") from e
+        except ValueError as e:  # invalid JSON
+            raise ChainConfigError(f"cannot read chain file {doc}: {e}") from e
+        try:
+            return build_chain(parsed)
+        except ChainConfigError as e:
+            raise ChainConfigError(f"chain file {doc}: {e}") from e
     if isinstance(doc, (str, Path)):
-        if os.path.exists(doc):  # unlike Path.exists, False for too long a name
-            try:
-                doc = json.loads(Path(doc).read_text())
-            except (OSError, ValueError) as e:  # a directory, say, or invalid JSON
-                raise ChainConfigError(f"cannot read chain file {doc}: {e}") from e
-        else:
-            try:
-                doc = json.loads(str(doc))
-            except json.JSONDecodeError as e:
-                raise ChainConfigError(f"chain file not found: {doc}") from e
+        try:
+            doc = json.loads(str(doc))
+        except json.JSONDecodeError as e:
+            raise ChainConfigError(f"chain file not found: {doc}") from e
     if not isinstance(doc, dict):
         raise ChainConfigError("chain document must be a JSON object")
     missing = [k for k in ("kernels", "initial", "observable", "L") if k not in doc]

@@ -11,6 +11,7 @@ so a fixed seed reproduces them byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -125,19 +126,13 @@ def _emit(args, doc: dict, human_lines: list) -> None:
 
 
 def _load_chain(path: str):
+    """The chain of the file at `path`; build_chain's ChainConfigError names
+    the file and exits 2 through main."""
     if path is None:
         raise InputError("--chain is required")
-    if not os.path.isfile(path):
+    if not os.path.exists(path):  # build_chain would read the text as a JSON document
         raise InputError(f"chain file not found: {path}")
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"chain file {path} is not valid JSON: {exc}") from exc
-    try:
-        return build_chain(doc)
-    except ChainConfigError as exc:
-        raise InputError(f"chain file {path}: {exc}") from exc
+    return build_chain(path)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -521,6 +516,7 @@ def cmd_verify(args) -> int:
 # -- entry point --------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="asipkit",

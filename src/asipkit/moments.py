@@ -38,6 +38,10 @@ held curve of its key first and walks only past its end.
 
 A pairwise-covariance accumulation path is kept alongside as an
 independent cross-check and for callers that want per-pair terms.
+
+Even moments E[S^p] (lp_norm) come from a forward recursion over
+E[T^k 1{x}], k = 0..p, linear in the window like the scan;
+window_distribution builds the exact law itself, atom by atom.
 """
 
 from __future__ import annotations
@@ -195,15 +199,14 @@ class LpNorm:
 
     value: float
     exact: bool
-    method: str  # "dp-dyadic" or "dp-grid"
-    atoms: int
+    method: str  # "moment-recursion"
 
     def __float__(self) -> float:
         return self.value
 
 
 class SupportOverflow(RuntimeError):
-    """Sum-support grew past the configured atom cap."""
+    """A law's support grew past the configured atom cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -647,29 +650,59 @@ class MomentEngine:
         w = probs.sum(axis=1)
         return keys * dec, w, method_exact
 
-    def lp_norm(
-        self, n: int, m: int, u: np.ndarray, p: int,
-        atom_cap: int = ATOM_CAP_DEFAULT, segments=None,
-    ) -> LpNorm:
-        """Exact ||S_{n,m} . u||_{L^p} for even integer p >= 2; raises
-        SupportOverflow past `atom_cap` atoms."""
+    def lp_norm(self, n: int, m: int, u: np.ndarray, p: int, segments=None) -> LpNorm:
+        """Exact ||S_{n,m} . u||_{L^p} for even integer p >= 2; with
+        `segments`, S sums over their union within [n, m].
+
+        E[S^p] comes from a forward recursion over phi_k(x) = E[T^k 1{xi_t = x}],
+        k = 0..p, T the running sum through time t: from phi_k = m_n v_n^k,
+        each step is psi = Phi K_t, then
+        phi_k = sum_{j <= k} C(k, j) v^(k - j) psi_j, with v the centered
+        values of the time entered (zero off the segments).  Linear in the
+        window, and no law is built, so no support can overflow.
+        """
         p = int(p)
         if p < 2 or p % 2:
             raise ChainConfigError(f"p must be an even integer >= 2, got {p}")
-        values, w, exact_keys = self.window_distribution(
-            n, m, u, atom_cap=atom_cap, segments=segments
-        )
-        moment = float(np.sum(w * np.abs(values) ** p))
-        return LpNorm(
-            value=moment ** (1.0 / p),
-            exact=True,
-            method="dp-dyadic" if exact_keys else "dp-grid",
-            atoms=int(values.shape[0]),
-        )
+        if m < n:
+            raise ChainConfigError(f"bad window [{n}, {m}]")
+        u = np.asarray(u, dtype=float)
+        inside = _segment_mask(sorted(segments), n, m) if segments else None
+        ks = np.arange(p + 1)
+        binom = np.array([[math.comb(k, j) for j in ks] for k in ks], dtype=float)  # 0 for j > k
+        gap = np.maximum(ks[:, None] - ks, 0)
+        chain, phi = self.chain, None
+        for lo, hi in chain.pieces(n, m):
+            v = self.centered_stack(lo, hi) @ u
+            if inside is not None:
+                v[~inside[lo - n : hi - n + 1]] = 0.0
+            vp = v[:, None, :] ** ks[:, None]  # v^0, ..., v^p at each time of the piece
+            mix = binom[..., None] * vp[:, gap]  # [i, k, j, y] = C(k, j) v_i(y)^(k - j)
+            if phi is None:
+                phi = (vp[0] * chain.marginal(n)).ravel()
+            else:  # the step into lo changes the state count
+                phi = _moment_steps(mix[:1], chain.kernels.stack(lo - 1, 1))[0] @ phi
+            # the steps into lo + 1, ..., hi, at most B matrices at a time
+            for t in range(lo, hi, B):
+                q = chain.kernels.stack(t, min(B, hi - t))
+                for step in _moment_steps(mix[t - lo + 1 : t - lo + 1 + len(q)], q):
+                    phi = step @ phi
+        # E[S^p] >= 0, but the rounding of a sum with signed terms may dip below
+        moment = max(float(phi.reshape(p + 1, -1)[p].sum()), 0.0)
+        return LpNorm(value=moment ** (1.0 / p), exact=True, method="moment-recursion")
 
 
 # ---------------------------------------------------------------------------
 # helpers
+
+
+def _moment_steps(mix: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """lp_norm's steps as matrices on Phi raveled by (k, state): entry
+    [(k, y), (j, x)] = mix[k, j, y] K(x, y), from mix (steps, p + 1, p + 1,
+    cols) and the kernels q (steps, rows, cols)."""
+    k, p1, _, cols = mix.shape
+    a = mix[..., None] * q.transpose(0, 2, 1)[:, None, None]
+    return a.transpose(0, 1, 3, 2, 4).reshape(k, p1 * cols, p1 * q.shape[1])
 
 
 def _segment_mask(segs, lo: int, hi: int) -> np.ndarray:

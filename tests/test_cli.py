@@ -16,6 +16,7 @@ from asipkit.cli import (
     EXIT_HYPOTHESIS,
     EXIT_INPUT,
     EXIT_OK,
+    _build_parser,
     main,
 )
 
@@ -73,6 +74,38 @@ def test_moments_missing_file(tmp_path, capsys):
     rc = main(["moments", "--chain", "/no/such/chain.json", "--out", str(tmp_path)])
     assert rc == EXIT_INPUT
     assert "/no/such/chain.json" in capsys.readouterr().err
+
+
+def test_moments_missing_file_says_not_found(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    rc = main(["moments", "--chain", str(missing), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: chain file not found: {missing}\n"
+
+
+def test_moments_directory_cannot_be_read(tmp_path, capsys):
+    rc = main(["moments", "--chain", str(tmp_path), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot read chain file {tmp_path}: ")
+    assert err.count(str(tmp_path)) == 1, err
+
+
+def test_repeated_main_calls_write_identical_reports(chain_files, tmp_path):
+    # the parser is built once per process; a second run must not see the first
+    assert _build_parser() is _build_parser()
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main([
+            "simulate", "--chain", chain_files["sym"], "--horizon", "64", "--paths", "200",
+            "--seed", "3", "--amplitude", "10", "--separation", "2", "--out", str(out),
+        ]) == EXIT_OK
+        assert main(["moments", "--chain", chain_files["sym"], "--horizon", "20",
+                     "--out", str(out)]) == EXIT_OK
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir()) and len(names) == 6
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_moments_json_flag(chain_files, tmp_path, capsys):

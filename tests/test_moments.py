@@ -423,7 +423,7 @@ def test_lp_norm_dyadic_exact(iid2):
     # S_10 of iid signs: E S^4 = 3n^2 - 2n = 280
     eng = engine_for(iid2)
     r = eng.lp_norm(1, 10, np.array([1.0]), 4)
-    assert r.exact and r.method == "dp-dyadic"
+    assert r.exact and r.method == "moment-recursion"
     assert abs(r.value - 280**0.25) < 1e-12
 
 
@@ -432,9 +432,95 @@ def test_lp_norm_grid_and_mc_fallbacks():
     eng = MomentEngine(ch)
     direct = np.sqrt(eng.var_window(1, 5, np.array([1.0])))
     r = eng.lp_norm(1, 5, np.array([1.0]), 2)
-    assert r.method == "dp-grid" and abs(r.value - direct) < 1e-6
+    assert r.method == "moment-recursion" and abs(r.value - direct) < 1e-12 * direct
+    # the law keeps its atom cap; the moment recursion has none
     with pytest.raises(SupportOverflow):
-        eng.lp_norm(1, 5, np.array([1.0]), 2, atom_cap=3)
+        eng.window_distribution(1, 5, np.array([1.0]), atom_cap=3)
+
+
+def brute_moment(chain, n, m, u, p, segments=None):
+    """E[S^p], S the centered sum of f_t . u over t in [n, m] (in the union of
+    `segments` when given), by enumerating every state path from time 1 to m:
+    path probabilities from the initial law and the kernels, E f_t . u from
+    the same paths."""
+    states = [range(chain.state_size(t)) for t in range(1, m + 1)]
+    paths = np.array(list(itertools.product(*states)))
+    prob = chain.initial[paths[:, 0]]
+    for t in range(1, m):
+        prob = prob * chain.kernel(t)[paths[:, t - 1], paths[:, t]]
+    total = np.zeros(len(paths))
+    for t in range(n, m + 1):
+        if segments is None or any(a <= t <= b for a, b in segments):
+            x = (chain.obs(t) @ u)[paths[:, t - 1]]
+            total += x - prob @ x
+    return float(prob @ total**p)
+
+
+def assert_lp_matches_paths(chain, n, m, u, segments=None):
+    eng = MomentEngine(chain)
+    for p in (2, 4, 6):
+        moment = brute_moment(chain, n, m, u, p, segments)
+        got = eng.lp_norm(n, m, u, p, segments=segments).value ** p
+        assert abs(got - moment) <= 1e-12 * moment, (n, m, p, segments, got, moment)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lp_norm_matches_path_enumeration(seed):
+    rng = np.random.default_rng(400 + seed)
+    length = int(rng.integers(2, 11))
+    d = int(rng.integers(1, 3))
+    ch = small_random_chain([int(x) for x in rng.integers(2, 4, size=length)], d, 500 + seed)
+    n = int(rng.integers(1, length + 1))
+    m = int(rng.integers(n, length + 1))
+    assert_lp_matches_paths(ch, n, m, rng.standard_normal(d))
+
+
+def test_lp_norm_matches_paths_across_state_counts_and_holes():
+    # the state count changes inside the window: 2, 3, 3, 1, 2, 3 states
+    ch = small_random_chain([2, 2, 3, 3, 1, 2, 3, 3, 2, 2], 2, 61)
+    u = np.array([0.6, -0.8])
+    assert_lp_matches_paths(ch, 2, 9, u)
+    # a masked union with a hole, the window starting before its first segment
+    assert_lp_matches_paths(ch, 1, 10, u, segments=[(7, 9), (2, 3)])
+    ch3 = small_random_chain([3] * 10, 1, 62)
+    assert_lp_matches_paths(ch3, 1, 10, np.array([1.0]), segments=[(1, 2), (5, 5), (8, 10)])
+
+
+@pytest.mark.parametrize("entry_", battery(), ids=lambda e: e.name)
+def test_lp_norm_matches_the_dyadic_law(entry_):
+    ch = entry_.build()
+    eng = MomentEngine(ch)
+    u = np.eye(ch.d)[0]
+    for n, m in ((1, 12), (18, 29), (1, 200)):
+        if ch.max_time is not None and m > ch.max_time:
+            continue
+        values, w, dyadic = eng.window_distribution(n, m, u)
+        if not dyadic:
+            continue
+        for p in (2, 4, 6):
+            law = float(w @ np.abs(values) ** p) ** (1.0 / p)
+            got = eng.lp_norm(n, m, u, p).value
+            assert abs(got - law) <= 1e-14 * law, (n, m, p, got, law)
+
+
+def test_lp_norm_has_no_atom_cap():
+    # generic float values: the sums' support grows past any cap, the moments do not
+    r = np.random.default_rng(9)
+    k = r.random((3, 3)) + 0.2
+    ch = build_chain({
+        "kernels": {"periodic": [(k / k.sum(axis=1, keepdims=True)).tolist()]},
+        "initial": [0.2, 0.3, 0.5],
+        "observable": {"constant": (r.random((3, 1)) * 2 - 1).tolist()},
+        "L": 1.0,
+    })
+    eng = MomentEngine(ch)
+    u = np.array([1.0])
+    with pytest.raises(SupportOverflow):
+        eng.window_distribution(1, 2000, u)
+    l2, l4 = (eng.lp_norm(1, 2000, u, p).value for p in (2, 4))
+    sd = np.sqrt(eng.var_window(1, 2000, u))
+    assert abs(l2 - sd) <= 1e-12 * sd
+    assert np.isfinite(l4) and l4 >= l2  # Lyapunov
 
 
 @pytest.mark.parametrize("sizes", [[3] * 8, [2, 3, 2, 2, 3, 3, 2, 3], [2, 2, 3, 3, 1]])
