@@ -8,10 +8,11 @@ For each workload of perfbench/workloads.py (imported, not changed), runs one
 pass of its operations to warm up and then one counted pass, and prints the
 scans served from a kept curve (no stride walked), the scans computed, the
 scan rows computed and the kept curves evicted to stay within the engine's
-byte bound.  Every scan of the counted pass is checked against a
-fresh engine's scan of the same window: the rows it yielded, bit for bit,
-and each chunk's time, which must be the start plus or minus the rows
-before it.  It also prints the mixing reports asked for and computed; every
+byte bound.  Every scan of the counted pass is checked against the scan
+of the same window by a fresh engine on a chain freshly built from the same
+document, which shares no table or period array with the chain scanned: the
+rows it yielded, bit for bit, and each chunk's time, which must be the start
+plus or minus the rows before it.  It also prints the mixing reports asked for and computed; every
 report returned again is checked field by field against the report of a
 chain freshly built from the same document.  Exits 1 on any mismatch.
 """
@@ -48,9 +49,11 @@ battery = importlib.import_module("asipkit.battery")
 
 class ScanCounter:
     """Wraps MomentEngine.scan, _walk and _keep; counts and checks while
-    `on`."""
+    `on`, against chains from `rebuild` (chain -> a fresh chain of its
+    document)."""
 
-    def __init__(self):
+    def __init__(self, rebuild):
+        self.rebuild = rebuild
         self.on = False
         self.served = self.computed = self.rows = self.evicted = self.mismatches = 0
         self.walked: set = set()  # (engine id, start, stop) of walks begun
@@ -87,7 +90,8 @@ class ScanCounter:
                     counter.served += 1
                 counter.on = False
                 try:
-                    fresh = scan(MomentEngine(eng.chain), start, stop, directions, inside)
+                    fresh = scan(MomentEngine(counter.rebuild(eng.chain)), start, stop,
+                                 directions, inside)
                     counter._check(start, stop, got, fresh)
                 finally:
                     counter.on = True
@@ -134,6 +138,13 @@ class ReportCounter:
         self.reports: dict = {}  # id(report) -> report
         self.build = chain.build_chain
         self.report = mixing.mixing_report
+        self.rebuilt: dict = {}  # id(chain) -> a chain freshly built from its document
+
+    def rebuild(self, ch):
+        """A chain built from the document of `ch`, once per chain."""
+        if id(ch) not in self.rebuilt:
+            self.rebuilt[id(ch)] = self.build(self.docs[id(ch)][1])
+        return self.rebuilt[id(ch)]
 
     def install(self) -> None:
         counter = self
@@ -183,10 +194,10 @@ def main(argv=None) -> int:
                     help="a workload to count (repeatable; default all)")
     ap.add_argument("--seed", type=int, default=5)
     args = ap.parse_args(argv)
-    counter = ScanCounter()
-    counter.install()
     reports = ReportCounter()
     reports.install()
+    counter = ScanCounter(reports.rebuild)
+    counter.install()
     bad = 0
     for name in args.workload or list(workloads.WORKLOADS):
         counter.served = counter.computed = counter.rows = counter.evicted = counter.mismatches = 0

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 STOCHASTIC_ATOL = 1e-12
-# longest float cycle of the marginal table that is sought, in steps
+# longest float cycle of the marginal table that is sought, and joint period kept, in steps
 _CYCLE_MAX = 256
 
 
@@ -198,6 +198,8 @@ class _KernelList(KernelSchedule):
 
     def _take(self, pos: np.ndarray) -> np.ndarray:
         """The kernels at list positions pos, up to the first shape change."""
+        if len(self._stacks) == 1:  # one shape, in list order
+            return self._stacks[0][pos]
         g = self._shape[pos]
         other = np.flatnonzero(g != g[0])
         cut = other[0] if other.size else len(pos)
@@ -447,6 +449,9 @@ class ObservableSchedule:
 class ChainSpec:
     """A validated chain: kernel schedule, initial law, observable, bound L.
 
+    Past the marginal table's float cycle (c, P), a chain of one state count reads its laws and
+    centred tables from one joint period of lcm(P, observable period) steps (centered_stack).
+
     Parameters
     ----------
     kernels : KernelSchedule
@@ -471,6 +476,11 @@ class ChainSpec:
             raise ChainConfigError("bound L must be positive")
         self.name = str(name)
         self.d = observable.d
+        # largest time index, or None: one past the last kernel, at most the explicit tables'
+        bounds = [] if kernels.n_steps is None else [kernels.n_steps + 1]
+        if observable.kind == "explicit":
+            bounds.append(len(observable.tables))
+        self.max_time = min(bounds, default=None)
         if self.initial.shape[0] != self.state_size(1):
             raise ChainConfigError(
                 f"initial law has {self.initial.shape[0]} states, kernel 1 expects "
@@ -483,6 +493,7 @@ class ChainSpec:
                     f"(max |f| = {np.max(np.abs(tab))!r})"
                 )
         counts, cycles = kernels.state_counts
+        self._count = counts[0] if len(set(counts)) == 1 else None  # the one state count
         rows = [t.shape[0] for t in observable.tables]
         t = _first_mismatch(counts, cycles, rows, observable.kind != "explicit")
         if t is not None:
@@ -501,29 +512,20 @@ class ChainSpec:
         # compare rows when _check_at rows are filled; _checked is the newest
         # row of the last check, whose comparisons all missed.
         self._cycle = self._check_at = self._checked = None
+        # (c, laws, centred) at times c, ..., c + L - 1, set with the cycle (_find_cycle)
+        self._period = None
         repeats = kernels.repeats()
         if repeats is not None:
             self._checked, self._check_at = repeats[0] - 1, sum(repeats)
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def max_time(self) -> int | None:
-        """Largest addressable time index, or None when unbounded: one past
-        the last kernel, and no later than the last explicit observable."""
-        n = self.kernels.n_steps
-        bounds = [] if n is None else [n + 1]
-        if self.observable.kind == "explicit":
-            bounds.append(len(self.observable.tables))
-        return min(bounds, default=None)
-
     def _check_time(self, j: int) -> None:
         if j < 1:
             raise ChainConfigError(f"time index {j} < 1")
-        m = self.max_time
-        if m is not None and j > m:
+        if self.max_time is not None and j > self.max_time:
             self.observable.table(j)  # names an explicit observable list that ends first
-            raise ChainConfigError(f"time index {j} outside horizon {m}")
+            raise ChainConfigError(f"time index {j} outside horizon {self.max_time}")
 
     def kernel(self, j: int) -> np.ndarray:
         return self.kernels.kernel(j)
@@ -545,8 +547,8 @@ class ChainSpec:
         marginal table.  The table is filled forward on demand and grows by
         doubling into a new array, so no row handed out is written again."""
         self._check_time(j)
-        if self._row(j) > self._known:
-            self._fill(j)
+        if j > self._known:
+            self._fill(j)  # no row is added once the cycle is found
         i = self._row(j)
         return self._table[i - 1, : self._counts[i - 1]]
 
@@ -604,22 +606,47 @@ class ChainSpec:
             mid = (lo + c) // 2
             lo, c = (lo, mid) if np.array_equal(table[mid - 1], table[mid + p - 1]) else (mid, c)
         self._cycle, self._known = (c, p), c + p - 1
+        # one joint period of laws and centred tables: reads at t >= c gather (t - c) mod L
+        q = self.observable.period()
+        if self._count is not None and q is not None and math.lcm(p, q) <= _CYCLE_MAX:
+            laws = self._table[self._row(np.arange(c, c + math.lcm(p, q))) - 1]
+            self._period = c, laws, _centre(self.observable.stack(c, c + len(laws) - 1), laws)
 
     def marginals(self, times: np.ndarray) -> np.ndarray:
         """Exact laws at the given times, shape (len(times), states); raises
         ValueError when their state counts differ."""
+        if self._period is not None and times.min() >= self._period[0]:
+            return self._period[1][(times - self._period[0]) % len(self._period[1])]
         self._check_time(int(times.min()))
         self.marginal(int(times.max()))
         rows = self._row(times) - 1
-        counts = self._counts[rows]
-        if np.any(counts != counts[0]):
+        if self._count is None and np.any(self._counts[rows] != self._counts[rows[0]]):
             raise ValueError("the state count changes across the given times")
-        return self._table[rows, : counts[0]]
+        return self._table[rows, : self._counts[rows[0]]]
+
+    def centered_stack(self, a: int, b: int) -> np.ndarray:
+        """f_t - E f_t for t in [a, b], shape (b - a + 1, states, d); [a, b]
+        keeps one state count.  Times from the cycle's c on are gathered from
+        the joint period's centred tables, and earlier ones are centred from
+        their stacked marginals and tables by the same expression, so every
+        row holds the same floats either way."""
+        self.marginal(b)  # may find the cycle
+        c = b + 1 if self._period is None else min(max(a, self._period[0]), b + 1)
+        parts = []
+        if a < c:
+            parts.append(_centre(self.observable.stack(a, c - 1), self.marginals(np.arange(a, c))))
+        if c <= b:
+            c0, laws, centred = self._period
+            parts.append(centred[(np.arange(c, b + 1) - c0) % len(laws)])
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def pieces(self, a: int, b: int) -> list[tuple[int, int]]:
         """[a, b] cut where the state count changes: (lo, hi) windows in
         time order, each keeping one state count."""
         self._check_time(a)
+        if self._count is not None:
+            self._check_time(b)
+            return [(a, b)]
         self.marginal(b)
         counts = self._counts[self._row(np.arange(a, b + 1)) - 1]
         cuts = np.flatnonzero(np.diff(counts)) + a + 1
@@ -636,6 +663,11 @@ class ChainSpec:
         for t in range(i, j):
             m = m @ self.kernel(t)
         return m
+
+
+def _centre(tables: np.ndarray, laws: np.ndarray) -> np.ndarray:
+    """f_t - E f_t from stacked tables and laws by one batched product."""
+    return tables - laws[:, None, :] @ tables
 
 
 @dataclass

@@ -157,12 +157,13 @@ def _prefix(maps):
 class _Run:
     """From time t0 on, the steps into and out of each time repeat with
     `period`; `centers[phase]` is the marginal table's mean of the observable
-    at a late time of that phase, and `span` the steps of the run's kept
-    span."""
+    at a late time of that phase, `nodes[phase]` the observable less it, and
+    `span` the steps of the run's kept span."""
 
     t0: int
     period: int
     centers: np.ndarray
+    nodes: np.ndarray
 
     @property
     def span(self) -> int:
@@ -231,19 +232,18 @@ class MomentEngine:
 
     # -- per-time -----------------------------------------------------------
 
-    def centered_stack(self, a: int, b: int) -> np.ndarray:
-        """f_t - E f_t for t in [a, b], shape (b - a + 1, states, d), from the
-        stacked marginals and tables; [a, b] keeps one state count."""
-        tables = self.chain.observable.stack(a, b)
-        marg = self.chain.marginals(np.arange(a, b + 1))
-        return tables - marg[:, None, :] @ tables
-
     def centered_max(self, a: int, b: int, u: np.ndarray) -> float:
-        """max |(f_t(x) - E f_t) . u| over t in [a, b] and every state x."""
-        return max(
-            float(np.max(np.abs(self.centered_stack(lo, hi) @ u)))
-            for lo, hi in self.chain.pieces(a, b)
-        )
+        """max |(f_t(x) - E f_t) . u| over t in [a, b] and every state x.
+        From the table's cycle c on, the rows repeat with the lcm of its period
+        and the observable's, so a piece is cut after one such period there."""
+        chain = self.chain
+        chain.marginal(b)  # may find the cycle
+        cycle, q, rows = chain.cycle, chain.observable.period(), []
+        for lo, hi in chain.pieces(a, b):
+            if cycle is not None and q is not None:
+                hi = min(hi, max(lo, cycle[0]) + math.lcm(cycle[1], q) - 1)
+            rows.append(chain.centered_stack(lo, hi) @ u)
+        return max(float(np.max(np.abs(r))) for r in rows)
 
     # -- pairwise covariance path --------------------------------------------
 
@@ -315,8 +315,9 @@ class MomentEngine:
         # has cycled, these are its cycle's rows
         t = t0 + _CENTRE_AT // period * period
         laws = chain.marginals(np.arange(t, t + period))
-        centers = np.einsum("ts,tsd->td", laws, chain.observable.stack(t, t + period - 1))
-        return _Run(t0=t0, period=period, centers=centers)
+        tables = chain.observable.stack(t, t + period - 1)
+        centers = np.einsum("ts,tsd->td", laws, tables)
+        return _Run(t0=t0, period=period, centers=centers, nodes=tables - centers[:, None, :])
 
     def _nodes(self, a: int, b: int, dirs: np.ndarray) -> np.ndarray:
         """f_t . u for t in [a, b] and every direction row u, shape
@@ -326,10 +327,9 @@ class MomentEngine:
         of t0 and keeps one state count."""
         run = self._run
         if run is None or b < run.t0:
-            f = self.centered_stack(a, b)
+            f = self.chain.centered_stack(a, b)
         else:
-            phases = (np.arange(a, b + 1) - run.t0) % run.period
-            f = self.chain.observable.stack(a, b) - run.centers[phases][:, None, :]
+            f = run.nodes[(np.arange(a, b + 1) - run.t0) % run.period]
         return f @ dirs.T
 
     def _span(self, dirs: np.ndarray, back: bool):
@@ -668,12 +668,10 @@ class MomentEngine:
             raise ChainConfigError(f"bad window [{n}, {m}]")
         u = np.asarray(u, dtype=float)
         inside = _segment_mask(sorted(segments), n, m) if segments else None
-        ks = np.arange(p + 1)
-        binom = np.array([[math.comb(k, j) for j in ks] for k in ks], dtype=float)  # 0 for j > k
-        gap = np.maximum(ks[:, None] - ks, 0)
+        ks, binom, gap = _binomials(p)
         chain, phi = self.chain, None
         for lo, hi in chain.pieces(n, m):
-            v = self.centered_stack(lo, hi) @ u
+            v = chain.centered_stack(lo, hi) @ u
             if inside is not None:
                 v[~inside[lo - n : hi - n + 1]] = 0.0
             vp = v[:, None, :] ** ks[:, None]  # v^0, ..., v^p at each time of the piece
@@ -705,12 +703,22 @@ def _moment_steps(mix: np.ndarray, q: np.ndarray) -> np.ndarray:
     return a.transpose(0, 1, 3, 2, 4).reshape(k, p1 * cols, p1 * q.shape[1])
 
 
+@functools.cache
+def _binomials(p: int):
+    """k = 0..p, and over (k, j) C(k, j) (0 for j > k) and max(k - j, 0)."""
+    ks = np.arange(p + 1)
+    binom = np.array([[math.comb(k, j) for j in ks] for k in ks], dtype=float)
+    return ks, binom, np.maximum(ks[:, None] - ks, 0)
+
+
 def _segment_mask(segs, lo: int, hi: int) -> np.ndarray:
+    """Whether each time of [lo, hi] lies in one of the [a, b] segments."""
     inside = np.zeros(hi - lo + 1, dtype=bool)
     for a, b in segs:
         if b < a:
             raise ChainConfigError(f"bad segment [{a}, {b}]")
-        inside[max(a, lo) - lo : b - lo + 1] = True
+        if a <= hi and b >= lo:
+            inside[max(a, lo) - lo : min(b, hi) - lo + 1] = True
     return inside
 
 

@@ -89,11 +89,10 @@ def _chunk_walks(chain: ChainSpec, n_max: int, n_paths: int, seed: int):
 def _centered_table(chain: ChainSpec, n_max: int) -> np.ndarray:
     """f_t - E f_t for t = 1..n_max, shape (n_max, states, d): row t - 1 for
     time t, zeros past that time's state count, as in the marginal table."""
-    eng = engine_for(chain)
     pieces = chain.pieces(1, n_max)
     table = np.zeros((n_max, max(chain.state_size(lo) for lo, _ in pieces), chain.d))
     for lo, hi in pieces:
-        c = eng.centered_stack(lo, hi)
+        c = chain.centered_stack(lo, hi)
         table[lo - 1 : hi, : c.shape[1]] = c
     return table
 

@@ -1,6 +1,7 @@
 """Exact moment engine vs brute-force path enumeration and closed forms."""
 import gc
 import itertools
+import math
 import re
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from asipkit.moments import (
     _compose,
     _polar_directions,
     _prefix,
+    _segment_mask,
     _Sweep,
     engine_for,
 )
@@ -963,3 +965,121 @@ def test_scan_counts_finds_no_mismatch():
             r"0 mismatches\n")
     assert re.fullmatch(line.format("exact-long", "0") + line.format("schedule", r"\d+"),
                         done.stdout)
+
+
+# ---------------------------------------------------------------------------
+# one joint period of arrays
+
+
+def _sequential_marginals(chain, n):
+    """m_1, ..., m_n by the sequential product, one time at a time."""
+    m, out = chain.initial, [chain.initial]
+    for t in range(1, n):
+        m = m @ chain.kernel(t)
+        out.append(m)
+    return out
+
+
+def _per_time_centered(chain, laws, a, b):
+    """f_t - E f_t over [a, b] by the batched expression over the window."""
+    tables = chain.observable.stack(a, b)
+    marg = np.stack(laws[a - 1 : b])
+    return tables - marg[:, None, :] @ tables
+
+
+def _per_time_pieces(laws, a, b):
+    counts = [len(m) for m in laws[a - 1 : b]]
+    cuts = [a + i for i in range(1, len(counts)) if counts[i] != counts[i - 1]]
+    edges = [a, *cuts, b + 1]
+    return [(lo, hi - 1) for lo, hi in zip(edges, edges[1:])]
+
+
+PERIOD_CHAINS = {
+    **{e.name: e.build for e in battery()},
+    "slow2": lambda: build_chain(CHAINS / "slow2.json"),
+    # kernel period 1, marginals in a float cycle of period 2 from time 23
+    "limit2": lambda: build_chain(limit_cycle_doc(386)),
+    # an observable of period 2 over kernels of period 1
+    "obs2_over_k1": lambda: build_chain({
+        "kernels": {"periodic": [[[0.7, 0.3], [0.4, 0.6]]]},
+        "initial": [0.5, 0.5],
+        "observable": {"periodic": [[[1.0], [-0.5]], [[0.25], [0.75]]]},
+        "L": 1.0,
+    }),
+    "state_counts": lambda: small_random_chain([2, 3, 3, 2, 2, 1, 3, 3, 3, 2] * 4, 2, 5),
+    # cosine weights of period 37: the table finds no float cycle
+    "cosine37": lambda: build_chain({
+        "kernels": {"mixture": {
+            "base": [[[0.7, 0.2, 0.1], [0.2, 0.6, 0.2], [0.1, 0.2, 0.7]],
+                     [[0.2, 0.4, 0.4], [0.5, 0.1, 0.4], [0.3, 0.3, 0.4]]],
+            "weights": {"kind": "cosine", "period": 37, "center": 0.5, "amplitude": 0.4},
+        }},
+        "initial": [0.6, 0.3, 0.1],
+        "observable": {"constant": [[1.0], [0.2], [-0.9]]},
+        "L": 1.0,
+    }),
+}
+
+
+def _without_period(make, top):
+    """The chain of `make` after filling its table to `top`, reading every
+    time by the per-time path."""
+    chain = make()
+    chain.marginal(top)
+    chain._period = None
+    return chain
+
+
+@pytest.mark.parametrize("name", sorted(PERIOD_CHAINS))
+def test_period_reads_match_the_per_time_path(name):
+    make = PERIOD_CHAINS[name]
+    chain = make()
+    top = 3000 if chain.max_time is None else chain.max_time
+    chain.marginal(top)  # the table finds its cycle, if it has one
+    laws = _sequential_marginals(chain, top if chain.max_time else top + 700)
+    if name in ("slow2", "limit2", "obs2_over_k1"):
+        assert chain._period is not None
+    if name in ("state_counts", "cosine37"):
+        assert chain._period is None
+    if chain.cycle is None or chain.observable.period() is None:
+        windows = [(1, 9), (3, 31), (2, top)]
+    else:
+        c, p = chain.cycle
+        span = math.lcm(p, chain.observable.period())
+        windows = [
+            (c + 1, c + span),  # inside one period
+            (max(1, c - 3), c + 2 * span + 1),  # straddling c
+            (c + 2, c + 2 + max(40 * span, 600)),  # over many periods
+            (1, c + span + 5),
+        ]
+    dirs = _polar_directions(chain.d)
+    twin = _without_period(make, top)
+    for a, b in windows:
+        pieces = _per_time_pieces(laws, a, b)
+        assert chain.pieces(a, b) == pieces
+        if len(pieces) == 1:
+            want = np.stack(laws[a - 1 : b])
+            assert chain.marginals(np.arange(a, b + 1)).tobytes() == want.tobytes()
+        for u in dirs:
+            want = max(float(np.max(np.abs(_per_time_centered(chain, laws, lo, hi) @ u)))
+                       for lo, hi in pieces)
+            assert MomentEngine(chain).centered_max(a, b, u) == want
+        for lo, hi in pieces:
+            want = _per_time_centered(chain, laws, lo, hi)
+            assert chain.centered_stack(lo, hi).tobytes() == want.tobytes()
+        # the scans' node values and backward weights
+        for read in ("prefix_variances", "suffix_variances"):
+            got = getattr(MomentEngine(chain), read)(a, b, dirs)
+            assert got.tobytes() == getattr(MomentEngine(twin), read)(a, b, dirs).tobytes()
+
+
+def test_segments_are_clipped_to_the_window():
+    assert not _segment_mask([(1, 5)], 10, 20).any()
+    assert np.flatnonzero(_segment_mask([(1, 11), (18, 30)], 10, 20)).tolist() == [0, 1, 8, 9, 10]
+    eng = MomentEngine(entry("sym2_p02").build())
+    u = np.array([1.0])
+    segments = [(1, 5), (12, 14)]  # the first ends before the window
+    want = eng.lp_norm(12, 14, u, 2).value
+    assert abs(eng.lp_norm(10, 20, u, 2, segments=segments).value - want) <= 1e-12 * want
+    values, w, _ = eng.window_distribution(10, 20, u, segments=segments)
+    assert abs(float(w @ values**2) ** 0.5 - want) <= 1e-12 * want
