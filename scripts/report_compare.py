@@ -4,7 +4,9 @@
     python3 scripts/report_compare.py HEAD
 
 Runs report_digest.py's job list on this checkout and on a `git archive`
-export of REV, then reads every report file of both runs field by field:
+export of REV, compares each command's exit code and stdout (its --out
+directory written as `<out>`), then reads every report file of both runs
+field by field:
 JSON leaves by key path (list entries as `[]`), CSV cells by column name,
 and the numbers inside text values as `<field>#<i>`.  It prints every
 difference that is not a float (exit codes, text, integers, flags, missing
@@ -99,14 +101,20 @@ def main() -> int:
             print(f"running the reports of {label} ...", file=sys.stderr)
             runs[label] = run_jobs(root, str(tmp / label))
         moves, diffs = {}, []
-        for (argv, rc_old, _), (_, rc_new, _) in zip(runs["REV"], runs["checkout"]):
+        for (argv, rc_old, _, out_old), (_, rc_new, _, out_new) in zip(
+            runs["REV"], runs["checkout"]
+        ):
             if rc_old != rc_new:
                 diffs.append(f"exit {rc_old} -> {rc_new}: asipkit {' '.join(argv[:-2])}")
+            if out_old != out_new:
+                diffs.append(f"stdout differs: asipkit {' '.join(argv[:-2])}")
         compare(tmp / "REV", tmp / "checkout", moves, diffs)
         files = sorted(p.relative_to(tmp / "REV") for p in (tmp / "REV").rglob("*") if p.is_file())
         changed = [f for f in files if not (tmp / "checkout" / f).is_file()
                    or (tmp / "REV" / f).read_bytes() != (tmp / "checkout" / f).read_bytes()]
+    same_out = sum(a[3] == b[3] for a, b in zip(runs["REV"], runs["checkout"]))
     print(f"{args.rev} -> this checkout: {len(runs['REV'])} commands, "
+          f"{same_out} with identical stdout, "
           f"{len(changed)} of {len(files)} report files differ in bytes")
     print(f"non-float differences: {len(diffs)}")
     for line in diffs:

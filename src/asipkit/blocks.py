@@ -46,26 +46,16 @@ def select_separation(envelope: Envelope, p: float, c_p: float = 8.0) -> tuple[i
     raise ChainConfigError(f"no separation r <= {SEPARATION_MAX} meets the tail bound")
 
 
-def _q_zero(r: int, p: float, big_l: float, envelope: Envelope, c_p: float) -> float:
-    # tail over every gap m >= 1 (separation enters the prefactor only)
+def q_zero(r: int, p: float, big_l: float, envelope: Envelope, c_p: float = 8.0) -> float:
+    """Q0 = 2 c_p (1 + r L)(1 + L) sum_m alpha(m)^(2 - 2/p), the exponent the
+    paper prints; the tail runs over every gap m >= 1, so the separation
+    enters the prefactor only."""
     tail = envelope.geometric_tail(1, 2.0 - 2.0 / p)
     return 2.0 * c_p * (1.0 + r * big_l) * (1.0 + big_l) * tail
 
 
-def compute_q(
-    amplitude: float, r: int, p: float, big_l: float, envelope: Envelope,
-    c_p: float = 8.0,
-) -> tuple[float, float]:
-    """(Q0, Q(A)) with Q(A) = Q0 + 2 sqrt(3 A Q0).
-
-    Q0 = 2 c_p (1 + r L)(1 + L) sum_m alpha(m)^(2 - 2/p), the exponent the
-    paper prints.
-    """
-    q0 = _q_zero(r, p, big_l, envelope, c_p)
-    return q0, q_of_amplitude(amplitude, q0)
-
-
 def q_of_amplitude(amplitude: float, q0: float) -> float:
+    """Q(A) = Q0 + 2 sqrt(3 A Q0)."""
     return q0 + 2.0 * math.sqrt(3.0 * amplitude * q0)
 
 
@@ -557,7 +547,7 @@ def plan_partition(
     rep = mixing_report(chain)
     env = rep.envelope
     r, tail = select_separation(env, p, c_p)
-    q0 = _q_zero(r, p, chain.L, env, c_p)
+    q0 = q_zero(r, p, chain.L, env, c_p)
     amplitude, cert = select_amplitude(q0)
     q_at_a = q_of_amplitude(amplitude, q0)
 

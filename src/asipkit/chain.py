@@ -310,27 +310,16 @@ class MixtureKernels(KernelSchedule):
             self._repeats = 1, int(self.rule["period"])
 
     def weight(self, j: int) -> float:
-        r = self.rule
-        if r["kind"] == "constant":
-            w = r["value"]
-        elif r["kind"] == "linear":
-            # ramp from start to end over `length` steps, clipped beyond
-            t = min(max(j - 1, 0) / r["length"], 1.0)
-            w = r["start"] + (r["end"] - r["start"]) * t
-        else:  # cosine
-            w = r["center"] + r["amplitude"] * math.cos(2.0 * math.pi * self._phase(j) / r["period"])
-        if not 0.0 <= w <= 1.0:
-            raise ChainConfigError(f"mixture weight {w!r} at step {j} outside [0, 1]")
-        return w
+        return float(self._weights(np.array([j]))[0])
 
     def _weights(self, j: np.ndarray) -> np.ndarray:
-        """weight(j) at each of the steps j, by the same float operations
-        (math.cos for the cosine); the first step outside [0, 1] raises
-        weight's error."""
+        """The weight of each of the steps j (math.cos for the cosine); the
+        first step outside [0, 1] raises."""
         r = self.rule
         if r["kind"] == "constant":
             w = np.full(len(j), r["value"])
         elif r["kind"] == "linear":
+            # ramp from start to end over `length` steps, clipped beyond
             t = np.minimum(np.maximum(j - 1, 0) / r["length"], 1.0)
             w = r["start"] + (r["end"] - r["start"]) * t
         else:
@@ -338,7 +327,8 @@ class MixtureKernels(KernelSchedule):
             w = r["center"] + r["amplitude"] * np.array([math.cos(a) for a in x.tolist()])
         bad = np.flatnonzero((w < 0.0) | (w > 1.0))
         if bad.size:
-            self.weight(int(j[bad[0]]))
+            w, j = float(w[bad[0]]), int(j[bad[0]])
+            raise ChainConfigError(f"mixture weight {w!r} at step {j} outside [0, 1]")
         return w
 
     def _phase(self, j):
@@ -358,8 +348,7 @@ class MixtureKernels(KernelSchedule):
             key = j0 + (j - j0) % p
         k = self._cache.get(key)
         if k is None:
-            w = self.weight(key)
-            k = (1.0 - w) * self.k0 + w * self.k1
+            k = self.stack(key, 1)[0]
             if self._repeats is not None:
                 self._cache[key] = k
         return k

@@ -1,8 +1,11 @@
 """Command-line interface.
 
-Subcommands: moments, mixing, blocks, simulate, verify.  Each writes a JSON
-report (and CSV curve tables) into --out; --json prints the report to stdout
-instead of the human summary.
+Subcommands: moments, mixing, blocks, simulate, verify.  Each writes its
+`<command>_report.json` (and CSV curve tables) into --out through _write;
+--json prints the report file's text to stdout instead of the human summary.
+Defaults the reports record as resolved values are declared in the parser.
+`blocks` and `simulate` build their partition through _partition, so an
+--amplitude/--separation override fails the same way (exit 4) in both.
 
 Exit codes: 0 pass, 1 internal error, 2 input error, 3 hypothesis not met,
 4 construction failure.  Reports never contain timestamps or worker counts,
@@ -23,9 +26,9 @@ from . import __version__
 from .blocks import (
     VarianceStarvedError,
     build_blocks,
-    compute_q,
     plan_partition,
     q_of_amplitude,
+    q_zero,
     select_amplitude,
     select_separation,
     verify_partition,
@@ -54,6 +57,10 @@ class InputError(Exception):
     """Bad file, bad JSON, or a parameter outside its precondition."""
 
 
+class ConstructionError(Exception):
+    """No block partition for the flags given (exit 4)."""
+
+
 # -- serialization -----------------------------------------------------------
 
 
@@ -75,12 +82,6 @@ def _scrub(x):
     return x
 
 
-def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(_scrub(doc), fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
-
-
 def _cell(v) -> str:
     if v is None:
         return ""
@@ -91,13 +92,6 @@ def _cell(v) -> str:
     if isinstance(v, (float, np.floating)):
         return fmt_float(v)
     return str(v)
-
-
-def _write_csv(path: str, header: list, rows: list) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for r in rows:
-            fh.write(",".join(_cell(r[h]) for h in header) + "\n")
 
 
 def _report(command: str, chain_name: str, config: dict,
@@ -113,13 +107,25 @@ def _report(command: str, chain_name: str, config: dict,
     }
 
 
-def _emit(args, doc: dict, human_lines: list) -> None:
+def _write(args, doc: dict, lines: list, tables=()) -> None:
+    """Write `<command>_report.json` and each (file name, header, rows)
+    table into --out, then print the report's text (--json) or `lines`
+    and one `wrote <path>` line per file."""
+    out = args.out or "."
+    os.makedirs(out, exist_ok=True)
+    text = json.dumps(_scrub(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    bodies = {f"{doc['command']}_report.json": text}
+    for name, header, rows in tables:
+        table = [",".join(header)] + [",".join(_cell(r[h]) for h in header) for r in rows]
+        bodies[name] = "\n".join(table) + "\n"
+    paths = [os.path.join(out, name) for name in bodies]
+    for path, body in zip(paths, bodies.values()):
+        with open(path, "w") as fh:
+            fh.write(body)
     if args.json:
-        json.dump(_scrub(doc), sys.stdout, sort_keys=True, indent=2, allow_nan=False)
-        sys.stdout.write("\n")
+        sys.stdout.write(text)
     else:
-        for line in human_lines:
-            print(line)
+        print("\n".join(lines + [f"wrote {path}" for path in paths]))
 
 
 # -- input handling ----------------------------------------------------------
@@ -140,12 +146,6 @@ def _require(cond: bool, message: str) -> None:
         raise InputError(message)
 
 
-def _out_dir(args) -> str:
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _validate_common(args) -> None:
     if getattr(args, "horizon", None) is not None:
         _require(args.horizon >= 1, f"--horizon must be >= 1, got {args.horizon}")
@@ -160,42 +160,43 @@ def _validate_common(args) -> None:
     if getattr(args, "delta", None) is not None:
         _require(0.0 < args.delta <= 0.5, f"--delta must lie in (0, 0.5], got {args.delta}")
     if getattr(args, "amplitude", None) is not None:
-        _require(args.amplitude > 0.0, f"--amplitude must be positive, got {args.amplitude}")
+        _require(args.amplitude >= 1.0, f"--amplitude must be >= 1, got {args.amplitude}")
     if getattr(args, "separation", None) is not None:
         _require(args.separation >= 1, f"--separation must be >= 1, got {args.separation}")
     if getattr(args, "directions", None) is not None:
         _require(args.directions >= 1, f"--directions must be >= 1, got {args.directions}")
 
 
-def _override_partition(chain, args, p: float, cp: float, horizon: int):
-    """The partition `--amplitude` and/or `--separation` ask for.
+def _partition(chain, args, horizon: int | None):
+    """(partition, plan) for the flags of `blocks` and `simulate`.
 
-    The mixing envelope is computed only when one of the two is missing; the
-    certified r or A then fills it in.  Q0 and Q(A) are recorded whenever an
-    envelope exists.  Given both, nothing is certified."""
-    envelope = None
-    if args.amplitude is None or args.separation is None:
-        envelope = mixing_report(chain).envelope
-    r_cert = a_cert = False
-    q0 = qa = None
-    if args.separation is None:
-        r, _ = select_separation(envelope, p, c_p=cp)
-        r_cert = True
-    else:
-        r = args.separation
-    if args.amplitude is None:
-        q0, _ = compute_q(1.0, r, p, chain.L, envelope, c_p=cp)
-        amplitude, _cert = select_amplitude(q0)
-        qa = q_of_amplitude(amplitude, q0)
-        a_cert = r_cert
-    else:
-        amplitude = args.amplitude
-        if envelope is not None:
-            q0, qa = compute_q(amplitude, r, p, chain.L, envelope, c_p=cp)
-    return build_blocks(
-        chain, amplitude, r, horizon, p=p, q0=q0, q_at_a=qa,
-        r_certified=r_cert, a_certified=a_cert,
-    )
+    Without --amplitude and --separation this is plan_partition's certified
+    plan.  Otherwise plan is None, and the partition is built at `horizon`
+    (2048 when None).  The mixing envelope is computed only when one of the
+    two is missing; the certified r or A then fills it in.  Q0 and Q(A) are
+    recorded whenever an envelope exists.  Given both, nothing is certified.
+    A partition that cannot be built raises ConstructionError."""
+    try:
+        if args.amplitude is None and args.separation is None:
+            return plan_partition(chain, p=args.p, c_p=args.cp, horizon=horizon)
+        amplitude, r = args.amplitude, args.separation
+        q0 = qa = None
+        if amplitude is None or r is None:
+            envelope = mixing_report(chain).envelope
+            if r is None:
+                r, _ = select_separation(envelope, args.p, c_p=args.cp)
+            q0 = q_zero(r, args.p, chain.L, envelope, c_p=args.cp)
+            if amplitude is None:
+                amplitude, _ = select_amplitude(q0)
+            qa = q_of_amplitude(amplitude, q0)
+        r_cert = args.separation is None
+        part = build_blocks(
+            chain, amplitude, r, 2048 if horizon is None else horizon, p=args.p, q0=q0,
+            q_at_a=qa, r_certified=r_cert, a_certified=r_cert and args.amplitude is None,
+        )
+        return part, None
+    except (VarianceStarvedError, ChainConfigError) as exc:
+        raise ConstructionError(exc) from exc
 
 
 def _selection(part, args) -> str | None:
@@ -216,7 +217,7 @@ def _selection(part, args) -> str | None:
 
 def cmd_moments(args) -> int:
     chain = _load_chain(args.chain)
-    horizon = args.horizon if args.horizon is not None else 100
+    horizon = args.horizon
     eng = engine_for(chain)
     vc = eng.v_curve(horizon)
     d = chain.d
@@ -241,17 +242,11 @@ def cmd_moments(args) -> int:
         exactness={"moments": "exact"},
     )
     doc["table"] = rows
-    out = _out_dir(args)
-    jpath = os.path.join(out, "moments_report.json")
-    cpath = os.path.join(out, "moments_table.csv")
-    _write_json(jpath, doc)
-    _write_csv(cpath, ["n"] + [f"v_{i}{j}" for i, j in cols] + ["s_n", "eigen_ratio"], rows)
-    _emit(args, doc, [
+    header = ["n"] + [f"v_{i}{j}" for i, j in cols] + ["s_n", "eigen_ratio"]
+    _write(args, doc, [
         f"exact moments for {chain.name}: horizon {horizon}, d={d}",
         f"s_{horizon} = {fmt_float(sc[-1])}",
-        f"wrote {jpath}",
-        f"wrote {cpath}",
-    ])
+    ], [("moments_table.csv", header, rows)])
     return EXIT_OK
 
 
@@ -289,83 +284,53 @@ def cmd_mixing(args) -> int:
         "big_c": prof.big_c,
         "all_zero": prof.all_zero,
     }
-    out = _out_dir(args)
-    jpath = os.path.join(out, "mixing_report.json")
-    _write_json(jpath, doc)
     curve = [
         {"k": k, "alpha": a, "phi": p, "envelope": rep.envelope.value(k)}
         for k, a, p in zip(rep.ks, rep.alpha, rep.phi)
     ]
-    c1 = os.path.join(out, "mixing_curve.csv")
-    _write_csv(c1, ["k", "alpha", "phi", "envelope"], curve)
-    c2 = os.path.join(out, "condition_h.csv")
-    _write_csv(c2, ["k", "gap"], [{"k": k, "gap": g} for k, g in zip(h_ks, h_gaps)])
-    lines = [
-        f"mixing report for {chain.name}: alpha(1)={fmt_float(rep.alpha[0])} "
-        f"phi(1)={fmt_float(rep.phi[0])} delta_pi={fmt_float(rep.delta_pi)} n0={rep.n0}",
-        f"wrote {jpath}",
-        f"wrote {c1}",
-        f"wrote {c2}",
-    ]
     if rep.n0 is None:
         print("warning: n0 not found in scanned range (phi stays >= 1/2)", file=sys.stderr)
-        _emit(args, doc, lines)
-        return EXIT_HYPOTHESIS
-    _emit(args, doc, lines)
-    return EXIT_OK
+    _write(args, doc, [
+        f"mixing report for {chain.name}: alpha(1)={fmt_float(rep.alpha[0])} "
+        f"phi(1)={fmt_float(rep.phi[0])} delta_pi={fmt_float(rep.delta_pi)} n0={rep.n0}",
+    ], [
+        ("mixing_curve.csv", ["k", "alpha", "phi", "envelope"], curve),
+        ("condition_h.csv", ["k", "gap"], [{"k": k, "gap": g} for k, g in zip(h_ks, h_gaps)]),
+    ])
+    return EXIT_HYPOTHESIS if rep.n0 is None else EXIT_OK
 
 
 def cmd_blocks(args) -> int:
     chain = _load_chain(args.chain)
-    p = args.p if args.p is not None else 4.0
-    cp = args.cp if args.cp is not None else 8.0
-    try:
-        if args.amplitude is None and args.separation is None:
-            part, plan = plan_partition(chain, p=p, c_p=cp, horizon=args.horizon)
-            plan_doc = plan.to_doc()
-        else:
-            plan_doc = None
-            horizon = args.horizon if args.horizon is not None else 2048
-            part = _override_partition(chain, args, p, cp, horizon)
-    except (VarianceStarvedError, ChainConfigError) as exc:
-        print(f"block construction failed: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
-
+    part, plan = _partition(chain, args, args.horizon)
     ver = verify_partition(chain, part)
     doc = _report(
         "blocks", chain.name,
         {
-            "chain_path": args.chain, "p": p, "cp": cp,
+            "chain_path": args.chain, "p": args.p, "cp": args.cp,
             "amplitude_override": args.amplitude, "separation_override": args.separation,
             "horizon": args.horizon,
         },
         exactness={"variances": "exact", "selection": _selection(part, args)},
     )
-    doc["plan"] = plan_doc
+    doc["plan"] = None if plan is None else plan.to_doc()
     doc["partition"] = part.to_doc()
     doc["verification"] = ver.to_doc()
-    out = _out_dir(args)
-    jpath = os.path.join(out, "blocks_report.json")
-    _write_json(jpath, doc)
     rows = [
         {"j": j + 1, "a": a, "b": b, "i_end": b + part.r,
          "norm": float(part.norms[j]), "theta_var": float(tv)}
         for j, ((a, b), tv) in enumerate(zip(part.blocks, part.theta_var()))
     ]
-    cpath = os.path.join(out, "blocks_table.csv")
-    _write_csv(cpath, ["j", "a", "b", "i_end", "norm", "theta_var"], rows)
     hard_ok = ver.structural_ok and ver.norms_ok and (
         ver.sandwich_pass or not ver.sandwich_gated
     ) and (ver.ratio_pass is not False or not ver.ratio_hypotheses)
-    _emit(args, doc, [
+    _write(args, doc, [
         f"partition for {chain.name}: r={part.r} A={fmt_float(part.amplitude)} "
         f"blocks={part.count} cover=[1, {part.cover_end}]",
         f"verification: structural={ver.structural_ok} norms={ver.norms_ok} "
         f"sandwich=[{fmt_float(ver.sandwich_min)}, {fmt_float(ver.sandwich_max)}] "
         f"ratio_dev={fmt_float(ver.ratio_max_dev)}",
-        f"wrote {jpath}",
-        f"wrote {cpath}",
-    ])
+    ], [("blocks_table.csv", ["j", "a", "b", "i_end", "norm", "theta_var"], rows)])
     if not hard_ok:
         print("warning: partition verification failed a claimed bound", file=sys.stderr)
         return EXIT_HYPOTHESIS
@@ -384,26 +349,18 @@ def _checkpoints(eng, horizon: int) -> tuple[list, int | None]:
 
 def cmd_simulate(args) -> int:
     chain = _load_chain(args.chain)
-    horizon = args.horizon if args.horizon is not None else 2048
-    paths = args.paths if args.paths is not None else 10_000
-    seed = args.seed if args.seed is not None else 42
-    delta = args.delta if args.delta is not None else 0.1
-    p = args.p if args.p is not None else 4.0
-    cp = args.cp if args.cp is not None else 8.0
-    eng = engine_for(chain)
-    checkpoints, first200 = _checkpoints(eng, horizon)
+    horizon, paths, seed, delta = args.horizon, args.paths, args.seed, args.delta
+    checkpoints, first200 = _checkpoints(engine_for(chain), horizon)
 
-    part = None
-    part_note = None
-    if args.amplitude is not None or args.separation is not None:
-        # failure here is a construction error, not something to paper over
-        # with a note
-        part = _override_partition(chain, args, p, cp, horizon)
-    else:
-        try:
-            part, _plan = plan_partition(chain, p=p, c_p=cp, horizon=horizon)
-        except (VarianceStarvedError, ChainConfigError) as exc:
-            part_note = f"no partition at this horizon: {exc}"
+    part = part_note = None
+    try:
+        part, _plan = _partition(chain, args, horizon)
+    except ConstructionError as exc:
+        # a planned partition that does not fit is noted; an override's
+        # failure exits 4, as in `blocks`
+        if args.amplitude is not None or args.separation is not None:
+            raise
+        part_note = f"no partition at this horizon: {exc}"
 
     batch = sample_paths(chain, horizon, paths, seed, checkpoints, partition=part)
     dirs = None
@@ -428,7 +385,7 @@ def cmd_simulate(args) -> int:
         "simulate", chain.name,
         {
             "chain_path": args.chain, "horizon": horizon, "paths": paths,
-            "delta": delta, "p": p, "cp": cp,
+            "delta": delta, "p": args.p, "cp": args.cp,
             "amplitude_override": args.amplitude,
             "separation_override": args.separation,
             "directions": args.directions, "checkpoints": checkpoints,
@@ -448,6 +405,7 @@ def cmd_simulate(args) -> int:
         for pt in ks.points
     ]
     doc["ks"] = {"max_ks": ks.max_ks, "points": ks_rows}
+    tables = [("ks_curve.csv", ["n", "direction_id", "ks", "stderr"], ks_rows)]
     doc["variance_matching"] = None if vm is None else {
         "c_max": vm.c_max, "delta": vm.delta, "points": vm.to_rows(),
     }
@@ -455,31 +413,19 @@ def cmd_simulate(args) -> int:
         "delta": rate.delta, "bounded": rate.bounded,
         "proxy_note": rate.proxy_note, "points": rate.to_rows(),
     }
+    if vm is not None:
+        tables.append(("variance_matching.csv", ["k", "n", "gap", "normalizer", "ratio"],
+                       vm.to_rows()))
+    if rate is not None:
+        tables.append(("rate_curve.csv", ["k", "n", "w1", "stderr", "normalizer", "ratio",
+                                          "sigma"], rate.to_rows()))
     doc["partition"] = None if part is None else part.to_doc()
     doc["partition_note"] = part_note
-
-    out = _out_dir(args)
-    jpath = os.path.join(out, "simulate_report.json")
-    _write_json(jpath, doc)
-    kpath = os.path.join(out, "ks_curve.csv")
-    _write_csv(kpath, ["n", "direction_id", "ks", "stderr"], ks_rows)
-    written = [jpath, kpath]
-    if vm is not None:
-        vpath = os.path.join(out, "variance_matching.csv")
-        _write_csv(vpath, ["k", "n", "gap", "normalizer", "ratio"], vm.to_rows())
-        written.append(vpath)
-    if rate is not None:
-        rpath = os.path.join(out, "rate_curve.csv")
-        _write_csv(
-            rpath, ["k", "n", "w1", "stderr", "normalizer", "ratio", "sigma"], rate.to_rows()
-        )
-        written.append(rpath)
-    head = [
+    _write(args, doc, [
         f"simulated {paths} paths of {chain.name} to horizon {horizon} (seed {seed})",
         f"ks max over checkpoints: "
         + ("all skipped" if ks.max_ks is None else fmt_float(ks.max_ks)),
-    ]
-    _emit(args, doc, head + [f"wrote {w}" for w in written])
+    ], tables)
     return EXIT_OK
 
 
@@ -498,18 +444,13 @@ def cmd_verify(args) -> int:
         exactness={"suite": "exact invariants only"},
     )
     doc.update(rep.to_doc())
-    out = _out_dir(args)
-    jpath = os.path.join(out, "verify_report.json")
-    _write_json(jpath, doc)
-    lines = []
     if rep.all_passed:
-        lines.append(f"all {len(rep.checks)} checks passed on {doc['config']['n_chains']} chains")
+        lines = [f"all {len(rep.checks)} checks passed on {doc['config']['n_chains']} chains"]
     else:
         ff = rep.first_failure
-        lines.append(f"{rep.n_failed} of {len(rep.checks)} checks failed")
-        lines.append(f"first failure: {ff.chain} {ff.check}: {ff.detail}")
-    lines.append(f"wrote {jpath}")
-    _emit(args, doc, lines)
+        lines = [f"{rep.n_failed} of {len(rep.checks)} checks failed",
+                 f"first failure: {ff.chain} {ff.check}: {ff.detail}"]
+    _write(args, doc, lines)
     return EXIT_OK if rep.all_passed else EXIT_HYPOTHESIS
 
 
@@ -531,9 +472,18 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output directory (default: .)")
         sp.add_argument("--json", action="store_true", help="print the JSON report to stdout")
 
+    def partition_flags(sp, p_for: str, chosen: str):
+        sp.add_argument("--p", type=float, default=4.0,
+                        help=f"moment order for {p_for} (default %(default)s)")
+        sp.add_argument("--cp", type=float, default=8.0,
+                        help="moment constant c_p (default %(default)s)")
+        sp.add_argument("--amplitude", type=float,
+                        help=f"block variance target A (default: {chosen})")
+        sp.add_argument("--separation", type=int, help=f"gap length r (default: {chosen})")
+
     sp = sub.add_parser("moments", help="exact V_n / s_n / eigen-ratio tables")
     common(sp)
-    sp.add_argument("--horizon", type=int, help="largest n (default 100)")
+    sp.add_argument("--horizon", type=int, default=100, help="largest n (default %(default)s)")
     sp.set_defaults(fn=cmd_moments)
 
     sp = sub.add_parser("mixing", help="mixing coefficients, envelope, frequency-gap profile")
@@ -542,23 +492,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("blocks", help="build and verify a variance-balanced partition")
     common(sp)
-    sp.add_argument("--p", type=float, help="moment order for the covariance bound (default 4)")
-    sp.add_argument("--cp", type=float, help="moment constant c_p (default 8)")
-    sp.add_argument("--amplitude", type=float, help="block variance target A (default: certified)")
-    sp.add_argument("--separation", type=int, help="gap length r (default: certified)")
-    sp.add_argument("--horizon", type=int, help="cover horizon (default: auto)")
+    partition_flags(sp, "the covariance bound", "certified")
+    sp.add_argument("--horizon", type=int,
+                    help="cover horizon (default: auto; 2048 with an override)")
     sp.set_defaults(fn=cmd_blocks)
 
     sp = sub.add_parser("simulate", help="seeded path sampling with CLT/variance diagnostics")
     common(sp)
-    sp.add_argument("--horizon", type=int, help="path length (default 2048)")
-    sp.add_argument("--paths", type=int, help="number of paths (default 10000)")
-    sp.add_argument("--seed", type=int, help="base seed (default 42)")
-    sp.add_argument("--delta", type=float, help="normalizer exponent offset (default 0.1)")
-    sp.add_argument("--p", type=float, help="moment order for partition planning (default 4)")
-    sp.add_argument("--cp", type=float, help="moment constant c_p (default 8)")
-    sp.add_argument("--amplitude", type=float, help="block variance target A (default: planned)")
-    sp.add_argument("--separation", type=int, help="gap length r (default: planned)")
+    sp.add_argument("--horizon", type=int, default=2048, help="path length (default %(default)s)")
+    sp.add_argument("--paths", type=int, default=10_000,
+                    help="number of paths (default %(default)s)")
+    sp.add_argument("--seed", type=int, default=42, help="base seed (default %(default)s)")
+    sp.add_argument("--delta", type=float, default=0.1,
+                    help="normalizer exponent offset (default %(default)s)")
+    partition_flags(sp, "partition planning", "planned")
     sp.add_argument("--directions", type=int, help="KS direction-grid size for d > 1 (default 4)")
     sp.set_defaults(fn=cmd_simulate)
 
@@ -584,8 +531,8 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except VarianceStarvedError as exc:
-        print(f"construction failure: {exc}", file=sys.stderr)
+    except (ConstructionError, VarianceStarvedError) as exc:
+        print(f"block construction failed: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
     except ChainConfigError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -10,10 +10,10 @@ from asipkit.battery import entry
 from asipkit.blocks import (
     VarianceStarvedError,
     build_blocks,
-    compute_q,
     covariance_inequality_check,
     plan_partition,
     q_of_amplitude,
+    q_zero,
     select_amplitude,
     select_separation,
     verify_partition,
@@ -38,10 +38,10 @@ def test_select_separation():
 
 def test_compute_q_closed_form():
     # unit envelope, r=2, p=4, L=1: Q0 = 2*8*(1+2)(1+1) * sum 2^(-1.5 k)
-    q0, qa = compute_q(9.0, 2, 4, 1.0, ENV_UNIT, 8.0)
+    q0 = q_zero(2, 4, 1.0, ENV_UNIT, 8.0)
     geo = 2**-1.5 / (1 - 2**-1.5)
     assert abs(q0 - 96 * geo) < 1e-9
-    assert abs(qa - q_of_amplitude(9.0, q0)) < 1e-15
+    assert abs(q_of_amplitude(9.0, q0) - (q0 + 2 * math.sqrt(27.0 * q0))) < 1e-12
     assert abs(q_of_amplitude(9.0, 1.0) - (1.0 + 2 * math.sqrt(27.0))) < 1e-12
 
 

@@ -109,13 +109,18 @@ def test_repeated_main_calls_write_identical_reports(chain_files, tmp_path):
 
 
 def test_moments_json_flag(chain_files, tmp_path, capsys):
-    rc = main([
-        "moments", "--chain", chain_files["sym"], "--horizon", "10",
-        "--out", str(tmp_path / "mj"), "--json",
-    ])
-    assert rc == EXIT_OK
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["config"]["horizon"] == 10
+    # --json prints the bytes of the report file each command writes
+    sym = ["--chain", chain_files["sym"]]
+    for argv in (
+        ["moments", *sym, "--horizon", "10"], ["mixing", *sym], ["blocks", *sym],
+        ["simulate", *sym, "--horizon", "64", "--paths", "50", "--seed", "3"], ["verify"],
+    ):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--out", str(out), "--json"]) == EXIT_OK, argv
+        printed = capsys.readouterr().out
+        assert printed.encode() == (out / f"{argv[0]}_report.json").read_bytes(), argv
+    assert json.loads(printed)["command"] == "verify"
+    assert read_json(tmp_path / "moments" / "moments_report.json")["config"]["horizon"] == 10
 
 
 def test_mixing_oracles(chain_files, tmp_path):
@@ -197,11 +202,18 @@ def test_bad_flags_exit_2(chain_files, tmp_path, capsys):
         ["simulate", "--chain", chain_files["iid"], "--paths", "0"],
         ["simulate", "--chain", chain_files["iid"], "--delta", "0.9"],
         ["moments", "--chain", chain_files["iid"], "--horizon", "0"],
+        # build_blocks needs A >= 1; both commands check it before any work
+        ["blocks", "--chain", chain_files["iid"], "--amplitude", "0.5"],
+        ["simulate", "--chain", chain_files["iid"], "--amplitude", "0.5"],
     ]
     for argv in cases:
         rc = main(argv + ["--out", str(tmp_path / "bad")])
         assert rc == EXIT_INPUT, argv
-        assert "input error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "input error" in err
+        if "--amplitude" in argv:
+            assert err == "input error: --amplitude must be >= 1, got 0.5\n", argv
+    assert not (tmp_path / "bad").exists()
 
 
 def test_blocks_has_no_direction_grid(chain_files, tmp_path, capsys):
@@ -333,6 +345,24 @@ def test_simulate_and_blocks_share_one_override(chain_files, tmp_path):
     assert built["certified"] is False
     for doc in (blocks_doc, simulate_doc):
         assert doc["exactness"]["selection"] == "r certified, amplitude as-given"
+
+
+def test_override_failure_exits_4_in_blocks_and_simulate(tmp_path, capsys):
+    # the identity kernel never contracts, so no separation meets the tail
+    # bound; both commands reach that failure through one partition routine
+    p = tmp_path / "identity.json"
+    p.write_text(json.dumps({
+        "kernels": {"periodic": [[[1.0, 0.0], [0.0, 1.0]]]}, "initial": [0.5, 0.5],
+        "observable": {"constant": [[1.0], [-1.0]]}, "L": 1.0,
+    }))
+    flags = ["--chain", str(p), "--amplitude", "30"]
+    for argv in (["blocks", *flags], ["simulate", *flags, "--horizon", "256", "--paths", "50"]):
+        rc = main([*argv, "--out", str(tmp_path / argv[0])])
+        assert rc == EXIT_CONSTRUCTION, argv
+        assert capsys.readouterr().err == (
+            "block construction failed: no separation r <= 100000 meets the tail bound\n"
+        ), argv
+        assert not (tmp_path / argv[0]).exists()
 
 
 def test_simulate_degenerate_chain(chain_files, tmp_path):
