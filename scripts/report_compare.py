@@ -11,8 +11,9 @@ JSON leaves by key path (list entries as `[]`), CSV cells by column name,
 and the numbers inside text values as `<field>#<i>`.  It prints every
 difference that is not a float (exit codes, text, integers, flags, missing
 files and fields), then the largest relative move |a - b| / max(|a|, |b|)
-of each float field that moved, largest first, and a count of the files
-whose bytes differ.  Exits 1 when there is a non-float difference.
+of each float field that moved, largest first, a count of the files
+whose bytes differ, and the line total of src/asipkit/*.py in each tree.
+Exits 1 when there is a non-float difference.
 """
 
 from __future__ import annotations
@@ -89,6 +90,11 @@ def compare(old: Path, new: Path, moves: dict, diffs: list) -> None:
                 diffs.append(f"{name}: {key}: {x!r} -> {y!r}")
 
 
+def _src_lines(root: Path) -> int:
+    """Lines of the package's modules, src/asipkit/*.py, under `root`."""
+    return sum(len(p.read_text().splitlines()) for p in (root / "src" / "asipkit").glob("*.py"))
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev", help="git revision to compare against, e.g. HEAD")
@@ -112,10 +118,12 @@ def main() -> int:
         files = sorted(p.relative_to(tmp / "REV") for p in (tmp / "REV").rglob("*") if p.is_file())
         changed = [f for f in files if not (tmp / "checkout" / f).is_file()
                    or (tmp / "REV" / f).read_bytes() != (tmp / "checkout" / f).read_bytes()]
+        lines = _src_lines(tree), _src_lines(ROOT)
     same_out = sum(a[3] == b[3] for a, b in zip(runs["REV"], runs["checkout"]))
     print(f"{args.rev} -> this checkout: {len(runs['REV'])} commands, "
           f"{same_out} with identical stdout, "
           f"{len(changed)} of {len(files)} report files differ in bytes")
+    print(f"src/asipkit/*.py lines: {lines[0]:,} at {args.rev}, {lines[1]:,} in this checkout")
     print(f"non-float differences: {len(diffs)}")
     for line in diffs:
         print(f"  {line}")

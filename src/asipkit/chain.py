@@ -21,8 +21,10 @@ from typing import Sequence
 import numpy as np
 
 STOCHASTIC_ATOL = 1e-12
-# longest float cycle of the marginal table that is sought, and joint period kept, in steps
+# longest float cycle of the table sought, joint period kept and kernel stack filled, in steps
 _CYCLE_MAX = 256
+# most steps past the schedule's repeat start that joint_period fills the table
+_CYCLE_SEARCH = 1 << 16
 
 
 class ChainConfigError(ValueError):
@@ -438,8 +440,9 @@ class ObservableSchedule:
 class ChainSpec:
     """A validated chain: kernel schedule, initial law, observable, bound L.
 
-    Past the marginal table's float cycle (c, P), a chain of one state count reads its laws and
-    centred tables from one joint period of lcm(P, observable period) steps (centered_stack).
+    Past its marginal table's float cycle (c, P) the chain repeats with one joint period
+    L = lcm(P, observable period) (joint_period); a chain of one state count then reads its
+    laws and centred tables from arrays of L rows (marginals, centered_stack).
 
     Parameters
     ----------
@@ -548,6 +551,19 @@ class ChainSpec:
         table fills only as far as the marginals asked for so far need."""
         return self._cycle
 
+    def joint_period(self) -> tuple[int, int] | None:
+        """(c, L): from time c on, the kernels, laws and observable tables
+        repeat with L = lcm(P, observable period), (c, P) the table's float
+        cycle.  None when the observable has no period or the table has no
+        cycle after the first call's fill, to the cycle or at most
+        _CYCLE_SEARCH steps past the schedule's repeat start."""
+        repeats, q = self.kernels.repeats(), self.observable.period()
+        if repeats is not None and q is not None and self._cycle is None:
+            self.marginal(repeats[0] + _CYCLE_SEARCH)  # no fill after the first call
+        if q is None or self._cycle is None:
+            return None
+        return self._cycle[0], math.lcm(self._cycle[1], q)
+
     def _row(self, j):
         """The time whose table row holds the law at time j (int or array)."""
         if self._cycle is None:
@@ -557,7 +573,6 @@ class ChainSpec:
 
     def _fill(self, j: int) -> None:
         """Fill the table to time j, or until the float cycle is found."""
-        kernel = self.kernels.kernel
         while self._cycle is None and self._known < j:
             n, stop = self._known, j if self._check_at is None else min(j, self._check_at)
             if stop > len(self._table):
@@ -565,12 +580,13 @@ class ChainSpec:
                 table, counts = np.zeros((rows, self._table.shape[1])), np.zeros(rows, dtype=int)
                 table[:n], counts[:n] = self._table[:n], self._counts[:n]
                 self._table, self._counts = table, counts
-            table, cols = self._table, []
+            table, cols, t = self._table, [], n
             prev = table[n - 1, : self._counts[n - 1]]
-            for t in range(n, stop):
-                k = kernel(t)
-                cols.append(k.shape[1])
-                prev = np.matmul(prev, k, table[t, : cols[-1]])  # written in place
+            while t < stop:  # a stack ends early where the kernels' shape changes
+                for k in self.kernels.stack(t, min(_CYCLE_MAX, stop - t)):
+                    cols.append(k.shape[1])
+                    prev = np.matmul(prev, k, table[t, : cols[-1]])  # written in place
+                    t += 1
             self._counts[n:stop], self._known = cols, stop
             if stop == self._check_at:
                 self._find_cycle()
@@ -596,9 +612,9 @@ class ChainSpec:
             lo, c = (lo, mid) if np.array_equal(table[mid - 1], table[mid + p - 1]) else (mid, c)
         self._cycle, self._known = (c, p), c + p - 1
         # one joint period of laws and centred tables: reads at t >= c gather (t - c) mod L
-        q = self.observable.period()
-        if self._count is not None and q is not None and math.lcm(p, q) <= _CYCLE_MAX:
-            laws = self._table[self._row(np.arange(c, c + math.lcm(p, q))) - 1]
+        joint = self.joint_period()
+        if self._count is not None and joint is not None and joint[1] <= _CYCLE_MAX:
+            laws = self._table[self._row(np.arange(c, c + joint[1])) - 1]
             self._period = c, laws, _centre(self.observable.stack(c, c + len(laws) - 1), laws)
 
     def marginals(self, times: np.ndarray) -> np.ndarray:

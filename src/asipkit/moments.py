@@ -9,14 +9,13 @@ adds w . (v (2 phi - v p)) at the new (p, phi), with v the centered values
 and w the weights of the time entered: ones forward, the marginal m_t
 backward, where it reads suffix variances m_t . g2_t - (m_t . g1_t)^2.
 
-The scan is run-aware.  From the time a chain's kernels and observable
-repeat with a common period (periodic schedules and cosine mixtures of
-integer period from the start, constant or linear mixtures from their flat
-step), one step is a fixed affine map on (p, phi), given node values
-shifted by one mean per phase, read from the marginal table at a late time
-of that phase; the shift is deterministic, so every variance stays exact.  Every stride of the scan applies a stack of
-prefix composites of step maps and reads its variances in one batched
-reduction (a blocked linear-recurrence scan).
+The scan is run-aware.  Where the chain has a joint period (c, L)
+(ChainSpec.joint_period), one step from one past the schedule's repeat start
+on is a fixed affine map on (p, phi) per phase, with node values the chain's
+centred tables of that phase past c: before c, a deterministic shift of
+f_t, so every variance stays exact.  Every stride of the scan applies a
+stack of prefix composites of step maps and reads its variances in one
+batched reduction (a blocked linear-recurrence scan).
 Inside a run a stride from the period's first phase takes up to B steps
 from the run's kept span, composed once per scan direction; any other
 stride reads the kernels of up to 2B times as one stack
@@ -27,14 +26,13 @@ kernel whose shape differs, so where the state count changes it holds one
 map.
 
 Two unmasked scans from the same start yield prefixes of one curve, bit for
-bit.  And once the marginal table has found its float cycle (c, P), a scan
-whose ends both lie at or past c0 = max(run t0, c) yields a prefix of the
-curve of any longer scan whose start has the same phase mod
-lcm(run period, P): every input of its steps repeats with that period.  An
-engine keeps the longest curve scanned per (scan direction, direction rows,
-phase) for such scans and per (scan direction, direction rows, start) for
-any other unmasked scan, at most _CURVE_BYTES in all.  A scan yields the
-held curve of its key first and walks only past its end.
+bit.  And inside a run, a scan whose ends both lie at or past
+c0 = max(run t0, c) yields a prefix of the curve of any longer scan whose
+start has the same phase mod L: every input of its steps repeats with L.
+An engine keeps the longest curve scanned per (scan direction, direction
+rows, phase) for such scans and per (scan direction, direction rows, start)
+for any other unmasked scan, at most _CURVE_BYTES in all.  A scan yields
+the held curve of its key first and walks only past its end.
 
 A pairwise-covariance accumulation path is kept alongside as an
 independent cross-check and for callers that want per-pair terms.
@@ -79,10 +77,6 @@ _SPANS_KEPT = 4
 # Most bytes an engine's kept curves hold in all, the oldest key going first:
 # a curve from time 1 can be as long as the horizon.
 _CURVE_BYTES = 1 << 24
-# A run's centres are the marginal table's phase means this many steps past
-# its start (rounded down to whole periods), by when the tables of the chains
-# measured have reached their float cycle.
-_CENTRE_AT = 1 << 16
 
 
 class _Sweep:
@@ -156,13 +150,13 @@ def _prefix(maps):
 @dataclass
 class _Run:
     """From time t0 on, the steps into and out of each time repeat with
-    `period`; `centers[phase]` is the marginal table's mean of the observable
-    at a late time of that phase, `nodes[phase]` the observable less it, and
-    `span` the steps of the run's kept span."""
+    `period`, the chain's joint period L, and from c0 = max(t0, c) on so do
+    the laws; `nodes[phase]` is the chain's centred table of that phase past
+    c, and `span` the steps of the run's kept span."""
 
     t0: int
+    c0: int
     period: int
-    centers: np.ndarray
     nodes: np.ndarray
 
     @property
@@ -234,14 +228,13 @@ class MomentEngine:
 
     def centered_max(self, a: int, b: int, u: np.ndarray) -> float:
         """max |(f_t(x) - E f_t) . u| over t in [a, b] and every state x.
-        From the table's cycle c on, the rows repeat with the lcm of its period
-        and the observable's, so a piece is cut after one such period there."""
+        From c on the rows repeat with L, (c, L) the chain's joint period, so
+        a piece is cut after one such period there."""
         chain = self.chain
-        chain.marginal(b)  # may find the cycle
-        cycle, q, rows = chain.cycle, chain.observable.period(), []
+        joint, rows = chain.joint_period(), []
         for lo, hi in chain.pieces(a, b):
-            if cycle is not None and q is not None:
-                hi = min(hi, max(lo, cycle[0]) + math.lcm(cycle[1], q) - 1)
+            if joint is not None:
+                hi = min(hi, max(lo, joint[0]) + joint[1] - 1)
             rows.append(chain.centered_stack(lo, hi) @ u)
         return max(float(np.max(np.abs(r))) for r in rows)
 
@@ -296,35 +289,27 @@ class MomentEngine:
 
     @functools.cached_property
     def _run(self) -> _Run | None:
-        """The run the chain enters, or None: from t0 on, kernel(t - 1),
-        kernel(t) and f_t repeat with the lcm of the kernel and observable
-        periods, that period is at most B, and every kernel is square of one
-        size."""
+        """The run the chain enters, or None: the chain has a joint period
+        (c, L), L <= B, and from t0, one past the schedule's repeat start,
+        every kernel is square of one size; then kernel(t - 1), kernel(t) and
+        f_t repeat with L from t0 on."""
         chain = self.chain
-        ks, obs = chain.kernels.repeats(), chain.observable.period()
-        if ks is None or obs is None:
+        joint = chain.joint_period()
+        if joint is None or joint[1] > B:
             return None
-        period = math.lcm(ks[1], obs)
-        if period > B:
-            return None
-        t0 = ks[0] + 1
+        (c, period), t0 = joint, chain.kernels.repeats()[0] + 1
         q = chain.kernels.stack(t0, period)
         if len(q) < period or q.shape[1] != q.shape[2]:
             return None
-        # the laws at a late time in phase with t0: once the marginal table
-        # has cycled, these are its cycle's rows
-        t = t0 + _CENTRE_AT // period * period
-        laws = chain.marginals(np.arange(t, t + period))
-        tables = chain.observable.stack(t, t + period - 1)
-        centers = np.einsum("ts,tsd->td", laws, tables)
-        return _Run(t0=t0, period=period, centers=centers, nodes=tables - centers[:, None, :])
+        nodes = chain.centered_stack(c, c + period - 1)[(np.arange(period) + t0 - c) % period]
+        return _Run(t0=t0, c0=max(t0, c), period=period, nodes=nodes)
 
     def _nodes(self, a: int, b: int, dirs: np.ndarray) -> np.ndarray:
         """f_t . u for t in [a, b] and every direction row u, shape
-        (b - a + 1, states, directions), f_t shifted by the run's centre of
-        its phase from t0 on and by E f_t before: deterministic shifts, so
-        variances are those of the centered sums.  [a, b] lies on one side
-        of t0 and keeps one state count."""
+        (b - a + 1, states, directions), f_t shifted by E f_t before the
+        run's t0 and by its phase's mean past c from t0 on: deterministic
+        shifts, so variances are those of the centered sums.  [a, b] lies on
+        one side of t0 and keeps one state count."""
         run = self._run
         if run is None or b < run.t0:
             f = self.chain.centered_stack(a, b)
@@ -468,18 +453,15 @@ class MomentEngine:
         sum adds to row i only over shifts h <= i.  So any such scan has the
         key (backward, direction rows, "start", start).
 
-        Scans whose curves repeat share a key across starts.  From
-        c0 = max(run t0, the marginal table's cycle start c) on, p0, the node
-        values, the kernels, the backward weights and the stride lengths
-        repeat with the lcm L of the run's and the table's periods; so a
-        scan with both ends at or past c0 has the key (backward, direction
-        rows, "phase", (start - c0) mod L)."""
-        run, cycle = self._run, self.chain.cycle
+        Scans whose curves repeat share a key across starts.  From the run's
+        c0 on, p0, the node values, the kernels, the backward weights and the
+        stride lengths repeat with the run's period, the chain's joint period
+        L; so a scan with both ends at or past c0 has the key (backward,
+        direction rows, "phase", (start - c0) mod L)."""
+        run = self._run
         rows = (stop < start, dirs.shape, dirs.tobytes())
-        if run is not None and cycle is not None:
-            c0 = max(run.t0, cycle[0])
-            if min(start, stop) >= c0:
-                return (*rows, "phase", (start - c0) % math.lcm(run.period, cycle[1]))
+        if run is not None and min(start, stop) >= run.c0:
+            return (*rows, "phase", (start - run.c0) % run.period)
         return (*rows, "start", start)
 
     def _keep(self, key, chunks) -> None:

@@ -124,6 +124,23 @@ def test_mixture_kernels_of_weights_that_never_repeat_are_not_kept():
     assert mk._cache == {}
 
 
+def test_marginal_table_fill_keeps_the_lazy_weight_error():
+    # the fill reads kernels as stacks, yet a weight outside [0, 1] raises
+    # only when a law needs its step, with the error of kernel(j), and the
+    # table stays good to the last law asked for
+    mixture = {"base": [SYM_K, [[0.5, 0.5], [0.5, 0.5]]],
+               "weights": {"kind": "linear", "start": 0.0, "end": 1.5, "length": 4}}
+    ch = build_chain({"kernels": {"mixture": mixture}, "initial": [0.9, 0.1],
+                      "observable": {"constant": [[1.0], [-1.0]]}, "L": 1.0})
+    msg = "mixture weight 1.125 at step 4 outside [0, 1]"
+    with pytest.raises(ChainConfigError, match=re.escape(msg)):
+        ch.kernel(4)
+    with pytest.raises(ChainConfigError, match=re.escape(msg)):
+        ch.marginal(10)
+    want = ch.initial @ ch.kernel(1) @ ch.kernel(2)
+    assert ch.marginal(3).tobytes() == want.tobytes()
+
+
 def test_explicit_horizon_limits():
     ks = ExplicitKernels([SYM_K, SYM_K, SYM_K])
     assert ks.n_steps == 3

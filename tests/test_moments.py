@@ -335,8 +335,10 @@ def test_run_scan_on_kernels_off_stochastic_by_the_tolerance(defect):
     obs = r.random((2, 3, 1)) + 0.5  # nonzero mean
     chain = _periodic_chain(kernels, obs, [0.5, 0.3, 0.2])
     eng = MomentEngine(chain)
-    assert np.all(np.isfinite(eng._run.centers))
-    assert np.all((eng._run.centers >= 0.5) & (eng._run.centers <= 1.5))
+    run = eng._run
+    centers = chain.observable.stack(run.t0, run.t0 + run.period - 1) - run.nodes
+    assert np.all(np.isfinite(centers))
+    assert np.all((centers >= 0.5) & (centers <= 1.5))
     # against the per-step scan on the same kernels (pair oracles centre by
     # E f_t under laws whose mass drifts, which moves them by ~1e-10 here)
     n = 20_000
@@ -1071,6 +1073,19 @@ def test_period_reads_match_the_per_time_path(name):
         for read in ("prefix_variances", "suffix_variances"):
             got = getattr(MomentEngine(chain), read)(a, b, dirs)
             assert got.tobytes() == getattr(MomentEngine(twin), read)(a, b, dirs).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted({*MEMO_CHAINS, "obs2_over_k1"}))
+def test_run_nodes_are_the_chains_centred_tables(name):
+    # one centring expression: a run's period is the chain's joint period,
+    # and its node values are the rows of centered_stack, bit for bit
+    chain = PERIOD_CHAINS[name]()
+    run = MomentEngine(chain)._run
+    period = chain.joint_period()[1]
+    assert run.period == period
+    times = np.arange(run.c0, run.c0 + 2 * period)
+    want = chain.centered_stack(run.c0, run.c0 + 2 * period - 1)
+    assert run.nodes[(times - run.t0) % period].tobytes() == want.tobytes()
 
 
 def test_segments_are_clipped_to_the_window():
