@@ -10,7 +10,7 @@ block-vs-cover variance ratio, and the between-block covariance bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -275,19 +275,23 @@ class BlockVerification:
     def structural_ok(self) -> bool:
         return self.separation_ok and self.norms_ok and self.coverage_ok
 
+    @property
+    def sandwich_ok(self) -> bool:
+        """The sandwich holds, or it is not claimed."""
+        return self.sandwich_pass or not self.sandwich_gated
+
+    @property
+    def ratio_ok(self) -> bool:
+        """The block-variance ratio bound holds, or it is not claimed."""
+        return self.ratio_pass is not False or not self.ratio_hypotheses
+
+    @property
+    def claims_hold(self) -> bool:
+        """Structure (norms included), sandwich and ratio all hold where claimed."""
+        return self.structural_ok and self.sandwich_ok and self.ratio_ok
+
     def to_doc(self) -> dict:
-        return {
-            "a1": self.a1, "a2": self.a2, "c": self.c,
-            "r1": self.r1, "r2": self.r2,
-            "r1_witness": self.r1_witness, "r2_witness": self.r2_witness,
-            "sandwich_min": self.sandwich_min, "sandwich_max": self.sandwich_max,
-            "sandwich_pass": self.sandwich_pass, "sandwich_gated": self.sandwich_gated,
-            "ratio_max_dev": self.ratio_max_dev, "ratio_bound": self.ratio_bound,
-            "ratio_pass": self.ratio_pass, "ratio_hypotheses": self.ratio_hypotheses,
-            "separation_ok": self.separation_ok, "norms_ok": self.norms_ok,
-            "coverage_ok": self.coverage_ok, "structural_ok": self.structural_ok,
-            "horizon": self.horizon, "per_block": self.per_block,
-        }
+        return {**asdict(self), "structural_ok": self.structural_ok}
 
 
 def _masked_prefix_vars(eng: MomentEngine, u0: np.ndarray, blocks) -> np.ndarray:

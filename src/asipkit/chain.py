@@ -5,6 +5,10 @@ cycle, or a two-kernel mixture with time-varying weights), an initial law,
 and a per-time observable table mapping states to vectors in R^d with a
 declared uniform bound L.  Time indices are 1-based: ``kernel(j)`` is the
 transition law from time j to time j+1.
+
+Explicit and periodic kernels and every observable are one list type (_List).
+The mixture's kernel memo and the walker's threshold tables key on the step a
+kernel reuses (KernelSchedule.reuses), so they stay bounded as the horizon grows.
 """
 
 from __future__ import annotations
@@ -163,6 +167,12 @@ class KernelSchedule:
         j >= j0, or None when the schedule never repeats."""
         return None
 
+    def reuses(self, j: int) -> int | None:
+        """The step whose kernel step j reuses: j itself up to j0, then
+        j0 + (j - j0) mod period; None when the schedule never repeats."""
+        r = self.repeats()
+        return None if r is None else min(j, r[0] + (j - r[0]) % r[1])
+
     def by_shape(self, steps: np.ndarray):
         """The kernels of sorted distinct steps as one stack per shape, read
         by stack() over each run of consecutive steps; see _by_shape."""
@@ -176,8 +186,8 @@ class KernelSchedule:
 
 
 def _by_shape(stacks: list[np.ndarray]):
-    """Kernel stacks joined into one stack per distinct shape, in order of
-    first use: (stacks, the stack of each kernel, its row there)."""
+    """Stacks joined into one stack per distinct shape, in order of first
+    use: (stacks, the stack of each entry, its row there)."""
     shapes = list(dict.fromkeys(s.shape[1:] for s in stacks))
     ids = [shapes.index(s.shape[1:]) for s in stacks]
     joined = [np.concatenate([s for s, i in zip(stacks, ids) if i == g])
@@ -189,17 +199,32 @@ def _by_shape(stacks: list[np.ndarray]):
     return joined, shape, row
 
 
-class _KernelList(KernelSchedule):
-    """A schedule read from a list of checked kernels, kept as one stack per
-    distinct shape; self.kernels[i] is a view of kernel i's row there."""
+class _List:
+    """Arrays at times 1, 2, ...: time j reads entry (j - 1) mod n of the n
+    entries, and a list that does not cycle ends at time n.  The entries are
+    kept as one stack per distinct shape; self.items[i] is a view of entry
+    i's row there."""
 
-    def __init__(self, stacks: list[np.ndarray]):
+    def __init__(self, stacks: list[np.ndarray], cycles: bool, name: str):
+        if not stacks:
+            raise ChainConfigError(f"empty {'periodic ' if cycles else ''}{name} list")
         self._stacks, self._shape, self._row = _by_shape(stacks)
-        where = zip(self._shape.tolist(), self._row.tolist())
-        self.kernels = [self._stacks[g][r] for g, r in where]
+        self.items = [self._stacks[g][r] for g, r in zip(self._shape.tolist(), self._row.tolist())]
+        self.cycles, self._name = cycles, name
 
-    def _take(self, pos: np.ndarray) -> np.ndarray:
-        """The kernels at list positions pos, up to the first shape change."""
+    def _at(self, j: int) -> np.ndarray:
+        """The entry at time j; the one range check."""
+        n = len(self.items)
+        if j >= 1 and (self.cycles or j <= n):
+            return self.items[(j - 1) % n]
+        raise ChainConfigError(f"{self._name} index {j} "
+                               + ("< 1" if self.cycles else f"outside explicit horizon {n}"))
+
+    def _take(self, j: int, k: int) -> np.ndarray:
+        """The entries at times j, ..., j + k - 1 as one stack, up to the
+        first shape change."""
+        self._at(j), self._at(j + k - 1)  # range checks
+        pos = np.arange(j - 1, j + k - 1) % len(self.items)
         if len(self._stacks) == 1:  # one shape, in list order
             return self._stacks[0][pos]
         g = self._shape[pos]
@@ -208,57 +233,40 @@ class _KernelList(KernelSchedule):
         return self._stacks[g[0]][self._row[pos[:cut]]]
 
 
-class ExplicitKernels(_KernelList):
+class _KernelList(_List, KernelSchedule):
+    """A schedule read from a list of checked kernels: ExplicitKernels ends
+    at its last kernel, PeriodicKernels cycles from step 1."""
+
+    cycles = False
+    kernel = _List._at
+    stack = _List._take
+
     def __init__(self, kernels: Sequence):
         stacks = _check_kernels(kernels, "kernel", 1)
-        if not stacks:
-            raise ChainConfigError("empty kernel list")
-        super().__init__(stacks)
-        t = _chain_break(stacks, cyclic=False)
+        super().__init__(stacks, self.cycles, "kernel")
+        p, t = len(self.items), _chain_break(stacks, self.cycles)
         if t is not None:
             raise ChainConfigError(
-                f"kernel {t + 1} has {self.kernels[t].shape[1]} columns but "
-                f"kernel {t + 2} has {self.kernels[t + 1].shape[0]} rows"
+                f"periodic kernels {t + 1} -> {(t + 1) % p + 1} have incompatible shapes" if self.cycles
+                else f"kernel {t + 1} has {self.items[t].shape[1]} columns but "
+                     f"kernel {t + 2} has {self.items[t + 1].shape[0]} rows"
             )
-        self.n_steps = len(self.kernels)
-        self.state_counts = [k.shape[0] for k in self.kernels] + [self.kernels[-1].shape[1]], False
+        self.n_steps, self.period = (None, p) if self.cycles else (p, None)
+        ends = [] if self.cycles else [self.items[-1].shape[1]]
+        self.state_counts = [k.shape[0] for k in self.items] + ends, self.cycles
 
-    def kernel(self, j: int) -> np.ndarray:
-        if not 1 <= j <= self.n_steps:
-            raise ChainConfigError(f"kernel index {j} outside explicit horizon {self.n_steps}")
-        return self.kernels[j - 1]
+    def repeats(self) -> tuple[int, int] | None:
+        return None if self.period is None else (1, self.period)
 
-    def stack(self, j: int, k: int) -> np.ndarray:
-        self.kernel(j), self.kernel(j + k - 1)  # range checks
-        return self._take(np.arange(j - 1, j + k - 1))
+
+class ExplicitKernels(_KernelList):
+    """Kernels of steps 1, ..., n_steps."""
 
 
 class PeriodicKernels(_KernelList):
-    def __init__(self, kernels: Sequence):
-        stacks = _check_kernels(kernels, "kernel", 1)
-        if not stacks:
-            raise ChainConfigError("empty periodic kernel list")
-        super().__init__(stacks)
-        p = len(self.kernels)
-        t = _chain_break(stacks, cyclic=True)
-        if t is not None:
-            raise ChainConfigError(
-                f"periodic kernels {t + 1} -> {(t + 1) % p + 1} have incompatible shapes"
-            )
-        self.period = p
-        self.state_counts = [k.shape[0] for k in self.kernels], True
+    """Kernels of steps 1, ..., period, cycled."""
 
-    def kernel(self, j: int) -> np.ndarray:
-        if j < 1:
-            raise ChainConfigError(f"kernel index {j} < 1")
-        return self.kernels[(j - 1) % self.period]
-
-    def stack(self, j: int, k: int) -> np.ndarray:
-        self.kernel(j)  # range check
-        return self._take(np.arange(j - 1, j + k - 1) % self.period)
-
-    def repeats(self) -> tuple[int, int]:
-        return 1, self.period
+    cycles = True
 
 
 class MixtureKernels(KernelSchedule):
@@ -297,12 +305,12 @@ class MixtureKernels(KernelSchedule):
             raise ChainConfigError(f"mixture weight length {self.rule['length']!r} < 1")
         if kind == "cosine" and self.rule["period"] <= 0:
             raise ChainConfigError(f"mixture weight period {self.rule['period']!r} <= 0")
+        # reuses(j) -> the kernel array of every step that reuses it (a
+        # schedule that never repeats keeps none)
         self._cache: dict[int, np.ndarray] = {}
         # (j0, period) of repeats(): a constant or linear weight stops
         # changing at its flat step, and a cosine of integer period weighs
-        # step j by the phase (j - 1) mod period; steps j0 + i and
-        # j0 + i + period share one kernel array, kept in _cache (a schedule
-        # that never repeats keeps none)
+        # step j by the phase (j - 1) mod period
         self._repeats = None
         if kind == "constant":
             self._repeats = 1, 1
@@ -342,16 +350,11 @@ class MixtureKernels(KernelSchedule):
         return self._repeats
 
     def kernel(self, j: int) -> np.ndarray:
-        if j < 1:
-            raise ChainConfigError(f"kernel index {j} < 1")
-        key = j
-        if self._repeats is not None and j > self._repeats[0]:
-            j0, p = self._repeats
-            key = j0 + (j - j0) % p
+        key = self.reuses(j)
         k = self._cache.get(key)
         if k is None:
-            k = self.stack(key, 1)[0]
-            if self._repeats is not None:
+            k = self.stack(key or j, 1)[0]  # stack raises for j < 1
+            if key is not None:
                 self._cache[key] = k
         return k
 
@@ -362,16 +365,20 @@ class MixtureKernels(KernelSchedule):
         return (1.0 - w) * self.k0 + w * self.k1
 
 
-class ObservableSchedule:
-    """Per-time tables f_j: state -> R^d, shaped (state_size(j), d)."""
+class ObservableSchedule(_List):
+    """Per-time tables f_j: state -> R^d, shaped (state_size(j), d).  An
+    explicit list ends at its last table; a periodic one cycles from time 1,
+    and a constant observable is a cycle of one table."""
 
-    def __init__(self, kind: str, tables: Sequence[np.ndarray]):
-        self.kind = kind
-        self.tables = tables
-        i = next((i for i, a in enumerate(tables) if a.shape[1] != tables[0].shape[1]), None)
+    table = _List._at
+
+    def __init__(self, tables: Sequence[np.ndarray], cycles: bool):
+        super().__init__([t[None] for t in tables], cycles, "observable")
+        d = [t.shape[1] for t in self.items]
+        i = next((i for i, di in enumerate(d) if di != d[0]), None)
         if i is not None:
-            raise ChainConfigError(f"observable {i + 1}: value dimension {tables[i].shape[1]} != "
-                                   f"{tables[0].shape[1]} of observable 1")
+            raise ChainConfigError(f"observable {i + 1}: value dimension {d[i]} != "
+                                   f"{d[0]} of observable 1")
 
     @staticmethod
     def _normalize_table(tab, d_hint: int | None, what: str) -> np.ndarray:
@@ -388,53 +395,36 @@ class ObservableSchedule:
 
     @classmethod
     def constant(cls, table, d: int | None = None):
-        return cls("constant", [cls._normalize_table(table, d, "observable")])
+        return cls([cls._normalize_table(table, d, "observable")], True)
 
     @classmethod
     def periodic(cls, tables, d: int | None = None):
-        if not tables:
-            raise ChainConfigError("empty periodic observable list")
-        return cls(
-            "periodic",
-            [cls._normalize_table(t, d, f"observable {i + 1}") for i, t in enumerate(tables)],
-        )
+        return cls._listed(tables, d, True)
 
     @classmethod
     def explicit(cls, tables, d: int | None = None):
-        if not tables:
-            raise ChainConfigError("empty observable list")
-        return cls(
-            "explicit",
-            [cls._normalize_table(t, d, f"observable {i + 1}") for i, t in enumerate(tables)],
-        )
+        return cls._listed(tables, d, False)
 
-    def table(self, j: int) -> np.ndarray:
-        if j < 1:
-            raise ChainConfigError(f"observable index {j} < 1")
-        if self.kind == "constant":
-            return self.tables[0]
-        if self.kind == "periodic":
-            return self.tables[(j - 1) % len(self.tables)]
-        if j > len(self.tables):
-            raise ChainConfigError(f"observable index {j} outside explicit horizon {len(self.tables)}")
-        return self.tables[j - 1]
+    @classmethod
+    def _listed(cls, tables, d: int | None, cycles: bool):
+        return cls([cls._normalize_table(t, d, f"observable {i + 1}") for i, t in enumerate(tables)],
+                   cycles)
 
     def stack(self, a: int, b: int) -> np.ndarray:
         """Tables at times a..b, shape (b - a + 1, states, d); raises
         ValueError when the state count changes over [a, b]."""
-        self.table(a), self.table(b)  # range checks
-        q = len(self.tables)
-        if self.kind == "explicit" or b - a < q:  # a window within one cycle
-            return np.stack([self.tables[t % q] for t in range(a - 1, b)])
-        return np.stack(self.tables)[np.arange(a - 1, b) % q]
+        tables = self._take(a, b - a + 1)
+        if len(tables) <= b - a:
+            raise ValueError("the state count changes across the given times")
+        return tables
 
     def period(self) -> int | None:
         """Period of the tables from time 1 on, or None for explicit tables."""
-        return None if self.kind == "explicit" else len(self.tables)
+        return len(self.items) if self.cycles else None
 
     @property
     def d(self) -> int:
-        return self.tables[0].shape[1]
+        return self.items[0].shape[1]
 
 
 class ChainSpec:
@@ -470,24 +460,27 @@ class ChainSpec:
         self.d = observable.d
         # largest time index, or None: one past the last kernel, at most the explicit tables'
         bounds = [] if kernels.n_steps is None else [kernels.n_steps + 1]
-        if observable.kind == "explicit":
-            bounds.append(len(observable.tables))
+        if not observable.cycles:
+            bounds.append(len(observable.items))
         self.max_time = min(bounds, default=None)
         if self.initial.shape[0] != self.state_size(1):
             raise ChainConfigError(
                 f"initial law has {self.initial.shape[0]} states, kernel 1 expects "
                 f"{self.state_size(1)}"
             )
-        for i, tab in enumerate(observable.tables):
-            if np.max(np.abs(tab)) > self.L + 1e-12:
-                raise ChainConfigError(
-                    f"observable table {i + 1} exceeds declared bound L={self.L!r} "
-                    f"(max |f| = {np.max(np.abs(tab))!r})"
-                )
+        top = np.zeros(len(observable.items))  # max |f| of each table, one pass per shape
+        for g, s in enumerate(observable._stacks):
+            top[observable._shape == g] = np.abs(s).max(axis=(1, 2))
+        bad = np.flatnonzero(top > self.L + 1e-12)
+        if bad.size:
+            raise ChainConfigError(
+                f"observable table {bad[0] + 1} exceeds declared bound L={self.L!r} "
+                f"(max |f| = {top[bad[0]]!r})"
+            )
         counts, cycles = kernels.state_counts
         self._count = counts[0] if len(set(counts)) == 1 else None  # the one state count
-        rows = [t.shape[0] for t in observable.tables]
-        t = _first_mismatch(counts, cycles, rows, observable.kind != "explicit")
+        rows = [t.shape[0] for t in observable.items]
+        t = _first_mismatch(counts, cycles, rows, observable.cycles)
         if t is not None:
             raise ChainConfigError(
                 f"observable at time {t + 1} has {rows[t % len(rows)]} rows, state space has "
@@ -524,8 +517,8 @@ class ChainSpec:
 
     def state_size(self, j: int) -> int:
         self._check_time(j)
-        counts, cycles = self.kernels.state_counts
-        return counts[(j - 1) % len(counts) if cycles else j - 1]
+        counts = self.kernels.state_counts[0]
+        return counts[(j - 1) % len(counts)]  # j <= len(counts) when they end
 
     def obs(self, j: int) -> np.ndarray:
         """Observable table at time j, shape (state_size(j), d)."""
@@ -711,25 +704,30 @@ def walk(chain: ChainSpec, t0: int, steps: int, n: int, rng: np.random.Generator
     #{cumulative probability <= u}, clipped to the last state with positive
     mass in the row, so a u equal to a cumulative value moves on and no path
     enters a zero-mass state."""
-    # id(kernel) -> (kernel, threshold columns, last positive state per row,
-    # or None when every row's last state has mass); the kernel pins its id.
+    # reused step (KernelSchedule.reuses) -> (threshold columns, last
+    # positive state per row, or None when every row's last state has mass);
+    # a step that reuses none, and the start, build theirs and drop it.
     # Column i holds the cumulative probability of states 0..i for every
     # row; the last column is left out, since a u at or past it counts every
     # state and the clip to `last` gives the same state.  Without a clip the
     # count is at most the number of columns, the last state.
-    cums: dict = {}
+    tables: dict = {}
     states = np.zeros(n, dtype=np.int64)  # the start law is a one-row kernel
     end = t0 + steps + 1
     for lo in range(t0, end, _WALK_BLOCK):
         u = rng.random((min(_WALK_BLOCK, end - lo), n))
         block = np.zeros(u.shape, dtype=np.int64)
         for t, row, u_t in zip(range(lo, end), block, u):
-            k = chain.marginal(t0)[None, :] if t == t0 else chain.kernel(t - 1)
-            if id(k) not in cums:
+            key = None if t == t0 else chain.kernels.reuses(t - 1)
+            table = tables.get(key)
+            if table is None:
+                k = chain.marginal(t0)[None, :] if t == t0 else chain.kernel(t - 1)
                 last = k.shape[1] - 1 - np.argmax(k[:, ::-1] > 0, axis=1)
                 clip = None if np.all(last == k.shape[1] - 1) else last
-                cums[id(k)] = (k, np.cumsum(k, axis=1)[:, :-1].T.copy(), clip)
-            _, cols, last = cums[id(k)]
+                table = np.cumsum(k, axis=1)[:, :-1].T.copy(), clip
+                if key is not None:
+                    tables[key] = table
+            cols, last = table
             if len(cols):
                 np.less_equal(cols[0][states], u_t, out=row)
             for col in cols[1:]:

@@ -22,7 +22,7 @@ Gaussian surrogate's draws by two-sample W1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -327,11 +327,7 @@ class VarianceMatchCurve:
     delta: float
 
     def to_rows(self) -> list:
-        return [
-            {"k": p.k, "n": p.n, "gap": p.gap, "normalizer": p.normalizer,
-             "ratio": p.ratio}
-            for p in self.points
-        ]
+        return [asdict(p) for p in self.points]
 
 
 def variance_matching_diagnostic(
@@ -390,11 +386,7 @@ class RateCurve:
     )
 
     def to_rows(self) -> list:
-        return [
-            {"k": p.k, "n": p.n, "w1": p.w1, "stderr": p.stderr,
-             "normalizer": p.normalizer, "ratio": p.ratio, "sigma": p.sigma}
-            for p in self.points
-        ]
+        return [asdict(p) for p in self.points]
 
     @property
     def bounded(self) -> bool:

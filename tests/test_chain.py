@@ -1,4 +1,5 @@
 """Chain documents: parsing, validation, and exact marginal laws."""
+import hashlib
 import json
 import re
 import tracemalloc
@@ -219,6 +220,10 @@ def _mixture(rule):
          "observable 2: value dimension 2 != 1 of observable 1"),
         ({"d": None, "observable": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], [[1.0], [0.0]]]},
          "observable 3: value dimension 1 != 2 of observable 1"),
+        # the bound is checked one shape at a time, yet the first table is named
+        ({"kernels": [SYM_K, _K23, _K32], "observable": [[[1.0], [0.0]], [[1.0], [0.0]],
+                                                         [[0.0], [2.0], [0.0]], [[3.0], [0.0]]]},
+         "observable table 3 exceeds declared bound L=1.0 (max |f| = "),
     ],
 )
 def test_document_validation_errors(patch, msg):
@@ -253,11 +258,22 @@ def test_explicit_kernels_across_state_count_changes():
 
 
 def _assert_stack_reads_kernels(ks, j, k, length):
-    """ks.stack(j, k) holds `length` kernels, the bytes of kernel(j), ..."""
-    got = ks.stack(j, k)
+    """ks.stack(j, k) holds `length` kernels, the bytes of kernel(j), ...,
+    and a shorter stack ends where the shape changes.  An observable's
+    stack(j, j + k - 1) holds the bytes of table(j), ..., table(j + k - 1),
+    or raises ValueError where the state count changes (length < k)."""
+    observable = isinstance(ks, ObservableSchedule)
+    read = ks.table if observable else ks.kernel
+    if length < k:
+        assert read(j + length).shape != read(j).shape
+        if observable:
+            with pytest.raises(ValueError):
+                ks.stack(j, j + k - 1)
+            return
+    got = ks.stack(j, j + k - 1) if observable else ks.stack(j, k)
     assert len(got) == length
     for i, m in enumerate(got):
-        want = ks.kernel(j + i)
+        want = read(j + i)
         assert m.shape == want.shape and m.tobytes() == want.tobytes()
 
 
@@ -298,6 +314,37 @@ def test_kernel_stacks_read_the_kernels():
     for read in (lambda: over.stack(1, 10), lambda: over.kernel(4)):
         with pytest.raises(ChainConfigError, match=re.escape("weight 1.125 at step 4 outside")):
             read()
+
+
+def test_observable_stacks_read_the_tables():
+    r = np.random.default_rng(7)
+
+    def tables(*rows):
+        return [r.random((n, 2)).tolist() for n in rows]
+
+    # a constant is a cycle of one table
+    const = ObservableSchedule.constant(tables(2)[0])
+    for j, k in [(1, 1), (3, 5)]:
+        _assert_stack_reads_kernels(const, j, k, k)
+    # one state count: windows inside one cycle and across cycles
+    same = ObservableSchedule.periodic(tables(2, 2, 2))
+    for j, k in [(1, 3), (2, 2), (2, 8), (5, 1)]:
+        _assert_stack_reads_kernels(same, j, k, k)
+    # state counts 2, 3, 2: the 2-row tables meet across the cycle's end
+    mixed = ObservableSchedule.periodic(tables(2, 3, 2))
+    for j, k, length in [(1, 1, 1), (1, 2, 1), (3, 2, 2), (3, 3, 2), (5, 1, 1), (5, 2, 1),
+                         (6, 2, 2), (2, 7, 1)]:
+        _assert_stack_reads_kernels(mixed, j, k, length)
+    with pytest.raises(ChainConfigError, match="observable index 0 < 1"):
+        mixed.stack(0, 1)
+    # explicit: state counts 2, 2, 3, 3, 1
+    listed = ObservableSchedule.explicit(tables(2, 2, 3, 3, 1))
+    for j, k, length in [(1, 2, 2), (1, 3, 2), (3, 2, 2), (2, 4, 1), (4, 2, 1), (5, 1, 1)]:
+        _assert_stack_reads_kernels(listed, j, k, length)
+    with pytest.raises(ChainConfigError, match="observable index 6 outside explicit horizon 5"):
+        listed.stack(5, 6)
+    with pytest.raises(ChainConfigError, match="observable index 0 outside explicit horizon 5"):
+        listed.stack(0, 1)
 
 
 def test_observable_rows_across_state_count_cycles():
@@ -596,3 +643,29 @@ def test_walk_tie_rule_and_clip():
     assert np.cumsum(ch4.kernel(1)[0])[-1] == top  # so a draw of top meets the clip
     got = [states.tolist() for _, states in _per_time(walk(ch4, 1, 1, 1, _Draws([[0.5], [top]])))]
     assert got == [[3], [2]]
+
+
+def test_walk_memory_stays_flat_on_a_mixture_that_never_repeats():
+    # cosine weights of period 3.7 give every step a new kernel; the walker
+    # keys its threshold tables on the step a kernel reuses, so it keeps
+    # none of these, and the states are those of the walker that kept one
+    # table per step
+    mixture = {"base": [SYM_K, [[0.5, 0.5], [0.5, 0.5]]], "weights": {"kind": "cosine", "period": 3.7}}
+    ch = build_chain({"kernels": {"mixture": mixture}, "initial": [0.5, 0.5],
+                      "observable": {"constant": [[1.0], [-1.0]]}, "L": 1.0})
+
+    def run(steps):
+        digest = hashlib.sha256()
+        tracemalloc.start()
+        try:
+            for _, block in walk(ch, 1, steps, 100, np.random.default_rng(3)):
+                digest.update(block.tobytes())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, digest.hexdigest()[:16]
+
+    run(100)  # one-time allocations
+    short, long = run(4_000), run(16_000)
+    assert (short[1], long[1]) == ("cfa5f4079ed6d33f", "e59415fc9b00d4f8")
+    assert long[0] < short[0] + 2**18 and long[0] < 2**20
